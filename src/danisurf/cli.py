@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .diffmaps import (CapExceededError, Derivation, RingMap, commutes,
@@ -330,9 +331,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of run(), built on first use and then reused: parsing leaves it unchanged
+_parser = lru_cache(maxsize=None)(build_arg_parser)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         session = _build_session(args)
         if getattr(args, "suite", None):

@@ -1,42 +1,65 @@
 """Exact arithmetic over Q and over the cyclotomic fields Q(zeta_N).
 
-Every scalar in this package is a ``CycScalar``: a residue modulo the N-th
-cyclotomic polynomial, written in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1)
-with Fraction coefficients.  Purely rational values are kept at conductor 1,
-and after every operation the conductor is minimized (the residue is moved
-into the smallest cyclotomic subfield that contains it), so equal algebraic
-numbers always compare equal.
+Every scalar is a ``CycScalar``: a residue modulo the N-th cyclotomic
+polynomial in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), with Fraction
+coefficients.  It is stored at the least conductor N with the value in
+Q(zeta_N) (1 for rationals), where its coordinates are unique, so equal
+numbers compare equal.  After each operation a value of Q(zeta_L) descends to
+Q(zeta_(L/p)), for a prime p | L, while some such subfield contains it.  This
+reaches the least conductor: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)),
+so the conductors d | L whose fields hold the value are closed under gcd, and
+the least one divides the others and is reached from any of them by prime steps.
+Each membership test is exact: with a cached sparse left inverse P of the
+embedding E of the subfield, x lies in it exactly when E P x = x.  Conductors
+above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands, raise ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Optional, Union
 
 Rational = Fraction
 
 ScalarLike = Union["CycScalar", Fraction, int]
 
+MAX_CONDUCTOR = 1000
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
+
+
+def _check_conductor(n: int) -> int:
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor {n} exceeds MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+    return n
 
 
 def divisors(n: int) -> list[int]:
@@ -58,110 +81,110 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
         raise ValueError("cyclotomic index must be >= 1")
     if n == 1:
         return (-1, 1)
-    # (t^n - 1) divided by Phi_d for every proper divisor d of n.
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1
-    for d in divisors(n)[:-1]:
-        poly = _int_poly_div_exact(poly, list(cyclotomic_coeffs(d)))
+    # Phi_n is the product over d | n of (1 - t^d)^mu(n/d), expanded as a power
+    # series cut above degree phi(n); each factor or its inverse is one pass.
+    deg = euler_phi(n)
+    poly = [1] + [0] * deg
+    for d in divisors(n):
+        primes = _prime_factors(n // d)
+        if prod(primes) != n // d:
+            continue  # mu(n/d) = 0
+        if len(primes) % 2 == 0:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
     return tuple(poly)
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials; remainder must vanish
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        quot[i - dd] = q
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= q * dc
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
-
-
 def _mod_phi(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Remainder of a dense Fraction polynomial modulo Phi_n (monic)."""
+    """Remainder of a dense Fraction polynomial modulo Phi_n (monic), computed in place."""
     phi = cyclotomic_coeffs(n)
     deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
-        work[i] = _ZERO
         for j in range(deg):
-            work[i - deg + j] -= c * phi[j]
-    out = work[:deg]
-    out += [_ZERO] * (deg - len(out))
-    return out
+            coeffs[i - deg + j] -= c * phi[j]
+    del coeffs[deg:]
+    coeffs += [_ZERO] * (deg - len(coeffs))
+    return coeffs
+
+
+def _axpy(dst: dict[int, Fraction], a: Fraction, src: dict[int, Fraction]) -> None:
+    """dst += a * src, for nonzero a and sparse vectors stored as {index: value}."""
+    for i, v in src.items():
+        w = dst.get(i, _ZERO) + a * v
+        if w:
+            dst[i] = w
+        else:
+            del dst[i]
 
 
 @lru_cache(maxsize=None)
-def _embedding_basis(L: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Images of the Q(zeta_d) power basis inside Q(zeta_L), as rows."""
+def _projector(L: int, d: int) -> tuple[tuple, tuple]:
+    """The embedding E of Q(zeta_d) in Q(zeta_L) and a left inverse P of it.
+
+    Column k of E is zeta_L^(k*L/d) mod Phi_L, the image of zeta_d^k.  Gauss-Jordan
+    elimination on the rows of E^T, recording the row operations U, leaves unit
+    vectors at pivot coordinates R; then U = (E_R^-1)^T, so P x = U^T x_R.  P is
+    returned as pairs (R_i, ((k, U[i][k]), ...)), E as its columns' nonzeros.
+    """
     step = L // d
-    rows = []
+    cols = []
     for k in range(euler_phi(d)):
-        e = k * step
-        vec = [_ZERO] * (e + 1)
-        vec[e] = _ONE
-        rows.append(tuple(_mod_phi(vec, L)))
-    return tuple(rows)
+        image = _mod_phi([_ZERO] * (k * step) + [_ONE], L)
+        cols.append({r: c for r, c in enumerate(image) if c})
+    # row k of E^T; U[k] is kept in the same dict under the keys -1 - k
+    rows = [{**col, -1 - k: _ONE} for k, col in enumerate(cols)]
+    pivots: list[int] = []
+    for i, row in enumerate(rows):
+        for j, r in enumerate(pivots):
+            if r in row:
+                _axpy(row, -row[r], rows[j])
+        r = max(row)  # a coordinate, since E has full column rank
+        inv = 1 / row[r]
+        for c in row:
+            row[c] *= inv
+        for other in rows[:i]:
+            if r in other:
+                _axpy(other, -other[r], row)
+        pivots.append(r)
+    P = tuple((r, tuple((-1 - k, u) for k, u in row.items() if k < 0))
+              for r, row in zip(pivots, rows))
+    return P, tuple(tuple(col.items()) for col in cols)
 
 
-def _solve_in_subfield(L: int, d: int, target: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve sum_k c_k * zeta_L^(k*L/d) = target; None if no solution."""
-    basis = _embedding_basis(L, d)
-    ncols = len(basis)
-    nrows = euler_phi(L)
-    # columns are the basis vectors, augmented with the target
-    aug = [[basis[c][r] for c in range(ncols)] + [target[r]] for r in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    sol = [_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
+def _in_subfield(L: int, d: int, x: list[Fraction]) -> Optional[list[Fraction]]:
+    """Coordinates in Q(zeta_d) of x, given in Q(zeta_L), or None if x is not there."""
+    P, E = _projector(L, d)
+    y = [_ZERO] * len(E)
+    for r, op in P:
+        c = x[r]
+        if c:
+            for k, u in op:
+                y[k] += u * c
+    z = [_ZERO] * len(x)
+    for col, c in zip(E, y):
+        if c:
+            for r, e in col:
+                z[r] += e * c
+    return y if z == x else None
 
 
 def _minimized(L: int, coeffs: list[Fraction]) -> "CycScalar":
-    if L == 1 or all(c == 0 for c in coeffs[1:]):
-        return CycScalar._raw(1, (coeffs[0] if coeffs else _ZERO,))
-    for d in divisors(L):
-        if d == L:
-            break
-        sol = _solve_in_subfield(L, d, coeffs)
-        if sol is not None:
-            return _minimized(d, sol)
-    return CycScalar._raw(L, tuple(coeffs))
+    """The canonical scalar of the residue coeffs of Q(zeta_L), by prime descent."""
+    while L > 1 and any(coeffs[1:]):
+        for p in _prime_factors(L):
+            sub = _in_subfield(L, L // p, coeffs)
+            if sub is not None:
+                L, coeffs = L // p, sub
+                break
+        else:
+            return CycScalar._raw(L, tuple(coeffs))
+    return CycScalar._raw(1, (coeffs[0],))
 
 
 class CycScalar:
@@ -201,10 +224,8 @@ class CycScalar:
         """zeta(n)^power, a primitive n-th root of unity raised to a power."""
         if n < 1:
             raise ValueError("zeta index must be >= 1")
-        e = power % n
-        vec = [_ZERO] * (e + 1)
-        vec[e] = _ONE
-        return _minimized(n, _mod_phi(vec, n))
+        e = power % _check_conductor(n)
+        return _minimized(n, _mod_phi([_ZERO] * e + [_ONE], n))
 
     # -- predicates -------------------------------------------------------
 
@@ -248,7 +269,7 @@ class CycScalar:
             return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
             return CycScalar(self.coeffs[0] + other.coeffs[0])
-        L = _lcm(self.conductor, other.conductor)
+        L = _check_conductor(lcm(self.conductor, other.conductor))
         a, b = self._lifted(L), other._lifted(L)
         return _minimized(L, [x + y for x, y in zip(a, b)])
 
@@ -282,16 +303,16 @@ class CycScalar:
             if q == 0:
                 return CycScalar(0)
             return CycScalar._raw(self.conductor, tuple(q * c for c in self.coeffs))
-        L = _lcm(self.conductor, other.conductor)
+        L = _check_conductor(lcm(self.conductor, other.conductor))
         a, b = self._lifted(L), other._lifted(L)
-        prod = [_ZERO] * (len(a) + len(b) - 1)
+        product = [_ZERO] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
             for j, y in enumerate(b):
                 if y != 0:
-                    prod[i + j] += x * y
-        return _minimized(L, _mod_phi(prod, L))
+                    product[i + j] += x * y
+        return _minimized(L, _mod_phi(product, L))
 
     __rmul__ = __mul__
 
@@ -370,22 +391,20 @@ class CycScalar:
         return f"CycScalar({self})"
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _poly_xgcd_mod(a: list[Fraction], n: int) -> list[Fraction]:
     """Return u with u*a = 1 modulo Phi_n, via the extended Euclid algorithm."""
     phi = [Fraction(c) for c in cyclotomic_coeffs(n)]
     r0, r1 = phi, _trim(a)
     s0, s1 = [_ZERO], [_ONE]
-    while _degree(r1) > 0:
+    while len(r1) > 1:
         q, r = _poly_divmod(r0, r1)
+        s = s0 + [_ZERO] * (len(q) + len(s1))
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                s[i + j] -= x * y
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if _degree(r1) < 0:
+        s0, s1 = s1, _trim(s)
+    if not r1:
         raise ZeroDivisionError("residue shares a factor with the modulus")
     c = r1[0]
     return _mod_phi([v / c for v in s1], n)
@@ -396,29 +415,6 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     while end > 0 and p[end - 1] == 0:
         end -= 1
     return p[:end]
-
-
-def _degree(p: list[Fraction]) -> int:
-    return len(_trim(p)) - 1
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    return _trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -446,19 +442,16 @@ def zeta(n: int, power: int = 1) -> CycScalar:
 def root_of_unity_order(a: ScalarLike) -> Optional[int]:
     """Least k >= 1 with a^k = 1, or None if a is not a root of unity.
 
-    The roots of unity inside Q(zeta_N) form the group generated by -zeta_N,
-    whose order divides 2N, so iterating up to 2N is a complete search.
+    A root of unity of order r has least conductor r, or r/2 when r = 2 mod 4.
+    So at the conductor N of a, which is least, the only possible orders are
+    N when N is odd and lcm(2, N); no other power needs testing.
     """
     a = CycScalar._coerce(a)
-    if a.is_zero():
-        return None
-    cap = 2 * a.conductor
-    power = a
-    for k in range(1, cap + 1):
-        if power.is_one():
-            return k
-        power = power * a
-    return None
+    N = a.conductor
+    if N % 2 and (a ** N).is_one():
+        return N
+    m = lcm(2, N)
+    return m if (a ** m).is_one() else None
 
 
 def cyclotomic_polynomial(n: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from danisurf.exactnum import CycScalar, zeta
+from danisurf.exactnum import CycScalar, cyclotomic_coeffs, zeta
 from danisurf.multipoly import MultiPoly
 from danisurf.surface import SurfaceSpec
 
@@ -62,6 +62,71 @@ def naive_dense_div(num: list[Fraction], den: list[Fraction]) -> tuple[list[Frac
         while num and num[-1] == 0:
             num.pop()
     return quot, num
+
+
+def reduce_mod_cyclotomic(vec: list[Fraction], n: int) -> list[Fraction]:
+    """Dense coefficients of vec modulo Phi_n, padded to phi(n) entries."""
+    phi = [Fraction(c) for c in cyclotomic_coeffs(n)]
+    _, rem = naive_dense_div(vec, phi)
+    return rem + [Fraction(0)] * (len(phi) - 1 - len(rem))
+
+
+def _solve_in_subfield(L: int, d: int, target: list[Fraction]) -> list[Fraction] | None:
+    """Solve sum_k c_k * zeta_L^(k*L/d) = target by Gaussian elimination; None if unsolvable."""
+    ncols = len(cyclotomic_coeffs(d)) - 1
+    basis = [reduce_mod_cyclotomic([Fraction(0)] * (k * (L // d)) + [Fraction(1)], L)
+             for k in range(ncols)]
+    nrows = len(target)
+    aug = [[basis[c][r] for c in range(ncols)] + [target[r]] for r in range(nrows)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    if any(aug[r][ncols] != 0 for r in range(row, nrows)):
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols]
+    return sol
+
+
+def minimized_by_elimination(L: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
+    """(conductor, coefficients) of an element of Q(zeta_L) in its least subfield.
+
+    Tries every divisor d of L in ascending order and keeps the first whose
+    linear system for the embedded power basis of Q(zeta_d) is solvable.
+    """
+    if L == 1 or all(c == 0 for c in coeffs[1:]):
+        return 1, (coeffs[0],)
+    for d in range(1, L):
+        if L % d == 0:
+            sol = _solve_in_subfield(L, d, list(coeffs))
+            if sol is not None:
+                return minimized_by_elimination(d, sol)
+    return L, tuple(coeffs)
+
+
+def brute_root_of_unity_order(a: CycScalar) -> int | None:
+    """Least k >= 1 with a^k = 1, by trying every k up to 2 * conductor."""
+    if a.is_zero():
+        return None
+    power = a
+    for k in range(1, 2 * a.conductor + 1):
+        if power.is_one():
+            return k
+        power = power * a
+    return None
 
 
 def reduce_with_strategy(p: MultiPoly, S: SurfaceSpec, pick) -> MultiPoly:

@@ -1,9 +1,11 @@
 """Command dispatch, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
+from danisurf import cli
 from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 
 SURFACE = "f=x; phi=z^2"
@@ -178,3 +180,42 @@ class TestErrorsAndFiles:
         code, _, err = _run(capsys, "lnd", "--surface", SURFACE,
                             "--derivation", "X -> 0; Y -> 1")
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("expr", ["zeta(100003)", "zeta(997)*zeta(991)"])
+    def test_conductor_above_bound_rejected(self, capsys, expr):
+        start = time.perf_counter()
+        code, _, err = _run(capsys, "nf", "--surface", "free: X,Y", "--expr", expr)
+        assert code == EXIT_ERROR and "MAX_CONDUCTOR" in err
+        assert time.perf_counter() - start < 10
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["nf", "--surface", SURFACE],  # --expr missing: argparse rejects it
+        ["nf", "--surface", SURFACE, "--expr", "x^2*y"],
+        ["eq", "--surface", SURFACE, "--left", "x", "--right", "y", "--format", "json"],
+        ["bound", "--g", "x+1", "--n", "2"],
+        ["nf", "--expr", "x"],
+        ["plane-example", "--s", "3", "--p", "1", "--seed", "5", "--format", "json"],
+    ]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(self._outcome(capsys, argv))
+        cli._parser.cache_clear()
+        reused = [self._outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert cli._parser.cache_info().misses == 1
+        assert reused == fresh
+        code, out, err = reused[0]
+        assert code == EXIT_ERROR and not out and err.startswith("usage:")

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from danisurf.exactnum import (CycScalar, cyclotomic_coeffs,
-                               cyclotomic_polynomial, divisors, euler_phi,
-                               root_of_unity_order, zeta)
+from danisurf.exactnum import (MAX_CONDUCTOR, CycScalar, _minimized,
+                               cyclotomic_coeffs, cyclotomic_polynomial,
+                               divisors, euler_phi, root_of_unity_order, zeta)
 from danisurf.multipoly import MultiPoly
 
-from oracles import naive_dense_div
+from oracles import (brute_root_of_unity_order, minimized_by_elimination,
+                     naive_dense_div, reduce_mod_cyclotomic)
 
 t = MultiPoly.variable("t")
 
@@ -45,6 +46,13 @@ class TestCyclotomicPolynomial:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+    def test_coefficients_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        s = sympy.Symbol("t")
+        for n in range(1, 201):
+            expected = sympy.Poly(sympy.cyclotomic_poly(n, s), s).all_coeffs()[::-1]
+            assert cyclotomic_coeffs(n) == tuple(int(c) for c in expected), n
 
 
 class TestArithmetic:
@@ -96,6 +104,19 @@ class TestConductorMinimization:
         assert hash(CycScalar(Fraction(3, 4))) == hash(Fraction(3, 4))
 
 
+class TestConductorBound:
+    def test_zeta_above_bound_rejected(self):
+        assert zeta(MAX_CONDUCTOR).conductor == MAX_CONDUCTOR
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+            zeta(MAX_CONDUCTOR + 1)
+
+    def test_operand_lcm_above_bound_rejected(self):
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+            zeta(997) * zeta(991)
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+            zeta(997) + zeta(991)
+
+
 class TestRootOfUnityOrder:
     def test_minus_one(self):
         assert root_of_unity_order(CycScalar(-1)) == 2
@@ -126,6 +147,17 @@ class TestRootOfUnityOrder:
 
         assert root_of_unity_order(zeta(n, j)) == n // gcd(n, j)
 
+    def test_large_conductor(self):
+        # a linear search would take up to 840 multiplications at conductor 420
+        assert root_of_unity_order(zeta(420) * zeta(7)) == 420
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_brute_force(self, n):
+        cases = [sign * zeta(n, k) for k in range(n) for sign in (1, -1)]
+        cases += [zeta(n) + 1, zeta(n) - 1, 2 * zeta(n), zeta(n) + zeta(n, 2)]
+        for a in cases:
+            assert root_of_unity_order(a) == brute_root_of_unity_order(a), a
+
 
 _scalars = st.one_of(
     st.integers(-6, 6).map(CycScalar),
@@ -154,3 +186,30 @@ def test_commutative_ring_laws(a, b):
 @given(_scalars, _scalars, _scalars)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+@st.composite
+def _lifted_elements(draw):
+    """(L, coefficients in Q(zeta_L)) of a sum of powers of zeta_c, lifted to a multiple L of c.
+
+    Restricting the powers to multiples of a divisor of c puts the element in
+    a proper subfield, so that descent has work to do.
+    """
+    c = draw(st.sampled_from([12, 15, 20, 21, 28, 35, 60, 84, 105, 140]))
+    step = draw(st.sampled_from(divisors(c)))
+    L = c * draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.lists(st.tuples(st.integers(0, c // step - 1),
+                                    st.fractions(-3, 3, max_denominator=3)),
+                          min_size=1, max_size=6))
+    vec = [Fraction(0)] * L
+    for k, a in terms:
+        vec[k * step * (L // c)] += a
+    return L, reduce_mod_cyclotomic(vec, L)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_lifted_elements())
+def test_prime_descent_matches_elimination_oracle(case):
+    L, coeffs = case
+    got = _minimized(L, list(coeffs))
+    assert (got.conductor, got.coeffs) == minimized_by_elimination(L, coeffs)
