@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .diffmaps import (CapExceededError, Derivation, RingMap, commutes,
-                       exp_derivation, is_locally_nilpotent)
-from .exactnum import CycScalar
+from .diffmaps import (CapExceededError, Derivation, RingMap,
+                       check_derivation_well_defined, check_map_well_defined,
+                       commutes, exp_derivation, is_locally_nilpotent)
 from .isotropy import (SamplingPlan, classify_phi, hyperbolic_order_bound,
-                       plane_example_suite, verify_isotropy_theorem)
+                       plane_example_suite, surface_class, triangular,
+                       verify_isotropy_theorem)
 from .multipoly import MultiPoly
 from .parsing import (ParseError, parse_expression, parse_images,
                       parse_scalar, parse_surface)
@@ -31,18 +32,15 @@ EXIT_ERROR = 2
 
 @dataclass
 class Session:
+    """The parsed arguments of one invocation and the objects built from them."""
+
+    args: argparse.Namespace
     surface: Optional[SurfaceSpec] = None
-    derivations: dict[str, Derivation] = field(default_factory=dict)
-    maps: dict[str, RingMap] = field(default_factory=dict)
-    cap: Optional[int] = None
-    seed: int = 0
-    fmt: str = "text"
+    D: Optional[Derivation] = None
+    M: Optional[RingMap] = None
 
     def emit(self, payload: dict, text: str) -> None:
-        if self.fmt == "json":
-            print(json.dumps(payload))
-        else:
-            print(text)
+        print(json.dumps(payload) if self.args.format == "json" else text)
 
 
 def _argvalue(value: Optional[str]) -> Optional[str]:
@@ -54,9 +52,7 @@ def _argvalue(value: Optional[str]) -> Optional[str]:
 
 
 def _build_session(args: argparse.Namespace) -> Session:
-    session = Session(cap=getattr(args, "cap", None),
-                      seed=getattr(args, "seed", 0) or 0,
-                      fmt=getattr(args, "format", "text"))
+    session = Session(args)
     surface_text = _argvalue(getattr(args, "surface", None))
     if surface_text is not None:
         session.surface = parse_surface(surface_text)
@@ -71,21 +67,18 @@ def _build_session(args: argparse.Namespace) -> Session:
                 f = MultiPoly.variable("x") ** n
             session.surface = SurfaceSpec.danielewski(f, parse_expression(phi_text, ("z",)))
     der_text = _argvalue(getattr(args, "derivation", None))
-    if der_text is not None and not getattr(args, "skip_session_derivation", False):
-        session.derivations["D"] = Derivation(
+    if der_text is not None:
+        session.D = Derivation(
             _need_surface(session), parse_images(der_text, _need_surface(session)))
     map_text = _argvalue(getattr(args, "map", None))
-    if map_text is not None and not getattr(args, "skip_session_map", False):
-        session.maps["M"] = RingMap(
+    if map_text is not None:
+        session.M = RingMap(
             _need_surface(session), parse_images(map_text, _need_surface(session)))
     h_text = _argvalue(getattr(args, "h", None))
     if h_text is not None:
-        if "M" in session.maps:
+        if session.M is not None:
             raise ValueError("give either --map or --h, not both")
-        from .isotropy import triangular
-
-        session.maps["M"] = triangular(
-            _need_surface(session), parse_expression(h_text, ("x",)))
+        session.M = triangular(_need_surface(session), parse_expression(h_text, ("x",)))
     return session
 
 
@@ -95,59 +88,49 @@ def _need_surface(session: Session) -> SurfaceSpec:
     return session.surface
 
 
-def _cmd_nf(session: Session, args: argparse.Namespace) -> int:
+def _cmd_nf(session: Session) -> int:
     S = _need_surface(session)
-    element = S.element(parse_expression(_argvalue(args.expr), S.variables))
+    element = S.element(parse_expression(_argvalue(session.args.expr), S.variables))
     session.emit({"normal_form": str(element)}, str(element))
     return EXIT_OK
 
 
-def _cmd_eq(session: Session, args: argparse.Namespace) -> int:
+def _cmd_eq(session: Session) -> int:
     S = _need_surface(session)
-    left = S.element(parse_expression(_argvalue(args.left), S.variables))
-    right = S.element(parse_expression(_argvalue(args.right), S.variables))
+    left = S.element(parse_expression(_argvalue(session.args.left), S.variables))
+    right = S.element(parse_expression(_argvalue(session.args.right), S.variables))
     equal = left == right
     session.emit({"equal": equal}, "true" if equal else "false")
     return EXIT_OK if equal else EXIT_CHECK_FAILED
 
 
-def _cmd_dwf(session: Session, args: argparse.Namespace) -> int:
-    from .diffmaps import check_derivation_well_defined
-
+def _cmd_well_defined(session: Session) -> int:
+    """dwf and mwf: the verdict on a table, which need not be well-defined."""
     S = _need_surface(session)
-    images = parse_images(_argvalue(args.derivation), S)
-    ok = check_derivation_well_defined(images, S)
-    session.emit({"well_defined": ok}, "true" if ok else "false")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_mwf(session: Session, args: argparse.Namespace) -> int:
-    from .diffmaps import check_map_well_defined
-
-    S = _need_surface(session)
-    images = parse_images(_argvalue(args.map), S)
-    ok = check_map_well_defined(images, S)
-    session.emit({"well_defined": ok}, "true" if ok else "false")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_apply(session: Session, args: argparse.Namespace) -> int:
-    S = _need_surface(session)
-    target = S.element(parse_expression(_argvalue(args.expr), S.variables))
-    if "D" in session.derivations:
-        result = session.derivations["D"].apply(target)
-    elif "M" in session.maps:
-        result = session.maps["M"].apply(target)
+    images = parse_images(_argvalue(session.args.table), S)
+    if session.args.command == "dwf":
+        ok = check_derivation_well_defined(images, S)
     else:
+        ok = check_map_well_defined(images, S)
+    session.emit({"well_defined": ok}, "true" if ok else "false")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _cmd_apply(session: Session) -> int:
+    S = _need_surface(session)
+    target = S.element(parse_expression(_argvalue(session.args.expr), S.variables))
+    op = session.D if session.D is not None else session.M
+    if op is None:
         raise ValueError("apply needs --derivation or --map")
+    result = op.apply(target)
     session.emit({"result": str(result)}, str(result))
     return EXIT_OK
 
 
-def _cmd_commute(session: Session, args: argparse.Namespace) -> int:
-    if "M" not in session.maps or "D" not in session.derivations:
+def _cmd_commute(session: Session) -> int:
+    if session.M is None or session.D is None:
         raise ValueError("commute needs both --map and --derivation")
-    result = commutes(session.maps["M"], session.derivations["D"])
+    result = commutes(session.M, session.D)
     payload: dict = {"commutes": result.commutes}
     if result.commutes:
         session.emit(payload, "true")
@@ -158,10 +141,10 @@ def _cmd_commute(session: Session, args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _cmd_lnd(session: Session, args: argparse.Namespace) -> int:
-    if "D" not in session.derivations:
+def _cmd_lnd(session: Session) -> int:
+    if session.D is None:
         raise ValueError("lnd needs --derivation")
-    report = is_locally_nilpotent(session.derivations["D"], session.cap)
+    report = is_locally_nilpotent(session.D, session.args.cap)
     payload = {
         "indices": {v: k for v, k in report.indices.items()},
         "cap": report.cap,
@@ -171,17 +154,16 @@ def _cmd_lnd(session: Session, args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_nilpotent else EXIT_CHECK_FAILED
 
 
-def _cmd_exp(session: Session, args: argparse.Namespace) -> int:
-    if "D" not in session.derivations:
+def _cmd_exp(session: Session) -> int:
+    D = session.D
+    if D is None:
         raise ValueError("exp needs --derivation")
-    D = session.derivations["D"]
-    scale_text = _argvalue(getattr(args, "scale", None))
+    scale_text = _argvalue(session.args.scale)
     if scale_text is not None:
         S = _need_surface(session)
-        w = S.element(parse_expression(scale_text, S.variables))
-        D = D.scaled_by(w)
+        D = D.scaled_by(S.element(parse_expression(scale_text, S.variables)))
     try:
-        rho = exp_derivation(D, session.cap)
+        rho = exp_derivation(D, session.args.cap)
     except CapExceededError as exc:
         session.emit({"error": str(exc)}, f"error: {exc}")
         return EXIT_CHECK_FAILED
@@ -189,15 +171,15 @@ def _cmd_exp(session: Session, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(session: Session, args: argparse.Namespace) -> int:
-    g = parse_expression(_argvalue(args.g), ("x",))
-    bound = hyperbolic_order_bound(g, args.n)
+def _cmd_bound(session: Session) -> int:
+    g = parse_expression(_argvalue(session.args.g), ("x",))
+    bound = hyperbolic_order_bound(g, session.args.n)
     session.emit({"bound": bound}, str(bound))
     return EXIT_OK
 
 
-def _cmd_classify(session: Session, args: argparse.Namespace) -> int:
-    phi = parse_expression(_argvalue(args.phi), ("z",))
+def _cmd_classify(session: Session) -> int:
+    phi = parse_expression(_argvalue(session.args.phi), ("z",))
     shape = classify_phi(phi)
     payload: dict = {"degree": shape.degree}
     text = [f"degree: {shape.degree}"]
@@ -215,25 +197,22 @@ def _cmd_classify(session: Session, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suite_surface(session: Session, args: argparse.Namespace) -> SurfaceSpec:
-    S = session.surface
-    if S is None:
-        raise ValueError("verify needs a surface (--phi with --f or --n, or --surface)")
-    return S
-
-
-def _cmd_verify(session: Session, args: argparse.Namespace) -> int:
-    S = _suite_surface(session, args)
+def _cmd_verify(session: Session) -> int:
+    args = session.args
+    S = _need_surface(session)
+    if args.suite and (actual := surface_class(S)) != args.suite:
+        raise ValueError(f"surface has class {actual!r}, not requested {args.suite!r}")
     g = parse_expression(_argvalue(args.g), ("x",)) if args.g else MultiPoly.one()
-    plan = SamplingPlan(h_degrees=tuple(range(args.hdeg + 1)), seed=session.seed)
+    plan = SamplingPlan(h_degrees=tuple(range(args.hdeg + 1)), seed=args.seed)
     report = verify_isotropy_theorem(S, g, plan)
     session.emit(report.to_dict(), report.render_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_plane_example(session: Session, args: argparse.Namespace) -> int:
-    p = parse_scalar(_argvalue(args.p))
-    report = plane_example_suite(args.s, p, SamplingPlan(seed=session.seed))
+def _cmd_plane_example(session: Session) -> int:
+    args = session.args
+    report = plane_example_suite(args.s, parse_scalar(_argvalue(args.p)),
+                                 SamplingPlan(seed=args.seed))
     session.emit(report.to_dict(), report.render_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -274,15 +253,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.set_defaults(handler=_cmd_eq)
 
+    # the table of dwf/mwf is the subject of the check, not a session object
     p = sub.add_parser("dwf", help="is the image table a well-defined derivation")
     common(p, surface=True)
-    p.add_argument("--derivation", required=True)
-    p.set_defaults(handler=_cmd_dwf, skip_session_derivation=True)
+    p.add_argument("--derivation", dest="table", metavar="DERIVATION", required=True)
+    p.set_defaults(handler=_cmd_well_defined)
 
     p = sub.add_parser("mwf", help="is the image table a well-defined ring map")
     common(p, surface=True)
-    p.add_argument("--map", required=True)
-    p.set_defaults(handler=_cmd_mwf, skip_session_map=True)
+    p.add_argument("--map", dest="table", metavar="MAP", required=True)
+    p.set_defaults(handler=_cmd_well_defined)
 
     p = sub.add_parser("apply", help="apply a derivation or map to an expression")
     common(p, surface=True, derivation=True, map_=True)
@@ -305,12 +285,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="gcd order bound for hyperbolic rotations")
     p.add_argument("--g", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("classify", help="shape classification of phi")
     p.add_argument("--phi", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("verify", help="isotropy theorem suite on one surface")
@@ -324,8 +304,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plane-example", help="plane isotropy sweep for d = X dX + (Y^s + pX) dY")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--p", required=True, help="nonzero scalar")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p, seed=True)
     p.set_defaults(handler=_cmd_plane_example)
 
     return parser
@@ -338,16 +317,7 @@ _parser = lru_cache(maxsize=None)(build_arg_parser)
 def run(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        session = _build_session(args)
-        if getattr(args, "suite", None):
-            from .isotropy import surface_class
-
-            S = _need_surface(session)
-            actual = surface_class(S)
-            if actual != args.suite:
-                raise ValueError(
-                    f"surface has class {actual!r}, not requested {args.suite!r}")
-        return args.handler(session, args)
+        return args.handler(_build_session(args))
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -268,7 +268,7 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
-            return CycScalar(self.coeffs[0] + other.coeffs[0])
+            return CycScalar._raw(1, (self.coeffs[0] + other.coeffs[0],))
         L = _check_conductor(lcm(self.conductor, other.conductor))
         a, b = self._lifted(L), other._lifted(L)
         return _minimized(L, [x + y for x, y in zip(a, b)])
@@ -291,18 +291,11 @@ class CycScalar:
         other = CycScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return CycScalar(self.coeffs[0] * other.coeffs[0])
-        if self.conductor == 1:
-            q = self.coeffs[0]
+        if self.conductor == 1 or other.conductor == 1:
+            q, v = (self.coeffs[0], other) if self.conductor == 1 else (other.coeffs[0], self)
             if q == 0:
-                return CycScalar(0)
-            return CycScalar._raw(other.conductor, tuple(q * c for c in other.coeffs))
-        if other.conductor == 1:
-            q = other.coeffs[0]
-            if q == 0:
-                return CycScalar(0)
-            return CycScalar._raw(self.conductor, tuple(q * c for c in self.coeffs))
+                return CycScalar._raw(1, (_ZERO,))
+            return CycScalar._raw(v.conductor, tuple(q * c for c in v.coeffs))
         L = _check_conductor(lcm(self.conductor, other.conductor))
         a, b = self._lifted(L), other._lifted(L)
         product = [_ZERO] * (len(a) + len(b) - 1)
@@ -392,47 +385,37 @@ class CycScalar:
 
 
 def _poly_xgcd_mod(a: list[Fraction], n: int) -> list[Fraction]:
-    """Return u with u*a = 1 modulo Phi_n, via the extended Euclid algorithm."""
-    phi = [Fraction(c) for c in cyclotomic_coeffs(n)]
-    r0, r1 = phi, _trim(a)
+    """Return u with u*a = 1 modulo Phi_n, via the extended Euclid algorithm.
+
+    Polynomials are dense ascending lists; each step keeps r0 = s0*a and
+    r1 = s1*a modulo Phi_n.  ``a`` is consumed.
+    """
+    r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(n)], a
     s0, s1 = [_ZERO], [_ONE]
-    while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1)
-        s = s0 + [_ZERO] * (len(q) + len(s1))
+    while True:
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if len(r1) <= 1:
+            break
+        # r0 = q*r1 + r by long division in place: r is left in r0[:d]
+        d = len(r1) - 1
+        q = [_ZERO] * (len(r0) - d)
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = r0[k + d] / r1[d]
+            if c:
+                for j in range(d):
+                    r0[k + j] -= c * r1[j]
+        s = s0 + [_ZERO] * (len(q) + len(s1) - 1 - len(s0))
         for i, x in enumerate(q):
-            for j, y in enumerate(s1):
-                s[i + j] -= x * y
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim(s)
+            if x:
+                for j, y in enumerate(s1):
+                    s[i + j] -= x * y
+        r0, r1 = r1, r0[:d]
+        s0, s1 = s1, s
     if not r1:
         raise ZeroDivisionError("residue shares a factor with the modulus")
     c = r1[0]
     return _mod_phi([v / c for v in s1], n)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    end = len(p)
-    while end > 0 and p[end - 1] == 0:
-        end -= 1
-    return p[:end]
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a, b = _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for j in range(len(b)):
-            r[k + j] -= c * b[j]
-        r = _trim(r)
-        if not r:
-            break
-    return _trim(q), r
 
 
 def zeta(n: int, power: int = 1) -> CycScalar:

@@ -29,7 +29,7 @@ from typing import Optional
 from .exactnum import CycScalar, ScalarLike, divisors, root_of_unity_order, zeta
 from .multipoly import MultiPoly, PolyLike
 from .surface import SurfaceSpec
-from .diffmaps import Derivation, RingMap, commutes
+from .diffmaps import CommutationResult, Derivation, RingMap, commutes
 
 
 class ShapeMismatchError(ValueError):
@@ -84,18 +84,12 @@ def classify_phi(phi: PolyLike) -> PhiShape:
     if MultiPoly.constant(c) * (z - MultiPoly.constant(a)) ** d == phi:
         power = (c, a)
 
-    support = phi.exponent_support("z")
-    i = support[0]
-    diffs = [e - i for e in support[1:]]
-    if not diffs:
-        m = 0
+    i, m = monomial_split(phi, "z")
+    if m == 0:
         phi0 = MultiPoly.constant(phi.coefficient_of("z", i).as_scalar())
     else:
-        m = math.gcd(*diffs) if len(diffs) > 1 else diffs[0]
-        phi0 = MultiPoly(
-            ("z",),
-            {((e - i) // m,): phi.coefficient_of("z", e).as_scalar() for e in support},
-        )
+        phi0 = MultiPoly(("z",), {((e - i) // m,): phi.coefficient_of("z", e).as_scalar()
+                                  for e in phi.exponent_support("z")})
     return PhiShape(d, power, (i, m, phi0))
 
 
@@ -105,13 +99,8 @@ def monomial_split(f: PolyLike, var: str = "x") -> tuple[int, int]:
     s = 0 marks a monomial f (any period works and no root-of-unity
     condition is imposed on hyperbolic rotations).
     """
-    f = MultiPoly._coerce(f)
-    support = f.exponent_support(var)
-    j = support[0]
-    diffs = [e - j for e in support[1:]]
-    if not diffs:
-        return j, 0
-    return j, (math.gcd(*diffs) if len(diffs) > 1 else diffs[0])
+    j, *rest = MultiPoly._coerce(f).exponent_support(var)
+    return j, math.gcd(*(e - j for e in rest))
 
 
 def surface_class(S: SurfaceSpec) -> str:
@@ -136,16 +125,7 @@ def hyperbolic_order_bound(g: PolyLike, n: int) -> int:
     g = MultiPoly._coerce(g)
     if g.is_zero():
         raise ValueError("g must be nonzero")
-    support = g.exponent_support("x")
-    return math.gcd(*(n + e for e in support)) if len(support) > 1 else n + support[0]
-
-
-def _effective_hyperbolic_bound(S: SurfaceSpec, g: MultiPoly) -> int:
-    # orders admissible both for well-definedness (s) and commutation (j + support)
-    j, s = monomial_split(S.f)
-    support = g.exponent_support("x")
-    g0 = math.gcd(*(j + e for e in support)) if len(support) > 1 else j + support[0]
-    return math.gcd(s, g0)
+    return math.gcd(*(n + e for e in g.exponent_support("x")))
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +207,13 @@ class GeneratorRequest:
     parameter: object = None
 
 
-_FACTORIES = {
-    "hyperbolic": lambda S, p: hyperbolic_rotation(S, p),
-    "involution": lambda S, p: involution(S),
-    "triangular": lambda S, p: triangular(S, p),
-    "rescaling": lambda S, p: rescaling(S, p),
-    "symmetry": lambda S, p: symmetry(S, p),
-}
-
-
 def make_generator(request: GeneratorRequest, S: SurfaceSpec) -> RingMap:
-    try:
-        factory = _FACTORIES[request.family]
-    except KeyError:
-        raise ValueError(f"unknown generator family {request.family!r}") from None
+    if request.family == "involution":
+        return involution(S)
+    factory = {"hyperbolic": hyperbolic_rotation, "triangular": triangular,
+               "rescaling": rescaling, "symmetry": symmetry}.get(request.family)
+    if factory is None:
+        raise ValueError(f"unknown generator family {request.family!r}")
     return factory(S, request.parameter)
 
 
@@ -344,10 +317,10 @@ def _random_univariate(rnd: random.Random, var: str, degree: int) -> MultiPoly:
     return MultiPoly.univariate(var, coeffs)
 
 
-def _witness_str(result) -> Optional[str]:
-    if result.commutes:
-        return None
-    return f"{result.generator}: {result.difference}"
+def _record(family: str, params: str, expected: bool, res: CommutationResult) -> CheckRecord:
+    """The check record of a commutation result, with its witness when it fails."""
+    witness = None if res.commutes else f"{res.generator}: {res.difference}"
+    return CheckRecord(family, params, expected, res.commutes, witness)
 
 
 def _order_str(lam: CycScalar) -> str:
@@ -381,18 +354,16 @@ def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
     for degree in plan.h_degrees:
         hs.append(_random_univariate(rnd, "x", degree))
     for h in hs:
-        res = commutes(triangular(S, h), D)
-        checks.append(CheckRecord("triangular", f"h = {h}", True, bool(res),
-                                  _witness_str(res)))
+        checks.append(_record("triangular", f"h = {h}", True, commutes(triangular(S, h), D)))
 
     # involution: never in the isotropy group of a nonzero derivation
     if cls == "xy":
-        res = commutes(involution(S), D)
-        checks.append(CheckRecord("involution", "I = (y, x, z)", False, bool(res),
-                                  _witness_str(res)))
+        checks.append(_record("involution", "I = (y, x, z)", False, commutes(involution(S), D)))
 
-    # hyperbolic rotations: commute iff order(lambda) divides the bound
-    bound = _effective_hyperbolic_bound(S, g)
+    # hyperbolic rotations: commute iff order(lambda) divides the bound, the gcd
+    # of s (well-definedness) and of j + e over the support of g (commutation)
+    j, s = monomial_split(S.f)
+    bound = math.gcd(s, *(j + e for e in g.exponent_support("x")))
     checks.append(CheckRecord("hyperbolic", f"gcd order bound = {bound}", True, True))
     orders = list(divisors(bound))
     non_divisors = [k for k in range(2, bound + 5) if bound % k][:2]
@@ -427,8 +398,7 @@ def _parameter_check(S: SurfaceSpec, D: Derivation, family: str, pname: str,
         gen = make_generator(GeneratorRequest(family, value), S)
     except ShapeMismatchError as exc:
         return CheckRecord(family, params, expected, False, f"rejected: {exc}")
-    res = commutes(gen, D)
-    return CheckRecord(family, params, expected, bool(res), _witness_str(res))
+    return _record(family, params, expected, commutes(gen, D))
 
 
 def plane_example_suite(s: int, p: ScalarLike,
@@ -450,32 +420,20 @@ def plane_example_suite(s: int, p: ScalarLike,
     d = Derivation(F, {"X": X, "Y": Y ** s + MultiPoly.constant(p) * X})
     checks: list[CheckRecord] = []
 
-    members = 0
-    for t in range(s - 1):
-        c = zeta(s - 1, t)
+    bad_order = next(k for k in range(2, s + 3) if (s - 1) % k)
+    dilations = [(zeta(s - 1, t), True) for t in range(s - 1)]
+    for c, expected in dilations + [(CycScalar(2), False), (zeta(bad_order), False)]:
         rho = RingMap(F, {"X": MultiPoly.constant(c) * X, "Y": MultiPoly.constant(c) * Y})
-        res = commutes(rho, d)
-        if res.commutes:
-            members += 1
-        checks.append(CheckRecord("dilation", f"c = {c} (order {_order_str(c)})",
-                                  True, bool(res), _witness_str(res)))
+        checks.append(_record("dilation", f"c = {c} (order {_order_str(c)})", expected,
+                              commutes(rho, d)))
+    members = sum(rec.observed for rec in checks if rec.expected)
     checks.append(CheckRecord("member-count", f"expected group order {s - 1}",
                               True, members == s - 1))
 
-    bad_order = next(k for k in range(2, s + 3) if (s - 1) % k)
-    for c in (CycScalar(2), zeta(bad_order)):
-        rho = RingMap(F, {"X": MultiPoly.constant(c) * X, "Y": MultiPoly.constant(c) * Y})
-        res = commutes(rho, d)
-        checks.append(CheckRecord("dilation", f"c = {c} (order {_order_str(c)})",
-                                  False, bool(res), _witness_str(res)))
-
-    res = commutes(RingMap(F, {"X": X + 1, "Y": Y}), d)
-    checks.append(CheckRecord("translation", "(X + 1, Y)", False, bool(res),
-                              _witness_str(res)))
-
+    checks.append(_record("translation", "(X + 1, Y)", False,
+                          commutes(RingMap(F, {"X": X + 1, "Y": Y}), d)))
     q = _random_univariate(rnd, "X", rnd.randint(0, 2))
-    res = commutes(RingMap(F, {"X": X, "Y": Y + q}), d)
-    checks.append(CheckRecord("shear", f"(X, Y + {q})", False, bool(res),
-                              _witness_str(res)))
+    checks.append(_record("shear", f"(X, Y + {q})", False,
+                          commutes(RingMap(F, {"X": X, "Y": Y + q}), d)))
 
     return VerifyReport("plane-example", str(F), f"s={s}; p={p}", tuple(checks))

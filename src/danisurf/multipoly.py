@@ -271,6 +271,8 @@ class MultiPoly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if not self.variables:  # a constant hashes as its scalar, which it equals
+            return hash(self.as_scalar())
         return hash((self.variables, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:

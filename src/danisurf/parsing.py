@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactnum import CycScalar
 from .multipoly import MultiPoly
@@ -92,6 +92,25 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+
+    def entries(self) -> Iterator[tuple[str, str, int]]:
+        """The leading name token of each entry of a ';'-separated table.
+
+        The caller parses the rest of an entry before asking for the next one.
+        Stray separators are skipped; a table without entries is an error.
+        """
+        empty = True
+        while True:
+            while self.at_symbol(";"):
+                self.next()
+            if self.peek() is None:
+                break
+            yield self.expect("name")
+            empty = False
+            if self.peek() is not None:
+                self.expect("sym", ";")
+        if empty:
+            raise ParseError("empty specification", 0)
 
     # -- expression grammar -------------------------------------------------
 
@@ -183,10 +202,10 @@ def parse_scalar(text: str) -> CycScalar:
 
 
 def parse_surface(text: str) -> SurfaceSpec:
-    stripped = text.strip()
-    if stripped.startswith("free"):
-        parser = _Parser(stripped)
-        parser.expect("name", "free")
+    parser = _Parser(text)
+    first = parser.peek()
+    if first is not None and first[1] == "free":
+        parser.next()
         parser.expect("sym", ":")
         names = [parser.expect("name")[1]]
         while parser.at_symbol(","):
@@ -194,54 +213,34 @@ def parse_surface(text: str) -> SurfaceSpec:
             names.append(parser.expect("name")[1])
         parser.done()
         return SurfaceSpec.free_ring(names)
-    parts = _split_semicolons(stripped)
-    if len(parts) != 2:
-        raise ParseError("surface spec needs 'f=<expr>; phi=<expr>'", 0)
+    usage = "surface spec needs 'f=<expr>; phi=<expr>'"
     table = {}
-    for part in parts:
-        key, _, rhs = part.partition("=")
-        key = key.strip()
-        if key not in ("f", "phi") or not rhs.strip():
-            raise ParseError("surface spec needs 'f=<expr>; phi=<expr>'", 0)
-        table[key] = rhs
-    if set(table) != {"f", "phi"}:
-        raise ParseError("surface spec needs both f and phi", 0)
-    f = parse_expression(table["f"], ("x",))
-    phi = parse_expression(table["phi"], ("z",))
-    return SurfaceSpec.danielewski(f, phi)
+    for _, key, pos in parser.entries():
+        if key not in ("f", "phi") or key in table:
+            raise ParseError(usage, pos)
+        parser.expect("sym", "=")
+        parser.allowed_vars = ("x",) if key == "f" else ("z",)
+        table[key] = parser.expr()
+    if len(table) != 2:
+        raise ParseError(usage, len(text))
+    return SurfaceSpec.danielewski(table["f"], table["phi"])
 
 
 def parse_images(text: str, surface: SurfaceSpec) -> dict[str, MultiPoly]:
     """Image table ``x -> expr; ...`` covering every generator of the surface."""
-    stripped = text.strip()
-    for tag in ("D:", "M:", "d:", "m:"):
-        if stripped.startswith(tag):
-            stripped = stripped[len(tag):]
-            break
+    parser = _Parser(text, surface.variables)
+    first = parser.peek()
+    if first and first[1] in ("D", "M", "d", "m") and text.startswith(":", first[2] + 1):
+        parser.index = 2  # skip the tag, which is one token 'D:' with no space
     images: dict[str, MultiPoly] = {}
-    for part in _split_semicolons(stripped):
-        parser = _Parser(part, surface.variables)
-        name_tok = parser.expect("name")
-        if name_tok[1] not in surface.variables:
-            raise ParseError(f"unknown generator {name_tok[1]!r}", name_tok[2])
-        if name_tok[1] in images:
-            raise ParseError(f"duplicate image for {name_tok[1]!r}", name_tok[2])
+    for _, name, pos in parser.entries():
+        if name not in surface.variables:
+            raise ParseError(f"unknown generator {name!r}", pos)
+        if name in images:
+            raise ParseError(f"duplicate image for {name!r}", pos)
         parser.expect("arrow")
-        rest = part[_offset_after(parser):]
-        images[name_tok[1]] = parse_expression(rest, surface.variables)
+        images[name] = parser.expr()
     missing = set(surface.variables) - set(images)
     if missing:
         raise ParseError(f"missing images for {sorted(missing)}", len(text))
     return images
-
-
-def _offset_after(parser: _Parser) -> int:
-    tok = parser.peek()
-    return tok[2] if tok is not None else len(parser.text)
-
-
-def _split_semicolons(text: str) -> list[str]:
-    parts = [piece for piece in text.split(";") if piece.strip()]
-    if not parts:
-        raise ParseError("empty specification", 0)
-    return parts

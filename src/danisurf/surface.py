@@ -117,16 +117,9 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
         if not p.terms:
             return p
         names = p.variables
-        try:
-            ix = names.index("x")
-        except ValueError:
-            ix = -1
-        try:
-            iy = names.index("y")
-        except ValueError:
-            iy = -1
-        if ix < 0 or iy < 0:
+        if "x" not in names or "y" not in names:
             return p
+        ix, iy = names.index("x"), names.index("y")
         cofactor: dict[tuple[int, ...], CycScalar] = {}
         for e, c in p.terms.items():
             if e[ix] >= m and e[iy] >= 1:
@@ -209,7 +202,7 @@ class SurfaceElement:
         return self.rep == other.rep
 
     def __hash__(self) -> int:
-        return hash((self.surface, self.rep))
+        return hash(self.rep)  # equal to the hash of an equal scalar or normal-form polynomial
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -219,3 +219,58 @@ class TestParserReuse:
         assert reused == fresh
         code, out, err = reused[0]
         assert code == EXIT_ERROR and not out and err.startswith("usage:")
+
+
+ILL_MAP = "x -> y; y -> y; z -> z"
+ILL_D = "x -> 0; y -> 1; z -> 1"
+SHEAR = "x -> x; y -> y + 2*z + x; z -> z + x"
+
+
+class TestDispatchTable:
+    """Exit code and stdout of cases where two options meet or a table is ill-defined."""
+
+    CASES = [
+        # both tables given: apply uses the derivation
+        (["apply", "--surface", SURFACE, "--derivation", CANONICAL_D, "--map", SHEAR,
+          "--expr", "y*z"], EXIT_OK, "3*z^2"),
+        # an ill-defined map is an input error on commute, a verdict on mwf
+        (["commute", "--surface", SURFACE, "--map", ILL_MAP, "--derivation", CANONICAL_D],
+         EXIT_ERROR, ""),
+        (["mwf", "--surface", SURFACE, "--map", ILL_MAP], EXIT_CHECK_FAILED, "false"),
+        (["mwf", "--surface", SURFACE, "--map", ILL_MAP, "--format", "json"],
+         EXIT_CHECK_FAILED, '{"well_defined": false}'),
+        # an ill-defined derivation is an input error on lnd, a verdict on dwf
+        (["lnd", "--surface", SURFACE, "--derivation", ILL_D], EXIT_ERROR, ""),
+        (["dwf", "--surface", SURFACE, "--derivation", ILL_D], EXIT_CHECK_FAILED, "false"),
+        (["dwf", "--surface", SURFACE, "--derivation", CANONICAL_D, "--format", "json"],
+         EXIT_OK, '{"well_defined": true}'),
+        # --surface wins over --phi with --n or --f
+        (["nf", "--surface", SURFACE, "--n", "2", "--phi", "z^3", "--expr", "x*y"],
+         EXIT_OK, "z^2"),
+        (["nf", "--surface", SURFACE, "--f", "x^2", "--phi", "z^3", "--expr", "x*y"],
+         EXIT_OK, "z^2"),
+        # tables read from files
+        (["dwf", "--surface", SURFACE, "--derivation", "@{d_file}"], EXIT_OK, "true"),
+        (["mwf", "--surface", SURFACE, "--map", "@{m_file}"], EXIT_OK, "true"),
+        # verify needs a surface, with or without --suite
+        (["verify", "--g", "1"], EXIT_ERROR, ""),
+        (["verify", "--suite", "xy", "--g", "1"], EXIT_ERROR, ""),
+        (["verify", "--phi", "z^3"], EXIT_ERROR, ""),
+        # the commands without a surface keep --format
+        (["bound", "--g", "x^2+1", "--n", "2", "--format", "json"], EXIT_OK, '{"bound": 2}'),
+        (["classify", "--phi", "(z-1)^2", "--format", "json"], EXIT_OK,
+         '{"degree": 2, "power": {"c": "1", "a": "1"}, '
+         '"periodic": {"i": 0, "m": 1, "phi0": "z^2 - 2*z + 1"}}'),
+        (["classify", "--phi", "z^3"], EXIT_OK,
+         "degree: 3\npower form: c = 1, a = 0\nperiodic form: i = 3, m = 0, phi0 = 1"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,out", CASES)
+    def test_case(self, capsys, tmp_path, argv, code, out):
+        d_file, m_file = tmp_path / "d.txt", tmp_path / "m.txt"
+        d_file.write_text(CANONICAL_D + "\n", encoding="utf-8")
+        m_file.write_text("M: x -> y; y -> x; z -> z\n", encoding="utf-8")
+        argv = [a.format(d_file=d_file, m_file=m_file) for a in argv]
+        got_code, got_out, err = _run(capsys, *argv)
+        assert (got_code, got_out) == (code, out)
+        assert bool(err) == (code == EXIT_ERROR)

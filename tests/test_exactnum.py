@@ -213,3 +213,19 @@ def test_prime_descent_matches_elimination_oracle(case):
     L, coeffs = case
     got = _minimized(L, list(coeffs))
     assert (got.conductor, got.coeffs) == minimized_by_elimination(L, coeffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_lifted_elements())
+def test_inverse_round_trip_at_real_conductors(case):
+    L, coeffs = case
+    a = _minimized(L, list(coeffs))
+    if not a.is_zero():
+        assert (1 / a) * a == 1
+        assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_zeta_inverse_is_conjugate_power(n):
+    assert zeta(n) ** -1 == zeta(n, -1)
+    assert zeta(n).inverse() * zeta(n) == 1

@@ -159,3 +159,11 @@ def test_equality_ignores_phantom_variables():
     p = MultiPoly(("x", "y"), {(2, 0): CycScalar(1)})
     assert p == x ** 2
     assert p.variables == ("x",)
+
+
+@pytest.mark.parametrize("c", [0, 2, -7, Fraction(3, 4), CycScalar(Fraction(-1, 3)),
+                               zeta(7), zeta(12) + 2])
+def test_constant_hashes_as_its_scalar(c):
+    p = MultiPoly.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1

@@ -51,6 +51,17 @@ class TestExpressionGrammar:
             parse_expression("x +")
         with pytest.raises(ParseError):
             parse_expression("x 2")
+        # positions inside tables and specs count from the start of the whole text
+        S = parse_surface("f=x; phi=z^2")
+        with pytest.raises(ParseError, match="unknown variable") as err:
+            parse_images("x -> 0; y -> 2*z + w; z -> x", S)
+        assert err.value.position == 19
+        with pytest.raises(ParseError, match="unknown variable") as err:
+            parse_surface("f=x; phi=z^2 + w")
+        assert err.value.position == 15
+        with pytest.raises(ParseError, match="expected 'name'") as err:
+            parse_surface("  free: X, 1")
+        assert err.value.position == 11
 
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown variable"):
@@ -75,6 +86,12 @@ class TestSurfaceSpecGrammar:
         for text in ("f=x^2 + x; phi=z^2", "free: X,Y"):
             assert str(parse_surface(text)) == text
 
+    def test_separators_and_order(self):
+        S = parse_surface(";phi = z^3 ;; f = x^2;")
+        assert S == parse_surface("f=x^2; phi=z^3")
+        with pytest.raises(ParseError, match="empty specification"):
+            parse_surface(" ; ")
+
     def test_errors(self):
         for bad in ("f=x^2", "phi=z^2; g=1", "f=; phi=z", "f=y; phi=z^2"):
             with pytest.raises((ParseError, ValueError)):
@@ -91,6 +108,17 @@ class TestImageTables:
         S = parse_surface("f=x; phi=z^2")
         images = parse_images("M: x -> y; y -> x; z -> z", S)
         assert images["x"] == y
+
+    def test_tags_and_stray_separators(self):
+        S = parse_surface("f=x; phi=z^2")
+        plain = parse_images("x -> 0; y -> 2*z; z -> x", S)
+        for text in ("D: x -> 0; y -> 2*z; z -> x", "  d:;x -> 0;; y -> 2*z ; z -> x;"):
+            assert parse_images(text, S) == plain
+        for text in ("", " ; ", "M:"):
+            with pytest.raises(ParseError, match="empty specification"):
+                parse_images(text, S)
+        with pytest.raises(ParseError, match="unknown generator"):
+            parse_images("D : x -> 0; y -> 2*z; z -> x", S)  # a tag is one token 'D:'
 
     def test_missing_generator(self):
         S = parse_surface("f=x; phi=z^2")

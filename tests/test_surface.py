@@ -1,6 +1,7 @@
 """Quotient-ring normal forms: uniqueness, soundness, confluence, basis shape."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,20 @@ class TestElementsEqual:
             elements_equal(S_XY.gen("x"), S_X2.gen("x"))
         with pytest.raises(ValueError):
             S_XY.gen("x") == S_X2.gen("x")
+
+
+class TestHash:
+    @pytest.mark.parametrize("c", [0, 3, Fraction(-5, 2), zeta(5), zeta(4) - 1])
+    def test_scalar_element_hashes_as_scalar(self, c):
+        for S in SURFACES:
+            element = S.element(c)
+            assert element == c and hash(element) == hash(c)
+            assert element == MultiPoly.constant(c)
+            assert hash(element) == hash(MultiPoly.constant(c))
+
+    def test_equal_elements_hash_equal(self):
+        assert S_XY.element(x * y) == S_XY.element(z ** 2)
+        assert hash(S_XY.element(x * y)) == hash(S_XY.element(z ** 2)) == hash(z ** 2)
 
 
 class TestConstruction:
