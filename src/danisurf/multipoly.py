@@ -14,6 +14,8 @@ x^2 + 2*x*y + y^2
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .exactnum import CycScalar, ScalarLike
@@ -26,28 +28,16 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], ScalarLike] | None = None):
         vars_in = tuple(variables)
+        order = sorted(range(len(vars_in)), key=vars_in.__getitem__)
+        pairs = [(tuple(e), c if isinstance(c, CycScalar) else CycScalar(c)) for e, c in (terms or {}).items()]
+        pairs = [(e, c) for e, c in pairs if not c.is_zero()]
+        if any(len(e) != len(vars_in) for e, _ in pairs):
+            raise ValueError("exponent tuple does not match variable list")
+        if any(k < 0 for e, _ in pairs for k in e):
+            raise ValueError("negative exponent")
         cleaned: dict[tuple[int, ...], CycScalar] = {}
-        for exps, coeff in (terms or {}).items():
-            c = coeff if isinstance(coeff, CycScalar) else CycScalar(coeff)
-            if c.is_zero():
-                continue
-            exps = tuple(exps)
-            if len(exps) != len(vars_in):
-                raise ValueError("exponent tuple does not match variable list")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            cleaned[exps] = cleaned.get(exps, CycScalar(0)) + c
-        # prune unused variables and sort the rest
-        used = [i for i in range(len(vars_in)) if any(e[i] for e in cleaned)]
-        names = sorted(vars_in[i] for i in used)
-        order = [vars_in.index(n) for n in names]
-        final: dict[tuple[int, ...], CycScalar] = {}
-        for exps, c in cleaned.items():
-            if c.is_zero():
-                continue
-            final[tuple(exps[i] for i in order)] = c
-        object.__setattr__(self, "variables", tuple(names))
-        object.__setattr__(self, "terms", final)
+        _accumulate(cleaned, ((tuple(e[i] for i in order), c) for e, c in pairs))
+        _built(tuple(vars_in[i] for i in order), cleaned, prune=True, into=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -140,37 +130,25 @@ class MultiPoly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
-        if self.variables == other.variables:
-            return self.variables, self.terms, other.terms
-        names = tuple(sorted(set(self.variables) | set(other.variables)))
-
-        def remap(p: "MultiPoly") -> dict:
-            idx = [p.variables.index(n) if n in p.variables else -1 for n in names]
-            out = {}
-            for e, c in p.terms.items():
-                out[tuple(e[i] if i >= 0 else 0 for i in idx)] = c
-            return out
-
-        return names, remap(self), remap(other)
+    def _widened(self, names: tuple[str, ...]) -> dict:
+        """The terms with exponents over ``names``, a sorted superset of the variables."""
+        if self.variables == names:
+            return self.terms
+        idx = [self.variables.index(n) if n in self.variables else -1 for n in names]
+        return {tuple(e[i] if i >= 0 else 0 for i in idx): c for e, c in self.terms.items()}
 
     def __add__(self, other: PolyLike) -> "MultiPoly":
         other = MultiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        names, a, b = self._aligned(other)
-        merged = dict(a)
-        for e, c in b.items():
-            merged[e] = merged[e] + c if e in merged else c
-        return MultiPoly(names, merged)
+        names = tuple(sorted({*self.variables, *other.variables}))
+        terms = dict(self._widened(names))
+        return _built(names, terms, prune=_accumulate(terms, other._widened(names).items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.zero()
-        object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return _built(self.variables, {e: -c for e, c in self.terms.items()}, prune=False)
 
     def __sub__(self, other: PolyLike) -> "MultiPoly":
         other = MultiPoly._coerce(other)
@@ -185,14 +163,20 @@ class MultiPoly:
         other = MultiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        names, a, b = self._aligned(other)
-        prod: dict[tuple[int, ...], CycScalar] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                prod[e] = prod[e] + c if e in prod else c
-        return MultiPoly(names, prod)
+        names = tuple(sorted({*self.variables, *other.variables}))
+        a, b = self._widened(names), other._widened(names)
+        # all-rational operands multiply as integer numerators over their lcm denominators
+        rational = all(c.conductor == 1 for p in (a, b) for c in p.values())
+        (da, a), (db, b) = map(_integral, (a, b)) if rational else ((1, a.items()), (1, b.items()))
+        acc = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+        prod = ({e: CycScalar._raw(1, (Fraction(n, da * db),)) for e, n in acc.items() if n} if rational
+                else {e: c for e, c in acc.items() if c})
+        # over a domain a nonzero product uses every variable of its factors
+        return _built(names, prod, prune=not prod)
 
     __rmul__ = __mul__
 
@@ -231,21 +215,18 @@ class MultiPoly:
             for v in self.variables
         }
         powers: dict[str, list[MultiPoly]] = {v: [MultiPoly.one()] for v in self.variables}
-
-        def power(v: str, k: int) -> MultiPoly:
-            cache = powers[v]
-            while len(cache) <= k:
-                cache.append(cache[-1] * table[v])
-            return cache[k]
-
-        acc = MultiPoly.zero()
+        names = tuple(sorted({n for p in table.values() for n in p.variables}))
+        acc: dict[tuple[int, ...], CycScalar] = {}
         for e, c in self.terms.items():
-            term = MultiPoly.constant(c)
+            term = _built((), {(): c}, prune=False)
             for v, k in zip(self.variables, e):
+                cache = powers[v]
+                while len(cache) <= k:
+                    cache.append(cache[-1] * table[v])
                 if k:
-                    term = term * power(v, k)
-            acc = acc + term
-        return acc
+                    term = term * cache[k]
+            _accumulate(acc, term._widened(names).items())
+        return _built(names, acc, prune=True)
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
@@ -320,3 +301,35 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _integral(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(D, [(e, n), ...]) with each rational coefficient equal to n / D, D the lcm."""
+    D = lcm(*(c.coeffs[0].denominator for c in terms.values()))
+    return D, [(e, c.coeffs[0].numerator * D // c.coeffs[0].denominator) for e, c in terms.items()]
+
+
+def _accumulate(dst: dict, pairs: Iterable) -> bool:
+    """Add (exponents, coefficient) pairs over one variable tuple into ``dst``; True if a term cancelled."""
+    cancelled = False
+    for e, c in pairs:
+        if e in dst and (c := dst[e] + c).is_zero():
+            del dst[e]
+            cancelled = True
+        else:
+            dst[e] = c
+    return cancelled
+
+
+def _built(variables: tuple[str, ...], terms: dict, prune: bool, into: MultiPoly | None = None) -> MultiPoly:
+    """Trusted constructor (filling ``into`` if given) from sorted variables and nonzero
+    ``CycScalar`` terms; ``prune`` drops the variables that no term uses."""
+    if prune:
+        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+        if len(used) < len(variables):
+            variables = tuple(variables[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    p = object.__new__(MultiPoly) if into is None else into
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "terms", terms)
+    return p

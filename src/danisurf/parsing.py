@@ -25,6 +25,9 @@ from .exactnum import CycScalar
 from .multipoly import MultiPoly
 from .surface import SurfaceSpec
 
+MAX_EXPONENT = 64  # bound on a ^ exponent and on the total degree of a power or product
+MAX_DIGITS = 1000  # bound on the length of an integer literal
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -47,6 +50,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
         if match.group(1) is not None:
+            if len(match.group(1)) > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than MAX_DIGITS = {MAX_DIGITS} digits", match.start(1))
             tokens.append(("int", match.group(1), match.start(1)))
         elif match.group(2) is not None:
             tokens.append(("name", match.group(2), match.start(2)))
@@ -131,8 +136,11 @@ class _Parser:
     def term(self) -> MultiPoly:
         acc = self.factor()
         while self.at_symbol("*"):
-            self.next()
-            acc = acc * self.factor()
+            star = self.next()
+            rhs = self.factor()
+            if acc.total_degree() + rhs.total_degree() > MAX_EXPONENT:
+                raise ParseError(f"degree above MAX_EXPONENT = {MAX_EXPONENT}", star[2])
+            acc = acc * rhs
         return acc
 
     def factor(self) -> MultiPoly:
@@ -144,7 +152,10 @@ class _Parser:
         if self.at_symbol("-"):
             self.next()
             negative = True
-        k = int(self.expect("int")[1])
+        _, digits, pos = self.expect("int")
+        k = int(digits)
+        if k > MAX_EXPONENT or k * base.total_degree() > MAX_EXPONENT:
+            raise ParseError(f"exponent or degree above MAX_EXPONENT = {MAX_EXPONENT}", pos)
         if negative:
             if base.variables:
                 raise ParseError("negative exponent on a non-scalar expression", caret[2])

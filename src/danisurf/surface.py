@@ -195,14 +195,14 @@ class SurfaceElement:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (MultiPoly, CycScalar, Fraction, int)):
-            other = self.surface.element(MultiPoly._coerce(other))
+            return self.rep == other  # unreduced, so == stays transitive and agrees with hash
         if not isinstance(other, SurfaceElement):
             return NotImplemented
         self._same_surface(other)
         return self.rep == other.rep
 
     def __hash__(self) -> int:
-        return hash(self.rep)  # equal to the hash of an equal scalar or normal-form polynomial
+        return hash(self.rep)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -22,6 +22,47 @@ def term_exponents(p: MultiPoly) -> list[tuple[dict[str, int], CycScalar]]:
     return out
 
 
+def term_map(p: MultiPoly, variables: tuple[str, ...] = ("x", "y", "z")) -> dict:
+    """p's coefficients keyed by exponent tuples over ``variables``, read off p.terms."""
+    return {tuple(exps.get(v, 0) for v in variables): c for exps, c in term_exponents(p)}
+
+
+# Term-by-term arithmetic on {exponent tuple: coefficient} maps, with no
+# MultiPoly operator: coefficients are Fractions, or CycScalars where a
+# cyclotomic one takes part, and zero coefficients are dropped.
+
+def map_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def map_neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def map_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def map_substitute(a: dict, images: list[dict]) -> dict:
+    """Image of a under the homomorphism sending the i-th variable to images[i]."""
+    out: dict = {}
+    for exps, c in a.items():
+        term = {tuple(0 for _ in exps): c}
+        for image, k in zip(images, exps):
+            for _ in range(k):
+                term = map_mul(term, image)
+        out = map_add(out, term)
+    return out
+
+
 def in_relation_ideal(p: MultiPoly, f: MultiPoly, phi: MultiPoly) -> bool:
     """Membership of p in (f(x)y - phi(z)), decided without rewriting.
 

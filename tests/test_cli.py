@@ -7,6 +7,7 @@ import pytest
 
 from danisurf import cli
 from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
+from danisurf.parsing import MAX_DIGITS, MAX_EXPONENT
 
 SURFACE = "f=x; phi=z^2"
 CANONICAL_D = "x -> 0; y -> 2*z; z -> x"
@@ -187,6 +188,34 @@ class TestErrorsAndFiles:
         code, _, err = _run(capsys, "nf", "--surface", "free: X,Y", "--expr", expr)
         assert code == EXIT_ERROR and "MAX_CONDUCTOR" in err
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("expr,position", [
+        ("(x+y+z)^100000", 8), ("2^100000000", 2), ("zeta(4)^-65", 9),
+        (f"x^{MAX_EXPONENT + 1}", 2), ("(x^2 + y)^33", 10), (f"x^40*y^{MAX_EXPONENT - 39}", 4)])
+    def test_exponent_above_bound_rejected(self, capsys, expr, position):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "nf", "--surface", SURFACE, "--expr", expr)
+        assert code == EXIT_ERROR and not out
+        assert "MAX_EXPONENT" in err and f"(at position {position})" in err
+        assert time.perf_counter() - start < 10
+
+    def test_exponent_at_bound_accepted(self, capsys):
+        code, out, _ = _run(capsys, "nf", "--surface", SURFACE,
+                            "--expr", f"x^{MAX_EXPONENT - 1}*y")
+        assert code == EXIT_OK and out == f"x^{MAX_EXPONENT - 2}*z^2"
+
+    # longer than Python's 4300-digit limit on int(str), which must not be reached
+    @pytest.mark.parametrize("expr,position", [
+        ("x^" + "9" * 5000, 2), ("9" * 5000, 0), ("1/" + "7" * 5000 + " + x", 2),
+        ("zeta(" + "1" * 5000 + ")", 5), ("x + " + "0" * (MAX_DIGITS + 1), 4)])
+    def test_long_integer_literal_rejected(self, capsys, expr, position):
+        code, out, err = _run(capsys, "nf", "--surface", SURFACE, "--expr", expr)
+        assert code == EXIT_ERROR and not out
+        assert "MAX_DIGITS" in err and f"(at position {position})" in err
+
+    def test_integer_literal_at_bound_accepted(self, capsys):
+        code, out, _ = _run(capsys, "nf", "--surface", SURFACE, "--expr", "9" * MAX_DIGITS)
+        assert code == EXIT_OK and out == "9" * MAX_DIGITS
 
 
 class TestParserReuse:

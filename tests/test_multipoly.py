@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from danisurf.exactnum import CycScalar, zeta
 from danisurf.multipoly import MultiPoly
 
-from oracles import random_poly
+from oracles import map_add, map_mul, map_neg, map_substitute, random_poly, term_map
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -167,3 +167,61 @@ def test_constant_hashes_as_its_scalar(c):
     p = MultiPoly.constant(c)
     assert p == c and hash(p) == hash(c)
     assert len({p, c}) == 1
+
+
+# -- differential tests of the arithmetic against the term-by-term oracle ------
+
+_XYZ = ("x", "y", "z")
+
+
+def _term_maps(max_exp=3, max_size=6):
+    """Sparse {exponents: Fraction} maps in x, y, z, denominators 1-12 and both
+    signs, drawn as often as not as the zero polynomial or a constant."""
+    coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    sparse = st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * 3), coeff, max_size=max_size)
+    constant = coeff.map(lambda c: {(0, 0, 0): c})
+    return st.one_of(st.just({}), constant, sparse, sparse).map(
+        lambda m: {e: c for e, c in m.items() if c})
+
+
+def _check_representation(p):
+    """Sorted, pruned variables and nonzero CycScalar coefficients."""
+    assert isinstance(p.variables, tuple) and list(p.variables) == sorted(set(p.variables))
+    for i in range(len(p.variables)):
+        assert any(e[i] for e in p.terms)
+    for e, c in p.terms.items():
+        assert len(e) == len(p.variables)
+        assert isinstance(c, CycScalar) and not c.is_zero()
+
+
+def _check_against_oracle(a, b, images):
+    p, q = MultiPoly(_XYZ, a), MultiPoly(_XYZ, b)
+    cases = [(p * q, map_mul(a, b)), (p + q, map_add(a, b)), (p - q, map_add(a, map_neg(b))),
+             (p.substitute(dict(zip(_XYZ, (MultiPoly(_XYZ, m) for m in images)))),
+              map_substitute(a, images))]
+    for result, expected in cases:
+        _check_representation(result)
+        assert term_map(result) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(_term_maps(), _term_maps(), st.booleans(),
+       st.lists(_term_maps(max_exp=1, max_size=3), min_size=3, max_size=3))
+def test_rational_arithmetic_matches_oracle(a, b, conjugate, images):
+    if conjugate:  # (a + b) * (a - b): the cross terms cancel
+        a, b = map_add(a, b), map_add(a, map_neg(b))
+    _check_against_oracle(a, b, images)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_term_maps(), _term_maps(), st.integers(0, 5), st.booleans(),
+       st.lists(_term_maps(max_exp=1, max_size=3), min_size=3, max_size=3))
+def test_one_cyclotomic_coefficient_matches_oracle(a, b, pick, conjugate, images):
+    a = a or {(0, 0, 0): Fraction(1)}
+    e = sorted(a)[pick % len(a)]
+    a = {**a, e: zeta(12) * a[e]}
+    if conjugate:  # cyclotomic cross terms cancel in the product
+        a, b = map_add(a, b), map_add(a, map_neg(b))
+    _check_against_oracle(a, b, images)
+    _check_against_oracle(b, a, images)
+

@@ -81,6 +81,15 @@ class TestHash:
         assert S_XY.element(x * y) == S_XY.element(z ** 2)
         assert hash(S_XY.element(x * y)) == hash(S_XY.element(z ** 2)) == hash(z ** 2)
 
+    def test_unreduced_polynomial_equals_no_element(self):
+        # x*y reduces to z^2 on x*y = z^2, but as a bare polynomial it is not
+        # the representative, so it equals no element and hashing stays consistent
+        element = S_XY.element(z ** 2)
+        assert element != x * y and x * y != element
+        assert element == z ** 2 and z ** 2 == element and hash(element) == hash(z ** 2)
+        assert S_XY.element(x * y) == element
+        assert len({element, z ** 2}) == 1 and len({element, x * y}) == 2
+
 
 class TestConstruction:
     def test_relation_shape_enforced(self):
