@@ -3,22 +3,26 @@
 Every scalar is a ``CycScalar``: a residue modulo the N-th cyclotomic
 polynomial in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), with Fraction
 coefficients.  It is stored at the least conductor N with the value in
-Q(zeta_N) (1 for rationals), where its coordinates are unique, so equal
-numbers compare equal.  After each operation a value of Q(zeta_L) descends to
-Q(zeta_(L/p)), for a prime p | L, while some such subfield contains it.  This
-reaches the least conductor: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)),
-so the conductors d | L whose fields hold the value are closed under gcd, and
-the least one divides the others and is reached from any of them by prime steps.
-Each membership test is exact: with a cached sparse left inverse P of the
-embedding E of the subfield, x lies in it exactly when E P x = x.  Conductors
-above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands, raise ValueError.
+Q(zeta_N) (1 for rationals), where its coordinates are unique, so equal numbers
+compare equal.  A cyclotomic sum or product runs on integer numerators over one
+common denominator: the operands are lifted to the lcm conductor L, combined
+and reduced mod Phi_L there, and Fractions are built once, at the least
+conductor.  That value of Q(zeta_L) descends to Q(zeta_(L/p)), for a prime
+p | L, while some such subfield contains it.  This reaches the least conductor:
+Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the conductors d | L
+whose fields hold the value are closed under gcd, and the least one divides the
+others and is reached from any of them by prime steps.  Each membership test is
+exact: with a cached sparse integer left inverse P / s of the embedding E of
+the subfield, x lies in it exactly when E P x = s x.  ``zeta(n, k)`` needs no
+descent: its least conductor follows from n and k.  Conductors above
+``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands, raise ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Optional, Union
 
 Rational = Fraction
@@ -98,18 +102,17 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _mod_phi(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Remainder of a dense Fraction polynomial modulo Phi_n (monic), computed in place."""
+def _mod_phi(coeffs: list, n: int) -> list:
+    """Remainder of a dense int or Fraction polynomial modulo Phi_n (monic), computed in place."""
     phi = cyclotomic_coeffs(n)
     deg = len(phi) - 1
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
-        if c == 0:
-            continue
-        for j in range(deg):
-            coeffs[i - deg + j] -= c * phi[j]
+        if c:
+            for j in range(deg):
+                coeffs[i - deg + j] -= c * phi[j]
     del coeffs[deg:]
-    coeffs += [_ZERO] * (deg - len(coeffs))
+    coeffs += [0] * (deg - len(coeffs))
     return coeffs
 
 
@@ -124,19 +127,17 @@ def _axpy(dst: dict[int, Fraction], a: Fraction, src: dict[int, Fraction]) -> No
 
 
 @lru_cache(maxsize=None)
-def _projector(L: int, d: int) -> tuple[tuple, tuple]:
-    """The embedding E of Q(zeta_d) in Q(zeta_L) and a left inverse P of it.
+def _projector(L: int, d: int) -> tuple[int, tuple, tuple]:
+    """The embedding E of Q(zeta_d) in Q(zeta_L) and a left inverse P / s of it, in integers.
 
     Column k of E is zeta_L^(k*L/d) mod Phi_L, the image of zeta_d^k.  Gauss-Jordan
     elimination on the rows of E^T, recording the row operations U, leaves unit
-    vectors at pivot coordinates R; then U = (E_R^-1)^T, so P x = U^T x_R.  P is
-    returned as pairs (R_i, ((k, U[i][k]), ...)), E as its columns' nonzeros.
+    vectors at pivot coordinates R; then U = (E_R^-1)^T, so P x / s = U^T x_R.  Returns
+    s = lcm of U's denominators, P as pairs (R_i, ((k, s U[i][k]), ...)), E as its columns' nonzeros.
     """
     step = L // d
-    cols = []
-    for k in range(euler_phi(d)):
-        image = _mod_phi([_ZERO] * (k * step) + [_ONE], L)
-        cols.append({r: c for r, c in enumerate(image) if c})
+    cols = [{r: c for r, c in enumerate(_mod_phi([0] * (k * step) + [1], L)) if c}
+            for k in range(euler_phi(d))]
     # row k of E^T; U[k] is kept in the same dict under the keys -1 - k
     rows = [{**col, -1 - k: _ONE} for k, col in enumerate(cols)]
     pivots: list[int] = []
@@ -145,46 +146,54 @@ def _projector(L: int, d: int) -> tuple[tuple, tuple]:
             if r in row:
                 _axpy(row, -row[r], rows[j])
         r = max(row)  # a coordinate, since E has full column rank
-        inv = 1 / row[r]
+        inv = _ONE / row[r]
         for c in row:
             row[c] *= inv
         for other in rows[:i]:
             if r in other:
                 _axpy(other, -other[r], row)
         pivots.append(r)
-    P = tuple((r, tuple((-1 - k, u) for k, u in row.items() if k < 0))
+    s = lcm(*(u.denominator for row in rows for k, u in row.items() if k < 0))
+    P = tuple((r, tuple((-1 - k, int(u * s)) for k, u in row.items() if k < 0))
               for r, row in zip(pivots, rows))
-    return P, tuple(tuple(col.items()) for col in cols)
+    return s, P, tuple(tuple(col.items()) for col in cols)
 
 
-def _in_subfield(L: int, d: int, x: list[Fraction]) -> Optional[list[Fraction]]:
-    """Coordinates in Q(zeta_d) of x, given in Q(zeta_L), or None if x is not there."""
-    P, E = _projector(L, d)
-    y = [_ZERO] * len(E)
+def _in_subfield(L: int, d: int, x: list) -> Optional[tuple[list, int]]:
+    """(y, s) with y / s the coordinates in Q(zeta_d) of x, given in Q(zeta_L), or None
+    if x is not there; x holds ints or Fractions, and x = E y / s exactly when E P x = s x."""
+    s, P, E = _projector(L, d)
+    y = [0] * len(E)
     for r, op in P:
         c = x[r]
         if c:
             for k, u in op:
                 y[k] += u * c
-    z = [_ZERO] * len(x)
+    z = [0] * len(x)
     for col, c in zip(E, y):
         if c:
             for r, e in col:
                 z[r] += e * c
-    return y if z == x else None
+    return (y, s) if z == (x if s == 1 else [s * v for v in x]) else None
 
 
-def _minimized(L: int, coeffs: list[Fraction]) -> "CycScalar":
-    """The canonical scalar of the residue coeffs of Q(zeta_L), by prime descent."""
-    while L > 1 and any(coeffs[1:]):
+def _fractions(nums: list, D: int) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, nums)) if D == 1 else tuple(Fraction(n, D) for n in nums)
+
+
+def _minimized(L: int, nums: list, D: int = 1) -> "CycScalar":
+    """The canonical scalar of the residue nums / D of Q(zeta_L), by prime descent: nums
+    are ints over one denominator D (or Fractions, D = 1), made Fractions at the end."""
+    while L > 1 and any(nums[1:]):
         for p in _prime_factors(L):
-            sub = _in_subfield(L, L // p, coeffs)
+            sub = _in_subfield(L, L // p, nums)
             if sub is not None:
-                L, coeffs = L // p, sub
+                L, (nums, s) = L // p, sub
+                D *= s
                 break
         else:
-            return CycScalar._raw(L, tuple(coeffs))
-    return CycScalar._raw(1, (coeffs[0],))
+            return CycScalar._raw(L, _fractions(nums, D))
+    return CycScalar._raw(1, _fractions(nums[:1], D))
 
 
 class CycScalar:
@@ -221,11 +230,16 @@ class CycScalar:
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycScalar":
-        """zeta(n)^power, a primitive n-th root of unity raised to a power."""
+        """zeta(n)^power = zeta_r^e, r = n/g and e = power/g for g = gcd(n, power), at its
+        least conductor: r, or d = r/2 when r = 2 mod 4, as zeta_2d = -zeta_d^((d+1)/2)."""
         if n < 1:
             raise ValueError("zeta index must be >= 1")
-        e = power % _check_conductor(n)
-        return _minimized(n, _mod_phi([_ZERO] * e + [_ONE], n))
+        g = gcd(n, power % _check_conductor(n))
+        r, e, sign = n // g, power % n // g, 1
+        if r % 4 == 2:
+            r, sign = r // 2, -1  # e is odd
+            e = e * (r + 1) // 2 % r
+        return CycScalar._raw(r, _fractions(_mod_phi([0] * e + [sign], r), 1))
 
     # -- predicates -------------------------------------------------------
 
@@ -245,15 +259,15 @@ class CycScalar:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _lifted(self, L: int) -> list[Fraction]:
+    def _lifted(self, L: int) -> tuple[list[int], int]:
+        """(nums, D): the residue in Q(zeta_L) as integer numerators over one denominator."""
+        D = lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (D // c.denominator) for c in self.coeffs]
         if L == self.conductor:
-            return list(self.coeffs)
-        step = L // self.conductor
-        vec = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                vec[i * step] = c
-        return _mod_phi(vec, L)
+            return nums, D
+        vec = [0] * ((len(nums) - 1) * (L // self.conductor) + 1)
+        vec[::L // self.conductor] = nums
+        return _mod_phi(vec, L), D
 
     @staticmethod
     def _coerce(value: ScalarLike) -> "CycScalar":
@@ -270,8 +284,10 @@ class CycScalar:
         if self.conductor == 1 and other.conductor == 1:
             return CycScalar._raw(1, (self.coeffs[0] + other.coeffs[0],))
         L = _check_conductor(lcm(self.conductor, other.conductor))
-        a, b = self._lifted(L), other._lifted(L)
-        return _minimized(L, [x + y for x, y in zip(a, b)])
+        (a, da), (b, db) = self._lifted(L), other._lifted(L)
+        D = lcm(da, db)
+        ma, mb = D // da, D // db
+        return _minimized(L, [x * ma + y * mb for x, y in zip(a, b)], D)
 
     __radd__ = __add__
 
@@ -297,15 +313,14 @@ class CycScalar:
                 return CycScalar._raw(1, (_ZERO,))
             return CycScalar._raw(v.conductor, tuple(q * c for c in v.coeffs))
         L = _check_conductor(lcm(self.conductor, other.conductor))
-        a, b = self._lifted(L), other._lifted(L)
-        product = [_ZERO] * (len(a) + len(b) - 1)
+        (a, da), (b, db) = self._lifted(L), other._lifted(L)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+        product = [0] * (len(a) + nonzero_b[-1][0])
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
+            if x:
+                for j, y in nonzero_b:
                     product[i + j] += x * y
-        return _minimized(L, _mod_phi(product, L))
+        return _minimized(L, _mod_phi(product, L), da * db)
 
     __rmul__ = __mul__
 

@@ -46,15 +46,16 @@ class MultiPoly:
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): CycScalar(1)})
+        return _built((name,), {(1,): CycScalar(1)}, prune=False)
 
     @staticmethod
     def constant(value: ScalarLike) -> "MultiPoly":
-        return MultiPoly((), {(): value})
+        c = value if isinstance(value, CycScalar) else CycScalar(value)  # TypeError if no scalar
+        return _built((), {(): c} if c else {}, prune=False)
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly()
+        return _built((), {}, prune=False)
 
     @staticmethod
     def one() -> "MultiPoly":

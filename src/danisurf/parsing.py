@@ -26,7 +26,8 @@ from .multipoly import MultiPoly
 from .surface import SurfaceSpec
 
 MAX_EXPONENT = 64  # bound on a ^ exponent and on the total degree of a power or product
-MAX_DIGITS = 1000  # bound on the length of an integer literal
+MAX_DIGITS = 1000  # bound on the length of an integer literal and of a numerator or denominator
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
 class ParseError(ValueError):
@@ -140,7 +141,7 @@ class _Parser:
             rhs = self.factor()
             if acc.total_degree() + rhs.total_degree() > MAX_EXPONENT:
                 raise ParseError(f"degree above MAX_EXPONENT = {MAX_EXPONENT}", star[2])
-            acc = acc * rhs
+            acc = _bounded(acc * rhs, star[2])
         return acc
 
     def factor(self) -> MultiPoly:
@@ -159,8 +160,8 @@ class _Parser:
         if negative:
             if base.variables:
                 raise ParseError("negative exponent on a non-scalar expression", caret[2])
-            return MultiPoly.constant(base.as_scalar() ** (-k))
-        return base ** k
+            return _bounded(MultiPoly.constant(base.as_scalar() ** (-k)), caret[2])
+        return _bounded(base ** k, caret[2])
 
     def base(self) -> MultiPoly:
         tok = self.peek()
@@ -196,6 +197,15 @@ class _Parser:
             self.expect("sym", ")")
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def _bounded(p: MultiPoly, pos: int) -> MultiPoly:
+    """p, unless a numerator or denominator of a coefficient has more than MAX_DIGITS digits;
+    each is compared with 10^MAX_DIGITS, never turned into text, so any size is cheap."""
+    if any(abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG
+           for c in p.terms.values() for q in c.coeffs):
+        raise ParseError(f"coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
+    return p
 
 
 def parse_expression(text: str, allowed_vars: Optional[Sequence[str]] = None) -> MultiPoly:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from danisurf.exactnum import CycScalar, cyclotomic_coeffs, zeta
 from danisurf.multipoly import MultiPoly
@@ -112,11 +114,17 @@ def reduce_mod_cyclotomic(vec: list[Fraction], n: int) -> list[Fraction]:
     return rem + [Fraction(0)] * (len(phi) - 1 - len(rem))
 
 
+@lru_cache(maxsize=None)
+def _embedded_basis(L: int, d: int) -> tuple[list[Fraction], ...]:
+    """zeta_L^(k*L/d) mod Phi_L for k < phi(d), the image of the power basis of Q(zeta_d)."""
+    return tuple(reduce_mod_cyclotomic([Fraction(0)] * (k * (L // d)) + [Fraction(1)], L)
+                 for k in range(len(cyclotomic_coeffs(d)) - 1))
+
+
 def _solve_in_subfield(L: int, d: int, target: list[Fraction]) -> list[Fraction] | None:
     """Solve sum_k c_k * zeta_L^(k*L/d) = target by Gaussian elimination; None if unsolvable."""
-    ncols = len(cyclotomic_coeffs(d)) - 1
-    basis = [reduce_mod_cyclotomic([Fraction(0)] * (k * (L // d)) + [Fraction(1)], L)
-             for k in range(ncols)]
+    basis = _embedded_basis(L, d)
+    ncols = len(basis)
     nrows = len(target)
     aug = [[basis[c][r] for c in range(ncols)] + [target[r]] for r in range(nrows)]
     pivots = []
@@ -156,6 +164,32 @@ def minimized_by_elimination(L: int, coeffs: list[Fraction]) -> tuple[int, tuple
             if sol is not None:
                 return minimized_by_elimination(d, sol)
     return L, tuple(coeffs)
+
+
+def dense_at(a: CycScalar, L: int) -> list[Fraction]:
+    """Coefficients in Q(zeta_L) of a, for L a multiple of its conductor N: zeta_N = zeta_L^(L/N)."""
+    step = L // a.conductor
+    vec = [Fraction(0)] * (len(a.coeffs) * step)
+    for i, c in enumerate(a.coeffs):
+        vec[i * step] = Fraction(c)
+    return reduce_mod_cyclotomic(vec, L)
+
+
+def dense_sum(a: CycScalar, b: CycScalar) -> tuple[int, tuple[Fraction, ...]]:
+    """(conductor, coefficients) of a + b, added densely at the lcm conductor and minimised."""
+    L = lcm(a.conductor, b.conductor)
+    return minimized_by_elimination(L, [x + y for x, y in zip(dense_at(a, L), dense_at(b, L))])
+
+
+def dense_product(a: CycScalar, b: CycScalar) -> tuple[int, tuple[Fraction, ...]]:
+    """(conductor, coefficients) of a * b, by schoolbook convolution at the lcm conductor."""
+    L = lcm(a.conductor, b.conductor)
+    x, y = dense_at(a, L), dense_at(b, L)
+    vec = [Fraction(0)] * (len(x) + len(y))
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            vec[i + j] += p * q
+    return minimized_by_elimination(L, reduce_mod_cyclotomic(vec, L))
 
 
 def brute_root_of_unity_order(a: CycScalar) -> int | None:

@@ -218,6 +218,26 @@ class TestErrorsAndFiles:
         assert code == EXIT_OK and out == "9" * MAX_DIGITS
 
 
+    # (2^64)^64 = 2^4096 has 1234 digits; Python's 4300-digit limit on str(int) is never reached
+    @pytest.mark.parametrize("expr,position", [
+        ("((2^64)^64)^64", 7), ("(10^37)^27*10", 10), ("((1/10)^37)^28", 11),
+        ("9" * MAX_DIGITS + "*x*10", MAX_DIGITS + 2), ("(zeta(7) + 10^50)^21", 17)],
+        ids=["power", "product", "denominator", "polynomial", "cyclotomic"])
+    def test_long_coefficient_rejected(self, capsys, expr, position):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "nf", "--surface", SURFACE, "--expr", expr)
+        assert code == EXIT_ERROR and not out
+        assert "MAX_DIGITS" in err and f"(at position {position})" in err
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("expr,expected", [
+        ("(10^37)^27", "1" + "0" * (MAX_DIGITS - 1)), ("((1/10)^37)^27", "1/1" + "0" * (MAX_DIGITS - 1)),
+        ("9" * MAX_DIGITS + "*x*1", "9" * MAX_DIGITS + "*x")], ids=["power", "denominator", "product"])
+    def test_coefficient_at_bound_accepted(self, capsys, expr, expected):
+        code, out, _ = _run(capsys, "nf", "--surface", SURFACE, "--expr", expr)
+        assert code == EXIT_OK and out == expected
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["nf", "--surface", SURFACE],  # --expr missing: argparse rejects it

@@ -1,17 +1,21 @@
 """Cyclotomic scalar arithmetic and root-of-unity detection."""
 
+import time
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from danisurf import exactnum
 from danisurf.exactnum import (MAX_CONDUCTOR, CycScalar, _minimized,
                                cyclotomic_coeffs, cyclotomic_polynomial,
                                divisors, euler_phi, root_of_unity_order, zeta)
 from danisurf.multipoly import MultiPoly
 
-from oracles import (brute_root_of_unity_order, minimized_by_elimination,
-                     naive_dense_div, reduce_mod_cyclotomic)
+from oracles import (brute_root_of_unity_order, dense_product, dense_sum,
+                     minimized_by_elimination, naive_dense_div, reduce_mod_cyclotomic)
 
 t = MultiPoly.variable("t")
 
@@ -229,3 +233,69 @@ def test_inverse_round_trip_at_real_conductors(case):
 def test_zeta_inverse_is_conjugate_power(n):
     assert zeta(n) ** -1 == zeta(n, -1)
     assert zeta(n).inverse() * zeta(n) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_zeta_closed_form_matches_descent(n):
+    for k in range(n):
+        want = _minimized(n, reduce_mod_cyclotomic([Fraction(0)] * k + [Fraction(1)], n))
+        got = zeta(n, k)
+        assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+        assert zeta(n, k - n) == got
+
+
+def test_zeta_builds_no_projector():
+    built, start = exactnum._projector.cache_info().misses, time.perf_counter()
+    # 770 = 2 * 385 and 990 = 2 * 495: zeta_2d = -zeta_d^((d+1)/2) stores them at d
+    assert [zeta(n).conductor for n in (770, 969, 990)] == [385, 969, 495]
+    assert time.perf_counter() - start < 1
+    assert exactnum._projector.cache_info().misses == built
+
+
+@st.composite
+def _cyclotomic_scalars(draw):
+    """A scalar of Q(zeta_c) with denominators up to 5, minimised from a lift to Q(zeta_L),
+    L = c, 2c or 3c; c = 15, 21, 35 and 105 have primes p with p not dividing c/p, where
+    the descent's projectors are not coordinate selections."""
+    c = draw(st.sampled_from([15, 21, 35, 60, 105, 140]))
+    step = draw(st.sampled_from(divisors(c)))
+    L = c * draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.integers(0, c // step - 1),
+                                    st.fractions(-3, 3, max_denominator=5)),
+                          min_size=1, max_size=5))
+    vec = [Fraction(0)] * L
+    for k, q in terms:
+        vec[k * step * (L // c)] += q
+    return _minimized(L, reduce_mod_cyclotomic(vec, L))
+
+
+_projector = exactnum._projector
+
+
+@lru_cache(maxsize=None)
+def _doubled_projector(L, d):
+    """The projector of (L, d) with its integer numerators and denominator both doubled."""
+    s, P, E = _projector(L, d)
+    return 2 * s, tuple((r, tuple((k, 2 * u) for k, u in op)) for r, op in P), E
+
+
+@settings(deadline=None, max_examples=40)
+@given(_cyclotomic_scalars(), _cyclotomic_scalars(), st.booleans())
+def test_integer_kernel_matches_dense_oracle(a, b, doubled):
+    """Sum, product and inverse against dense Fraction arithmetic at the lcm conductor.
+
+    (a + b) - b descends from the lcm conductor back to a's.  Every projector up to
+    MAX_CONDUCTOR has denominator 1, so a doubled copy stands in for one whose
+    denominator the descent must carry."""
+    projector = _doubled_projector if doubled else _projector
+    with mock.patch.object(exactnum, "_projector", projector):
+        total, product = a + b, a * b
+        back = total - b
+        inverse = a.inverse() if a else None
+    assert (total.conductor, total.coeffs) == dense_sum(a, b)
+    assert (product.conductor, product.coeffs) == dense_product(a, b)
+    assert (back.conductor, back.coeffs) == (a.conductor, a.coeffs)
+    if inverse is not None:
+        assert dense_product(a, inverse) == (1, (1,))
+        assert (inverse.conductor, inverse.coeffs) == minimized_by_elimination(
+            inverse.conductor, list(inverse.coeffs))

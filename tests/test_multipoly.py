@@ -155,6 +155,31 @@ def test_canonical_rendering_order():
     assert str(MultiPoly.constant(zeta(3)) * x + 1) == "(zeta(3))*x + 1"
 
 
+class TestTrustedConstructors:
+    @pytest.mark.parametrize("c", [2, Fraction(-3, 4), CycScalar(5), zeta(3), zeta(12) + 1])
+    def test_constant_matches_validating_constructor(self, c):
+        built = MultiPoly.constant(c)
+        assert built == MultiPoly((), {(): c}) and built.variables == () and built.terms == {(): c}
+
+    @pytest.mark.parametrize("c", [0, Fraction(0), CycScalar(0), zeta(4) ** 2 + 1])
+    def test_constant_zero_is_the_empty_polynomial(self, c):
+        assert MultiPoly.constant(c).terms == {} and MultiPoly.constant(c) == MultiPoly.zero()
+
+    @pytest.mark.parametrize("value", ["x", 1.5, None, x])
+    def test_constant_rejects_non_scalars(self, value):
+        with pytest.raises(TypeError):
+            MultiPoly.constant(value)
+
+    def test_variable_one_and_zero(self):
+        assert x.variables == ("x",) and x.terms == {(1,): CycScalar(1)}
+        assert MultiPoly.one() == MultiPoly((), {(): 1}) == 1
+        assert MultiPoly.zero() == MultiPoly() and not MultiPoly.zero().variables
+
+    def test_scalar_operands_are_coerced(self):
+        assert x * Fraction(1, 2) + zeta(3) == MultiPoly(("x",), {(1,): Fraction(1, 2), (0,): zeta(3)})
+        assert x + 0 == x and (x * 0).is_zero()
+
+
 def test_equality_ignores_phantom_variables():
     p = MultiPoly(("x", "y"), {(2, 0): CycScalar(1)})
     assert p == x ** 2
