@@ -1,8 +1,10 @@
 """Derivations and ring endomorphisms of a surface, given by generator images.
 
 A derivation or map is a table generator -> SurfaceElement.  On a relation
-surface the images must be compatible with the defining relation; the
-constructors verify this and refuse ill-defined tables.  Commutation with a
+surface the images must be compatible with the defining relation.  The public
+constructors, which build user tables, prove this and refuse ill-defined ones;
+tables whose construction proves it (factories, identity, composition) go through
+``_trusted``, which skips the re-proof; each caller states its proof.  Commutation with a
 derivation is decided on generators alone: the defect rho∘D - D∘rho obeys
 a twisted Leibniz rule, so vanishing on generators forces it to vanish
 everywhere.
@@ -49,6 +51,14 @@ def _derivation_residue(table: Mapping[str, SurfaceElement], S: SurfaceSpec) -> 
     return value
 
 
+def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object]):
+    """A RingMap or Derivation whose caller proved its images well defined: coerced, reduced, not re-proved."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "surface", surface)
+    object.__setattr__(obj, "images", _image_table(images, surface))
+    return obj
+
+
 def check_derivation_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
     """True iff the image table extends to a derivation of the quotient ring."""
     table = _image_table(images, S)
@@ -84,7 +94,8 @@ class Derivation:
 
     @staticmethod
     def zero(surface: SurfaceSpec) -> "Derivation":
-        return Derivation(surface, {v: 0 for v in surface.variables})
+        """The zero derivation; it sends the relation to 0."""
+        return _trusted(Derivation, surface, {v: 0 for v in surface.variables})
 
     def is_zero(self) -> bool:
         return all(el.is_zero() for el in self.images.values())
@@ -108,11 +119,11 @@ class Derivation:
         return self.apply(p)
 
     def scaled_by(self, w: SurfaceElement | PolyLike) -> "Derivation":
-        """The derivation w*D for a kernel element w (w*D stays a derivation)."""
+        """The derivation w*D for a kernel element w; (w*D)(relation) = w*0."""
         w = SurfaceElement._coerce(w, self.surface)
         if not self.apply(w).is_zero():
             raise ValueError("scaling factor is not in the kernel of the derivation")
-        return Derivation(self.surface, {v: w * el for v, el in self.images.items()})
+        return _trusted(Derivation, self.surface, {v: w * el for v, el in self.images.items()})
 
     def default_cap(self) -> int:
         if self.surface.is_free:
@@ -153,7 +164,8 @@ class RingMap:
 
     @staticmethod
     def identity(surface: SurfaceSpec) -> "RingMap":
-        return RingMap(surface, {v: surface.gen(v) for v in surface.variables})
+        """The identity map; it fixes the relation."""
+        return _trusted(RingMap, surface, {v: surface.gen(v) for v in surface.variables})
 
     def is_identity(self) -> bool:
         return all(self.images[v] == self.surface.gen(v) for v in self.surface.variables)
@@ -169,10 +181,10 @@ class RingMap:
         return self.apply(p)
 
     def compose(self, inner: "RingMap") -> "RingMap":
-        """self after inner: (self.compose(inner))(p) = self(inner(p))."""
+        """self(inner(p)); inner sends the relation into the ideal, and self sends that to 0."""
         if self.surface != inner.surface:
             raise ValueError("maps live on different surfaces")
-        return RingMap(self.surface, {v: self.apply(el) for v, el in inner.images.items()})
+        return _trusted(RingMap, self.surface, {v: self.apply(el) for v, el in inner.images.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingMap):

@@ -329,10 +329,10 @@ class CycScalar:
             raise ZeroDivisionError("division by zero scalar")
         if self.conductor == 1:
             return CycScalar(1 / self.coeffs[0])
-        # extended gcd of the residue with Phi_N; Phi_N is irreducible so
-        # the gcd is a nonzero constant
+        # extended gcd of the residue with Phi_N (irreducible, so the gcd is a nonzero
+        # constant); a and 1/a generate one field, so N is already the least conductor
         u = _poly_xgcd_mod(list(self.coeffs), self.conductor)
-        return _minimized(self.conductor, u)
+        return CycScalar._raw(self.conductor, _fractions(u, 1))
 
     def __truediv__(self, other: ScalarLike) -> "CycScalar":
         other = CycScalar._coerce(other)

@@ -29,7 +29,7 @@ from typing import Optional
 from .exactnum import CycScalar, ScalarLike, divisors, root_of_unity_order, zeta
 from .multipoly import MultiPoly, PolyLike
 from .surface import SurfaceSpec
-from .diffmaps import CommutationResult, Derivation, RingMap, commutes
+from .diffmaps import CommutationResult, Derivation, RingMap, _trusted, commutes
 
 
 class ShapeMismatchError(ValueError):
@@ -133,6 +133,7 @@ def hyperbolic_order_bound(g: PolyLike, n: int) -> int:
 
 
 def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
+    """H = (lam*x, lam^(-j)*y, z); well defined as f(lam*x)*lam^(-j) = f, given lam^s = 1."""
     lam = CycScalar(lam) if not isinstance(lam, CycScalar) else lam
     if lam.is_zero():
         raise ValueError("hyperbolic parameter must be a unit")
@@ -141,7 +142,7 @@ def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
         raise ShapeMismatchError(
             f"lambda = {lam} does not satisfy lambda^{s} = 1 required by f = {S.f}")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    return RingMap(S, {
+    return _trusted(RingMap, S, {
         "x": MultiPoly.constant(lam) * x,
         "y": MultiPoly.constant(lam ** (-j)) * y,
         "z": z,
@@ -149,13 +150,15 @@ def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
 
 
 def involution(S: SurfaceSpec) -> RingMap:
+    """I = (y, x, z); well defined as f = c*x makes f(y)*x = f(x)*y."""
     if surface_class(S) != "xy":
         raise ShapeMismatchError("the involution exists only when f = c*x")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    return RingMap(S, {"x": y, "y": x, "z": z})
+    return _trusted(RingMap, S, {"x": y, "y": x, "z": z})
 
 
 def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
+    """T = (x, y + h*psi(w), z + w), w = h*f: w*psi(w) = phi(z + w) - phi(z), the division exact or raising."""
     h = MultiPoly._coerce(h)
     if not h.depends_only_on("x"):
         raise ValueError("h must be a polynomial in x")
@@ -164,10 +167,11 @@ def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
     u = MultiPoly.variable("u")
     psi = (S.phi.substitute({"z": z + u}) - S.phi).divide_by_variable("u")
     bump = h * psi.substitute({"u": w})
-    return RingMap(S, {"x": x, "y": y + bump, "z": z + w})
+    return _trusted(RingMap, S, {"x": x, "y": y + bump, "z": z + w})
 
 
 def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
+    """R = (x, lam^d*y, lam*(z - a) + a); well defined as phi(lam*(z - a) + a) = lam^d*phi."""
     lam = CycScalar(lam) if not isinstance(lam, CycScalar) else lam
     if lam.is_zero():
         raise ValueError("rescaling parameter must be a unit")
@@ -177,7 +181,7 @@ def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     _, a = shape.power
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
     # R(z) - a = lam*(z - a); relation preservation forces this shift
-    return RingMap(S, {
+    return _trusted(RingMap, S, {
         "x": x,
         "y": MultiPoly.constant(lam ** shape.degree) * y,
         "z": MultiPoly.constant(lam) * z + MultiPoly.constant((1 - lam) * a),
@@ -185,6 +189,7 @@ def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
 
 
 def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
+    """S = (x, mu^i*y, mu*z); well defined as phi(mu*z) = mu^i*phi, given mu^m = 1."""
     mu = CycScalar(mu) if not isinstance(mu, CycScalar) else mu
     shape = classify_phi(S.phi)
     i, m, _ = shape.periodic
@@ -194,7 +199,7 @@ def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
     if mu ** m != 1:
         raise ShapeMismatchError(f"mu = {mu} does not satisfy mu^{m} = 1")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    return RingMap(S, {
+    return _trusted(RingMap, S, {
         "x": x,
         "y": MultiPoly.constant(mu ** i) * y,
         "z": MultiPoly.constant(mu) * z,
@@ -231,12 +236,13 @@ class CanonicalLND:
 
 
 def canonical_lnd(S: SurfaceSpec, g: PolyLike) -> CanonicalLND:
+    """D = (0, g*phi', g*f); a derivation as D(f*y - phi) = f*g*phi' - phi'*g*f = 0."""
     if S.is_free:
         raise ValueError("canonical derivations live on relation surfaces")
     g = MultiPoly._coerce(g)
     if not g.depends_only_on("x"):
         raise ValueError("g must be a polynomial in x")
-    D = Derivation(S, {
+    D = _trusted(Derivation, S, {
         "x": MultiPoly.zero(),
         "y": g * S.phi.partial_derivative("z"),
         "z": g * S.f,

@@ -14,7 +14,7 @@ x^2 + 2*x*y + y^2
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -107,10 +107,8 @@ class MultiPoly:
             return self if power == 0 else MultiPoly.zero()
         i = self.variables.index(var)
         rest = self.variables[:i] + self.variables[i + 1:]
-        picked = {
-            e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power
-        }
-        return MultiPoly(rest, picked)
+        picked = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power}
+        return _built(rest, picked, prune=True)
 
     def leading_coefficient(self, var: str) -> CycScalar:
         lc = self.coefficient_of(var, self.degree_in(var))
@@ -166,18 +164,11 @@ class MultiPoly:
             return NotImplemented
         names = tuple(sorted({*self.variables, *other.variables}))
         a, b = self._widened(names), other._widened(names)
-        # all-rational operands multiply as integer numerators over their lcm denominators
         rational = all(c.conductor == 1 for p in (a, b) for c in p.values())
-        (da, a), (db, b) = map(_integral, (a, b)) if rational else ((1, a.items()), (1, b.items()))
-        acc = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = tuple(map(add, ea, eb))
-                acc[e] = acc[e] + ca * cb if e in acc else ca * cb
-        prod = ({e: CycScalar._raw(1, (Fraction(n, da * db),)) for e, n in acc.items() if n} if rational
-                else {e: c for e, c in acc.items() if c})
+        (da, a), (db, b) = _unboxed(a, rational), _unboxed(b, rational)
+        out = _boxed(_convolve(a, b), da * db, rational)
         # over a domain a nonzero product uses every variable of its factors
-        return _built(names, prod, prune=not prod)
+        return _built(names, out, prune=not out)
 
     __rmul__ = __mul__
 
@@ -201,33 +192,34 @@ class MultiPoly:
         if var not in self.variables:
             return MultiPoly.zero()
         i = self.variables.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            reduced = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[reduced] = c * e[i]
-        return MultiPoly(self.variables, out)
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]}
+        return _built(self.variables, out, prune=True)
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "MultiPoly":
-        """Ring-homomorphism evaluation; variables without an image map to themselves."""
-        table = {
-            v: MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
-            for v in self.variables
-        }
-        powers: dict[str, list[MultiPoly]] = {v: [MultiPoly.one()] for v in self.variables}
-        names = tuple(sorted({n for p in table.values() for n in p.variables}))
-        acc: dict[tuple[int, ...], CycScalar] = {}
-        for e, c in self.terms.items():
-            term = _built((), {(): c}, prune=False)
-            for v, k in zip(self.variables, e):
-                cache = powers[v]
-                while len(cache) <= k:
-                    cache.append(cache[-1] * table[v])
+        """Ring-homomorphism evaluation; variables without an image map to themselves.
+        All-rational input runs on integers: with self = N / D and image v = N_v / D_v, the
+        term c*prod(v^k) lands on the common denominator D*prod(D_v^K_v), K_v = deg_v self."""
+        table = [MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
+                 for v in self.variables]
+        names = tuple(sorted({n for p in table for n in p.variables}))
+        rational = all(c.conductor == 1 for p in (self, *table) for c in p.terms.values())
+        den, terms = _unboxed(self.terms, rational)
+        unboxed = [_unboxed(p._widened(names), rational) for p in table]
+        top = [max(ks) for ks in zip(*self.terms)]
+        powers = [[img] for _, img in unboxed]  # powers[i][k - 1]: numerators of image i to the k
+        zero, acc = (0,) * len(names), {}
+        for e, c in terms:
+            scale = prod(d ** (t - k) for (d, _), t, k in zip(unboxed, top, e))
+            part = [(zero, c * scale if rational else c)]
+            for cache, k in zip(powers, e):
+                while len(cache) < k:
+                    cache.append(_convolve(cache[-1], cache[0]))
                 if k:
-                    term = term * cache[k]
-            _accumulate(acc, term._widened(names).items())
-        return _built(names, acc, prune=True)
+                    part = _convolve(part, cache[k - 1])
+            for ep, cp in part:
+                acc[ep] = acc[ep] + cp if ep in acc else cp
+        den *= prod(d ** t for (d, _), t in zip(unboxed, top))
+        return _built(names, _boxed(acc.items(), den, rational), prune=True)
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
@@ -241,7 +233,7 @@ class MultiPoly:
             if e[i] == 0:
                 raise ValueError(f"{self} is not divisible by {var}")
             out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        return MultiPoly(self.variables, out)
+        return _built(self.variables, out, prune=True)
 
     # -- identity ---------------------------------------------------------
 
@@ -304,10 +296,31 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _integral(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(D, [(e, n), ...]) with each rational coefficient equal to n / D, D the lcm."""
+def _unboxed(terms: dict, rational: bool) -> tuple[int, list]:
+    """(D, [(e, n), ...]) with each rational coefficient equal to the integer n / D, D the lcm;
+    (1, the terms) unchanged when some coefficient is cyclotomic."""
+    if not rational:
+        return 1, list(terms.items())
     D = lcm(*(c.coeffs[0].denominator for c in terms.values()))
     return D, [(e, c.coeffs[0].numerator * D // c.coeffs[0].denominator) for e, c in terms.items()]
+
+
+def _convolve(a: Iterable, b: Iterable) -> list:
+    """The nonzero terms of the product of two term lists over one variable tuple, with
+    int or CycScalar coefficients: the one pair loop of products and substitution."""
+    acc = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            e = tuple(map(add, ea, eb))
+            acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+    return [(e, c) for e, c in acc.items() if c]
+
+
+def _boxed(pairs: Iterable, D: int, rational: bool) -> dict:
+    """The nonzero terms as CycScalars, from integer numerators over D if rational."""
+    if not rational:
+        return {e: c for e, c in pairs if c}
+    return {e: CycScalar._raw(1, (Fraction(n, D),)) for e, n in pairs if n}
 
 
 def _accumulate(dst: dict, pairs: Iterable) -> bool:

@@ -198,8 +198,7 @@ class SurfaceElement:
             return self.rep == other  # unreduced, so == stays transitive and agrees with hash
         if not isinstance(other, SurfaceElement):
             return NotImplemented
-        self._same_surface(other)
-        return self.rep == other.rep
+        return self.surface == other.surface and self.rep == other.rep
 
     def __hash__(self) -> int:
         return hash(self.rep)

@@ -1,7 +1,11 @@
 """Command dispatch, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +327,22 @@ class TestDispatchTable:
         got_code, got_out, err = _run(capsys, *argv)
         assert (got_code, got_out) == (code, out)
         assert bool(err) == (code == EXIT_ERROR)
+
+
+class TestModuleEntryPoint:
+    """``python -m danisurf.cli`` in a fresh interpreter: exit codes reach the shell via main()."""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["eq", "--surface", SURFACE, "--left", "x*y", "--right", "z^2"], EXIT_OK, "true"),
+        (["eq", "--surface", SURFACE, "--left", "x", "--right", "y"], EXIT_CHECK_FAILED, "false"),
+        (["nf", "--surface", "f=x; phi=z^2 +", "--expr", "x"], EXIT_ERROR, ""),
+    ])
+    def test_exit_codes(self, argv, code, out):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "danisurf.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert done.stdout.strip() == out
+        assert done.stderr.startswith("error: ") == (code == EXIT_ERROR)

@@ -299,3 +299,19 @@ def test_integer_kernel_matches_dense_oracle(a, b, doubled):
         assert dense_product(a, inverse) == (1, (1,))
         assert (inverse.conductor, inverse.coeffs) == minimized_by_elimination(
             inverse.conductor, list(inverse.coeffs))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_lifted_elements().map(lambda case: _minimized(case[0], list(case[1]))),
+                 _cyclotomic_scalars()))
+def test_inverse_stays_at_the_least_conductor(a):
+    """a and 1/a generate the same field, so the inverse needs no descent: its conductor is
+    a's, and its coordinates there are the canonical ones."""
+    if a.is_zero():
+        return
+    inverse = a.inverse()
+    assert inverse.conductor == a.conductor
+    assert all(isinstance(c, Fraction) for c in inverse.coeffs)
+    assert dense_product(a, inverse) == (1, (1,))
+    assert (inverse.conductor, inverse.coeffs) == minimized_by_elimination(
+        inverse.conductor, list(inverse.coeffs))

@@ -2,11 +2,13 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from danisurf.diffmaps import check_map_well_defined, commutes
+from danisurf.diffmaps import (Derivation, RingMap, check_derivation_well_defined,
+                               check_map_well_defined, commutes)
 from danisurf.exactnum import CycScalar, root_of_unity_order, zeta
 from danisurf.multipoly import MultiPoly
 from danisurf.surface import SurfaceSpec
@@ -185,6 +187,60 @@ class TestFactories:
         assert make_generator(GeneratorRequest("involution"), S_XY2) == involution(S_XY2)
         with pytest.raises(ValueError):
             make_generator(GeneratorRequest("mystery"), S_XY2)
+
+
+def _random_unit(rnd: random.Random) -> CycScalar:
+    return rnd.choice([CycScalar(2), CycScalar(-1), CycScalar(Fraction(-3, 2)),
+                       zeta(3), zeta(4) + 1])
+
+
+@st.composite
+def _factory_cases(draw):
+    """(S, g, h, seed): f of the shapes x^j*h0(x^s) and random, phi in power form,
+    periodic or random, g and h random in x (h also zero or cyclotomic)."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 30)))
+    xs = MultiPoly.variable("x")
+    j, s = rnd.randint(1, 2), rnd.randint(1, 3)
+    f = draw(st.sampled_from([
+        _random_unit(rnd) * xs ** j,
+        xs ** j * (1 + rnd.choice([1, -2, Fraction(1, 3)]) * xs ** s),
+        random_univariate(rnd, "x", rnd.randint(1, 3)) * xs + rnd.randint(-1, 1)]))
+    a = CycScalar(rnd.choice([0, 1, Fraction(-1, 2)]))
+    d, i, m = rnd.randint(2, 4), rnd.randint(0, 1), rnd.randint(2, 3)
+    phi = draw(st.sampled_from([
+        MultiPoly.constant(_random_unit(rnd)) * (z - MultiPoly.constant(a)) ** d,
+        z ** i * (z ** (2 * m) + rnd.choice([2, -1, Fraction(1, 2)]) * z ** m + rnd.randint(0, 1)),
+        random_univariate(rnd, "z", rnd.randint(0, 3)) * z + 1]))
+    g = random_univariate(rnd, "x", rnd.randint(0, 2))
+    h = draw(st.sampled_from([MultiPoly.zero(), MultiPoly.constant(zeta(3)) * xs + 1,
+                              random_univariate(rnd, "x", rnd.randint(0, 2), False)]))
+    return SurfaceSpec.danielewski(f, phi), g, h, rnd
+
+
+@settings(deadline=None, max_examples=40)
+@given(_factory_cases())
+def test_factory_outputs_are_well_defined(case):
+    """Every factory builds its map without re-proving it; the proof obligation is checked here,
+    also for the maps and derivations built from them without a check."""
+    S, g, h, rnd = case
+    j, s = monomial_split(S.f)
+    shape = classify_phi(S.phi)
+    i, m, _ = shape.periodic
+    maps = [triangular(S, h), RingMap.identity(S)]
+    maps += [hyperbolic_rotation(S, lam) for lam in
+             ([_random_unit(rnd), CycScalar(-1)] if s == 0 else [zeta(s, t) for t in range(s)])]
+    if surface_class(S) == "xy":
+        maps.append(involution(S))
+    if shape.power is not None:
+        maps += [rescaling(S, lam) for lam in (CycScalar(-1), _random_unit(rnd))]
+    if m >= 1:
+        maps += [symmetry(S, zeta(m, t)) for t in range(m)]
+    maps.append(rnd.choice(maps).compose(rnd.choice(maps)))
+    for rho in maps:
+        assert check_map_well_defined(rho.images, S), rho
+    D = canonical_lnd(S, g).derivation
+    for delta in (D, D.scaled_by(g * x + 1), Derivation.zero(S)):
+        assert check_derivation_well_defined(delta.images, S), delta
 
 
 class TestCanonicalLND:

@@ -250,3 +250,62 @@ def test_one_cyclotomic_coefficient_matches_oracle(a, b, pick, conjugate, images
     _check_against_oracle(a, b, images)
     _check_against_oracle(b, a, images)
 
+
+
+def _power_map(base: dict, k: int) -> dict:
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        out = map_mul(out, base)
+    return out
+
+
+def _stacked(var: int):
+    """(x_var/a + 1/b)^k for small a, b: each power stacks another denominator."""
+    unit = tuple(int(i == var) for i in range(3))
+    return st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 4)).map(
+        lambda t: _power_map({unit: Fraction(1, t[0]), (0, 0, 0): Fraction(1, t[1])}, t[2]))
+
+
+def _image_maps():
+    """Per variable: missing (None), zero, a constant, a stacked power or a sparse map."""
+    def one(var):
+        return st.one_of(st.none(), st.just({}), _term_maps(max_exp=0, max_size=1),
+                         _stacked(var), _stacked((var + 1) % 3), _term_maps(max_exp=1, max_size=3))
+    return st.tuples(*(one(var) for var in range(3))).map(list)
+
+
+def _check_substitute(a, images):
+    identity = [{tuple(int(i == v) for i in range(3)): Fraction(1)} for v in range(3)]
+    table = {name: MultiPoly(_XYZ, m) for name, m in zip(_XYZ, images) if m is not None}
+    result = MultiPoly(_XYZ, a).substitute(table)
+    _check_representation(result)
+    expected = map_substitute(a, [i if m is None else m for m, i in zip(images, identity)])
+    assert term_map(result) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(_term_maps(), _image_maps(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
+def test_integer_substitute_matches_oracle(a, images, degrees):
+    """The all-rational substitute against term-by-term expansion, with stacked denominators
+    in the images and in a: the result sits on the common denominator D*prod(D_v^K_v)."""
+    stacked = _power_map({(1, 0, 0): Fraction(1, 6), (0, 1, 0): Fraction(-1, 4),
+                          (0, 0, 1): Fraction(2, 9)}, degrees[0])
+    _check_substitute(map_add(a, stacked), images)
+    _check_substitute(a, images)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_term_maps(), _image_maps(), st.integers(0, 2))
+def test_one_cyclotomic_image_takes_the_scalar_path(a, images, which):
+    """A rational polynomial with one cyclotomic image: the fallback path on CycScalars."""
+    image = images[which] or {(0, 0, 0): Fraction(1)}
+    images[which] = {**image, (0, 0, 0): zeta(12) + image.get((0, 0, 0), 0)}
+    _check_substitute(a, images)
+
+
+def test_substitute_denominator_stacks_exactly():
+    image = Fraction(1, 6) * x + Fraction(1, 4)
+    p = Fraction(1, 5) * z ** 3 + Fraction(1, 7) * x ** 2 - Fraction(1, 3)
+    got = p.substitute({"x": image, "z": image ** 2})
+    assert got == Fraction(1, 5) * image ** 6 + Fraction(1, 7) * image ** 2 - Fraction(1, 3)
+    assert p.substitute({"x": 0, "z": Fraction(1, 2)}) == Fraction(1, 40) - Fraction(1, 3)

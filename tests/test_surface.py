@@ -64,8 +64,16 @@ class TestElementsEqual:
     def test_surface_mismatch_raises(self):
         with pytest.raises(ValueError):
             elements_equal(S_XY.gen("x"), S_X2.gen("x"))
-        with pytest.raises(ValueError):
-            S_XY.gen("x") == S_X2.gen("x")
+        for op in ("__add__", "__sub__", "__mul__"):
+            with pytest.raises(ValueError):
+                getattr(S_XY.gen("x"), op)(S_X2.gen("x"))
+
+    def test_equality_across_surfaces_is_false(self):
+        """Elements of different surfaces are unequal, so hashed containers may mix them."""
+        one, other = S_XY.element(1), S_X2.element(1)
+        assert one != other and not (S_XY.gen("x") == S_X2.gen("x"))
+        assert hash(one) == hash(other) and len({one, other}) == 2
+        assert len({one, S_XY.element(x * y - z ** 2 + 1)}) == 1
 
 
 class TestHash:
