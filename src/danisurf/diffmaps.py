@@ -77,10 +77,40 @@ def check_map_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool
     return S.element(fx * table["y"].rep - phiz).is_zero()
 
 
-class Derivation:
-    """A K-linear derivation of the surface ring, defined by generator images."""
+class _ImageTable:
+    """What derivations and maps share: an immutable table generator -> image on a surface,
+    applied by the subclass's ``apply`` and printed with its tag."""
 
     __slots__ = ("surface", "images")
+    _tag = ""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __call__(self, p) -> SurfaceElement:
+        return self.apply(p)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.surface == other.surface and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.surface, tuple(sorted((v, e.rep) for v, e in self.images.items()))))
+
+    def __str__(self) -> str:
+        body = "; ".join(f"{v} -> {self.images[v]}" for v in self.surface.variables)
+        return f"{self._tag}: {body}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Derivation(_ImageTable):
+    """A K-linear derivation of the surface ring, defined by generator images."""
+
+    __slots__ = ()
+    _tag = "D"
 
     def __init__(self, surface: SurfaceSpec, images: Mapping[str, object]):
         table = _image_table(images, surface)
@@ -88,9 +118,6 @@ class Derivation:
             raise ValueError("images do not define a derivation of the quotient ring")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "images", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
 
     @staticmethod
     def zero(surface: SurfaceSpec) -> "Derivation":
@@ -115,9 +142,6 @@ class Derivation:
             acc = acc + self.surface.element(part) * dv
         return acc
 
-    def __call__(self, p) -> SurfaceElement:
-        return self.apply(p)
-
     def scaled_by(self, w: SurfaceElement | PolyLike) -> "Derivation":
         """The derivation w*D for a kernel element w; (w*D)(relation) = w*0."""
         w = SurfaceElement._coerce(w, self.surface)
@@ -131,26 +155,12 @@ class Derivation:
         degx = max(el.rep.degree_in("x") for el in self.images.values())
         return 2 + self.surface.d * (1 + max(degx, 0))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.surface == other.surface and self.images == other.images
 
-    def __hash__(self) -> int:
-        return hash((self.surface, tuple(sorted((v, e.rep) for v, e in self.images.items()))))
-
-    def __str__(self) -> str:
-        body = "; ".join(f"{v} -> {self.images[v]}" for v in self.surface.variables)
-        return f"D: {body}"
-
-    def __repr__(self) -> str:
-        return f"Derivation({self})"
-
-
-class RingMap:
+class RingMap(_ImageTable):
     """A ring endomorphism of the surface ring, defined by generator images."""
 
-    __slots__ = ("surface", "images")
+    __slots__ = ()
+    _tag = "M"
 
     def __init__(self, surface: SurfaceSpec, images: Mapping[str, object]):
         table = _image_table(images, surface)
@@ -158,9 +168,6 @@ class RingMap:
             raise ValueError("images do not preserve the relation ideal")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "images", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingMap is immutable")
 
     @staticmethod
     def identity(surface: SurfaceSpec) -> "RingMap":
@@ -177,29 +184,11 @@ class RingMap:
         image = p.rep.substitute({v: self.images[v].rep for v in self.surface.variables})
         return self.surface.element(image)
 
-    def __call__(self, p) -> SurfaceElement:
-        return self.apply(p)
-
     def compose(self, inner: "RingMap") -> "RingMap":
         """self(inner(p)); inner sends the relation into the ideal, and self sends that to 0."""
         if self.surface != inner.surface:
             raise ValueError("maps live on different surfaces")
         return _trusted(RingMap, self.surface, {v: self.apply(el) for v, el in inner.images.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingMap):
-            return NotImplemented
-        return self.surface == other.surface and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.surface, tuple(sorted((v, e.rep) for v, e in self.images.items()))))
-
-    def __str__(self) -> str:
-        body = "; ".join(f"{v} -> {self.images[v]}" for v in self.surface.variables)
-        return f"M: {body}"
-
-    def __repr__(self) -> str:
-        return f"RingMap({self})"
 
 
 def apply_derivation(D: Derivation, p: SurfaceElement) -> SurfaceElement:

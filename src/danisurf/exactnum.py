@@ -1,21 +1,23 @@
 """Exact arithmetic over Q and over the cyclotomic fields Q(zeta_N).
 
 Every scalar is a ``CycScalar``: a residue modulo the N-th cyclotomic
-polynomial in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), with Fraction
-coefficients.  It is stored at the least conductor N with the value in
-Q(zeta_N) (1 for rationals), where its coordinates are unique, so equal numbers
-compare equal.  A cyclotomic sum or product runs on integer numerators over one
-common denominator: the operands are lifted to the lcm conductor L, combined
-and reduced mod Phi_L there, and Fractions are built once, at the least
-conductor.  That value of Q(zeta_L) descends to Q(zeta_(L/p)), for a prime
-p | L, while some such subfield contains it.  This reaches the least conductor:
-Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the conductors d | L
-whose fields hold the value are closed under gcd, and the least one divides the
-others and is reached from any of them by prime steps.  Each membership test is
-exact: with a cached sparse integer left inverse P / s of the embedding E of
-the subfield, x lies in it exactly when E P x = s x.  ``zeta(n, k)`` needs no
-descent: its least conductor follows from n and k.  Conductors above
-``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands, raise ValueError.
+polynomial in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), stored as
+``int`` numerators ``nums`` over one positive denominator ``den`` with
+gcd(den, *nums) = 1, the form every kernel works on.  It is stored at the least
+conductor N with the value in Q(zeta_N) (1 for rationals), where its
+coordinates are unique, so equal numbers compare equal.  A sum or product lifts
+the operands to the lcm conductor L, combines them and reduces mod Phi_L there,
+all on integers.  That value of Q(zeta_L) descends to Q(zeta_(L/p)), for a
+prime p | L, while some such subfield contains it.  This reaches the least
+conductor: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the conductors
+d | L whose fields hold the value are closed under gcd, and the least one
+divides the others and is reached from any of them by prime steps.  Each
+membership test is exact: with a cached sparse integer left inverse P / s of
+the embedding E of the subfield, x lies in it exactly when E P x = s x.
+``zeta(n, k)`` needs no descent: its least conductor follows from n and k.
+Fractions are built only on request: ``coeffs``, ``as_rational`` and ``str``.
+Conductors above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands,
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -103,7 +105,7 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 
 
 def _mod_phi(coeffs: list, n: int) -> list:
-    """Remainder of a dense int or Fraction polynomial modulo Phi_n (monic), computed in place."""
+    """Remainder of a dense integer polynomial modulo Phi_n (monic), computed in place."""
     phi = cyclotomic_coeffs(n)
     deg = len(phi) - 1
     for i in range(len(coeffs) - 1, deg - 1, -1):
@@ -159,9 +161,9 @@ def _projector(L: int, d: int) -> tuple[int, tuple, tuple]:
     return s, P, tuple(tuple(col.items()) for col in cols)
 
 
-def _in_subfield(L: int, d: int, x: list) -> Optional[tuple[list, int]]:
-    """(y, s) with y / s the coordinates in Q(zeta_d) of x, given in Q(zeta_L), or None
-    if x is not there; x holds ints or Fractions, and x = E y / s exactly when E P x = s x."""
+def _in_subfield(L: int, d: int, x: list[int]) -> Optional[tuple[list[int], int]]:
+    """(y, s) with y / s the coordinates in Q(zeta_d) of the integer vector x of
+    Q(zeta_L), or None if x is not there; x = E y / s exactly when E P x = s x."""
     s, P, E = _projector(L, d)
     y = [0] * len(E)
     for r, op in P:
@@ -177,13 +179,19 @@ def _in_subfield(L: int, d: int, x: list) -> Optional[tuple[list, int]]:
     return (y, s) if z == (x if s == 1 else [s * v for v in x]) else None
 
 
-def _fractions(nums: list, D: int) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, nums)) if D == 1 else tuple(Fraction(n, D) for n in nums)
+def _canonical(L: int, nums: Sequence[int], D: int) -> "CycScalar":
+    """The scalar nums / D of Q(zeta_L), L its least conductor and D nonzero, stored with
+    the gcd of D and the numerators divided out and den > 0."""
+    g = gcd(D, *nums) if D > 0 else -gcd(D, *nums)
+    self = object.__new__(CycScalar)
+    object.__setattr__(self, "conductor", L)
+    object.__setattr__(self, "nums", tuple(nums) if g == 1 else tuple(n // g for n in nums))
+    object.__setattr__(self, "den", D // g)
+    return self
 
 
-def _minimized(L: int, nums: list, D: int = 1) -> "CycScalar":
-    """The canonical scalar of the residue nums / D of Q(zeta_L), by prime descent: nums
-    are ints over one denominator D (or Fractions, D = 1), made Fractions at the end."""
+def _minimized(L: int, nums: list[int], D: int = 1) -> "CycScalar":
+    """The canonical scalar of the residue nums / D of Q(zeta_L), by prime descent."""
     while L > 1 and any(nums[1:]):
         for p in _prime_factors(L):
             sub = _in_subfield(L, L // p, nums)
@@ -192,8 +200,20 @@ def _minimized(L: int, nums: list, D: int = 1) -> "CycScalar":
                 D *= s
                 break
         else:
-            return CycScalar._raw(L, _fractions(nums, D))
-    return CycScalar._raw(1, _fractions(nums[:1], D))
+            return _canonical(L, nums, D)
+    return _canonical(1, nums[:1], D)
+
+
+def _power(base, k: int, one):
+    """base^k for k >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 class CycScalar:
@@ -204,29 +224,31 @@ class CycScalar:
     CycScalar(-1)
     >>> CycScalar.zeta(3) + CycScalar.zeta(3) ** 2
     CycScalar(-1)
+    >>> h = CycScalar.zeta(8) / 2
+    >>> h.nums, h.den
+    ((0, 1, 0, 0), 2)
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
 
     def __init__(self, value: ScalarLike = 0):
         if isinstance(value, CycScalar):
-            object.__setattr__(self, "conductor", value.conductor)
-            object.__setattr__(self, "coeffs", value.coeffs)
+            conductor, nums, den = value.conductor, value.nums, value.den
         elif isinstance(value, (int, Fraction)):
-            object.__setattr__(self, "conductor", 1)
-            object.__setattr__(self, "coeffs", (Fraction(value),))
+            conductor, nums, den = 1, (value.numerator,), value.denominator
         else:
             raise TypeError(f"cannot build a scalar from {value!r}")
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
 
-    @staticmethod
-    def _raw(conductor: int, coeffs: tuple[Fraction, ...]) -> "CycScalar":
-        self = object.__new__(CycScalar)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in the power basis of Q(zeta_conductor), as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycScalar":
@@ -239,15 +261,15 @@ class CycScalar:
         if r % 4 == 2:
             r, sign = r // 2, -1  # e is odd
             e = e * (r + 1) // 2 % r
-        return CycScalar._raw(r, _fractions(_mod_phi([0] * e + [sign], r), 1))
+        return _canonical(r, _mod_phi([0] * e + [sign], r), 1)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 1
+        return self.conductor == 1 and self.nums[0] == self.den
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -255,19 +277,17 @@ class CycScalar:
     def as_rational(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _lifted(self, L: int) -> tuple[list[int], int]:
-        """(nums, D): the residue in Q(zeta_L) as integer numerators over one denominator."""
-        D = lcm(*(c.denominator for c in self.coeffs))
-        nums = [c.numerator * (D // c.denominator) for c in self.coeffs]
+    def _lifted(self, L: int) -> Sequence[int]:
+        """The numerators over ``den`` of the residue in Q(zeta_L), L a multiple of the conductor."""
         if L == self.conductor:
-            return nums, D
-        vec = [0] * ((len(nums) - 1) * (L // self.conductor) + 1)
-        vec[::L // self.conductor] = nums
-        return _mod_phi(vec, L), D
+            return self.nums
+        vec = [0] * ((len(self.nums) - 1) * (L // self.conductor) + 1)
+        vec[::L // self.conductor] = self.nums
+        return _mod_phi(vec, L)
 
     @staticmethod
     def _coerce(value: ScalarLike) -> "CycScalar":
@@ -281,18 +301,15 @@ class CycScalar:
         other = CycScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return CycScalar._raw(1, (self.coeffs[0] + other.coeffs[0],))
         L = _check_conductor(lcm(self.conductor, other.conductor))
-        (a, da), (b, db) = self._lifted(L), other._lifted(L)
-        D = lcm(da, db)
-        ma, mb = D // da, D // db
-        return _minimized(L, [x * ma + y * mb for x, y in zip(a, b)], D)
+        D = lcm(self.den, other.den)
+        ma, mb = D // self.den, D // other.den
+        return _minimized(L, [x * ma + y * mb for x, y in zip(self._lifted(L), other._lifted(L))], D)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar._raw(self.conductor, tuple(-c for c in self.coeffs))
+        return _canonical(self.conductor, [-n for n in self.nums], self.den)
 
     def __sub__(self, other: ScalarLike) -> "CycScalar":
         other = CycScalar._coerce(other)
@@ -308,19 +325,20 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1 or other.conductor == 1:
-            q, v = (self.coeffs[0], other) if self.conductor == 1 else (other.coeffs[0], self)
-            if q == 0:
-                return CycScalar._raw(1, (_ZERO,))
-            return CycScalar._raw(v.conductor, tuple(q * c for c in v.coeffs))
+            q, v = (self, other) if self.conductor == 1 else (other, self)
+            n = q.nums[0]
+            if n == 0:
+                return CycScalar(0)
+            return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den)
         L = _check_conductor(lcm(self.conductor, other.conductor))
-        (a, da), (b, db) = self._lifted(L), other._lifted(L)
+        a, b = self._lifted(L), other._lifted(L)
         nonzero_b = [(j, y) for j, y in enumerate(b) if y]
         product = [0] * (len(a) + nonzero_b[-1][0])
         for i, x in enumerate(a):
             if x:
                 for j, y in nonzero_b:
                     product[i + j] += x * y
-        return _minimized(L, _mod_phi(product, L), da * db)
+        return _minimized(L, _mod_phi(product, L), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -328,11 +346,11 @@ class CycScalar:
         if self.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         if self.conductor == 1:
-            return CycScalar(1 / self.coeffs[0])
+            return _canonical(1, [self.den], self.nums[0])
         # extended gcd of the residue with Phi_N (irreducible, so the gcd is a nonzero
         # constant); a and 1/a generate one field, so N is already the least conductor
-        u = _poly_xgcd_mod(list(self.coeffs), self.conductor)
-        return CycScalar._raw(self.conductor, _fractions(u, 1))
+        u, c = _poly_xgcd_mod(list(self.nums), self.conductor)
+        return _canonical(self.conductor, [self.den * v for v in u], c)
 
     def __truediv__(self, other: ScalarLike) -> "CycScalar":
         other = CycScalar._coerce(other)
@@ -348,14 +366,7 @@ class CycScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycScalar(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, CycScalar(1))
 
     # -- identity ---------------------------------------------------------
 
@@ -364,12 +375,13 @@ class CycScalar:
             other = CycScalar(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.conductor == other.conductor and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
         if self.conductor == 1:
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+            return hash(self.as_rational())
+        return hash((self.conductor, self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -378,10 +390,11 @@ class CycScalar:
 
     def __str__(self) -> str:
         if self.conductor == 1:
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            q = self.coeffs[e]
+        coeffs = self.coeffs
+        for e in range(len(coeffs) - 1, -1, -1):
+            q = coeffs[e]
             if q == 0:
                 continue
             if e == 0:
@@ -399,38 +412,40 @@ class CycScalar:
         return f"CycScalar({self})"
 
 
-def _poly_xgcd_mod(a: list[Fraction], n: int) -> list[Fraction]:
-    """Return u with u*a = 1 modulo Phi_n, via the extended Euclid algorithm.
+def _poly_xgcd_mod(a: list[int], n: int) -> tuple[list[int], int]:
+    """Return (u, c), c a nonzero integer, with u*a = c modulo Phi_n, via the extended
+    Euclid algorithm on integers.
 
     Polynomials are dense ascending lists; each step keeps r0 = s0*a and
-    r1 = s1*a modulo Phi_n.  ``a`` is consumed.
+    r1 = s1*a modulo Phi_n.  Scaling both lists of a pair by one number keeps
+    that, so each long division scales r0 and s0 by the leading coefficient of
+    r1 instead of dividing, and the new pair is divided by its content.
+    ``a`` is consumed.
     """
-    r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(n)], a
-    s0, s1 = [_ZERO], [_ONE]
+    r0, r1 = list(cyclotomic_coeffs(n)), a
+    s0, s1 = [0], [1]
     while True:
         while r1 and r1[-1] == 0:
             r1.pop()
         if len(r1) <= 1:
             break
-        # r0 = q*r1 + r by long division in place: r is left in r0[:d]
-        d = len(r1) - 1
-        q = [_ZERO] * (len(r0) - d)
-        for k in range(len(q) - 1, -1, -1):
-            c = q[k] = r0[k + d] / r1[d]
+        # lc^k*r0 = q*r1 + r by pseudo-division in place: r is left in r0[:d]
+        d, lc = len(r1) - 1, r1[-1]
+        s0 += [0] * (len(r0) - d + len(s1) - 1 - len(s0))
+        for k in range(len(r0) - 1 - d, -1, -1):
+            c = r0[k + d]
             if c:
-                for j in range(d):
-                    r0[k + j] -= c * r1[j]
-        s = s0 + [_ZERO] * (len(q) + len(s1) - 1 - len(s0))
-        for i, x in enumerate(q):
-            if x:
+                r0, s0 = [lc * v for v in r0], [lc * v for v in s0]
+                for j, y in enumerate(r1):
+                    r0[k + j] -= c * y
                 for j, y in enumerate(s1):
-                    s[i + j] -= x * y
-        r0, r1 = r1, r0[:d]
-        s0, s1 = s1, s
+                    s0[k + j] -= c * y
+        g = gcd(*r0[:d], *s0)
+        r0, r1 = r1, [v // g for v in r0[:d]]
+        s0, s1 = s1, [v // g for v in s0]
     if not r1:
         raise ZeroDivisionError("residue shares a factor with the modulus")
-    c = r1[0]
-    return _mod_phi([v / c for v in s1], n)
+    return _mod_phi(s1, n), r1[0]
 
 
 def zeta(n: int, power: int = 1) -> CycScalar:

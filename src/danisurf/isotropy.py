@@ -134,7 +134,7 @@ def hyperbolic_order_bound(g: PolyLike, n: int) -> int:
 
 def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     """H = (lam*x, lam^(-j)*y, z); well defined as f(lam*x)*lam^(-j) = f, given lam^s = 1."""
-    lam = CycScalar(lam) if not isinstance(lam, CycScalar) else lam
+    lam = CycScalar(lam)
     if lam.is_zero():
         raise ValueError("hyperbolic parameter must be a unit")
     j, s = monomial_split(S.f)
@@ -172,7 +172,7 @@ def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
 
 def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     """R = (x, lam^d*y, lam*(z - a) + a); well defined as phi(lam*(z - a) + a) = lam^d*phi."""
-    lam = CycScalar(lam) if not isinstance(lam, CycScalar) else lam
+    lam = CycScalar(lam)
     if lam.is_zero():
         raise ValueError("rescaling parameter must be a unit")
     shape = classify_phi(S.phi)
@@ -190,7 +190,7 @@ def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
 
 def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
     """S = (x, mu^i*y, mu*z); well defined as phi(mu*z) = mu^i*phi, given mu^m = 1."""
-    mu = CycScalar(mu) if not isinstance(mu, CycScalar) else mu
+    mu = CycScalar(mu)
     shape = classify_phi(S.phi)
     i, m, _ = shape.periodic
     if m == 0:
@@ -417,7 +417,7 @@ def plane_example_suite(s: int, p: ScalarLike,
     plan = plan or SamplingPlan()
     if s < 2:
         raise ValueError("s must be >= 2")
-    p = CycScalar(p) if not isinstance(p, CycScalar) else p
+    p = CycScalar(p)
     if p.is_zero():
         raise ValueError("p must be nonzero")
     rnd = random.Random(plan.seed)

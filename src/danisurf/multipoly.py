@@ -18,7 +18,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Union
 
-from .exactnum import CycScalar, ScalarLike
+from .exactnum import CycScalar, ScalarLike, _canonical, _power
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
 
@@ -177,14 +177,7 @@ class MultiPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.one())
 
     # -- calculus and substitution ----------------------------------------
 
@@ -301,8 +294,8 @@ def _unboxed(terms: dict, rational: bool) -> tuple[int, list]:
     (1, the terms) unchanged when some coefficient is cyclotomic."""
     if not rational:
         return 1, list(terms.items())
-    D = lcm(*(c.coeffs[0].denominator for c in terms.values()))
-    return D, [(e, c.coeffs[0].numerator * D // c.coeffs[0].denominator) for e, c in terms.items()]
+    D = lcm(*(c.den for c in terms.values()))
+    return D, [(e, c.nums[0] * (D // c.den)) for e, c in terms.items()]
 
 
 def _convolve(a: Iterable, b: Iterable) -> list:
@@ -320,7 +313,7 @@ def _boxed(pairs: Iterable, D: int, rational: bool) -> dict:
     """The nonzero terms as CycScalars, from integer numerators over D if rational."""
     if not rational:
         return {e: c for e, c in pairs if c}
-    return {e: CycScalar._raw(1, (Fraction(n, D),)) for e, n in pairs if n}
+    return {e: _canonical(1, (n,), D) for e, n in pairs if n}
 
 
 def _accumulate(dst: dict, pairs: Iterable) -> bool:

@@ -200,10 +200,9 @@ class _Parser:
 
 
 def _bounded(p: MultiPoly, pos: int) -> MultiPoly:
-    """p, unless a numerator or denominator of a coefficient has more than MAX_DIGITS digits;
+    """p, unless a coefficient's denominator or a numerator has more than MAX_DIGITS digits;
     each is compared with 10^MAX_DIGITS, never turned into text, so any size is cheap."""
-    if any(abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG
-           for c in p.terms.values() for q in c.coeffs):
+    if any(abs(n) >= _TOO_LONG for c in p.terms.values() for n in (c.den, *c.nums)):
         raise ParseError(f"coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
     return p
 

@@ -12,11 +12,12 @@ The degenerate "free" kind is a plain polynomial ring in named variables
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable
 
 from .exactnum import CycScalar, ScalarLike
-from .multipoly import MultiPoly, PolyLike
+from .multipoly import MultiPoly, PolyLike, _built
 
 
 class SurfaceSpec:
@@ -129,7 +130,7 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
                 cofactor[tuple(reduced)] = c / lc
         if not cofactor:
             return p
-        p = p - MultiPoly(names, cofactor) * rel
+        p = p - _built(names, cofactor, prune=True) * rel
 
 
 class SurfaceElement:
@@ -144,10 +145,6 @@ class SurfaceElement:
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceElement is immutable")
 
-    def _same_surface(self, other: "SurfaceElement") -> None:
-        if self.surface != other.surface:
-            raise ValueError("elements live on different surfaces")
-
     @staticmethod
     def _coerce(value, surface: SurfaceSpec) -> "SurfaceElement":
         if isinstance(value, SurfaceElement):
@@ -159,12 +156,17 @@ class SurfaceElement:
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def __add__(self, other) -> "SurfaceElement":
+    def _combined(self, other, op) -> "SurfaceElement":
+        """op on the representatives of self and other, an element of the same surface."""
         other = SurfaceElement._coerce(other, self.surface)
         if other is NotImplemented:
             return NotImplemented
-        self._same_surface(other)
-        return SurfaceElement(self.surface, self.rep + other.rep)
+        if self.surface != other.surface:
+            raise ValueError("elements live on different surfaces")
+        return SurfaceElement(self.surface, op(self.rep, other.rep))
+
+    def __add__(self, other) -> "SurfaceElement":
+        return self._combined(other, operator.add)
 
     __radd__ = __add__
 
@@ -172,21 +174,13 @@ class SurfaceElement:
         return SurfaceElement(self.surface, -self.rep)
 
     def __sub__(self, other) -> "SurfaceElement":
-        other = SurfaceElement._coerce(other, self.surface)
-        if other is NotImplemented:
-            return NotImplemented
-        self._same_surface(other)
-        return SurfaceElement(self.surface, self.rep - other.rep)
+        return self._combined(other, operator.sub)
 
     def __rsub__(self, other) -> "SurfaceElement":
         return (-self) + other
 
     def __mul__(self, other) -> "SurfaceElement":
-        other = SurfaceElement._coerce(other, self.surface)
-        if other is NotImplemented:
-            return NotImplemented
-        self._same_surface(other)
-        return SurfaceElement(self.surface, self.rep * other.rep)
+        return self._combined(other, operator.mul)
 
     __rmul__ = __mul__
 

@@ -1,5 +1,7 @@
 """Cyclotomic scalar arithmetic and root-of-unity detection."""
 
+import math
+import operator
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -171,6 +173,25 @@ _scalars = st.one_of(
 )
 
 
+_scaled_scalars = st.builds(operator.mul, _scalars, st.fractions(-3, 3, max_denominator=6))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_scaled_scalars, _scaled_scalars, st.fractions(-4, 4, max_denominator=6),
+       st.integers(1, 60), st.integers(-70, 70))
+def test_results_are_stored_in_lowest_terms(a, b, q, n, k):
+    """Every result holds int numerators over a positive denominator with no common factor,
+    which ``coeffs`` turns into the coordinates; a rational one equals and hashes as its Fraction."""
+    results = [a + b, a - b, a * b, zeta(n, k), CycScalar(q)] + ([a.inverse()] if a else [])
+    for c in results:
+        assert all(type(v) is int for v in c.nums) and type(c.den) is int
+        assert c.den > 0 and math.gcd(c.den, *c.nums) == 1
+        assert c.coeffs == tuple(Fraction(v, c.den) for v in c.nums)
+        if c.is_rational():
+            assert c == c.as_rational() and hash(c) == hash(c.as_rational())
+    assert CycScalar(q) == q and hash(CycScalar(q)) == hash(q)
+
+
 @settings(deadline=None)
 @given(_scalars)
 def test_inverse_round_trip(a):
@@ -190,6 +211,12 @@ def test_commutative_ring_laws(a, b):
 @given(_scalars, _scalars, _scalars)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+def _minimized_fractions(L, coeffs):
+    """``_minimized`` of the Fraction coordinates coeffs of Q(zeta_L), as (nums, D)."""
+    D = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return _minimized(L, [int(c * D) for c in coeffs], D)
 
 
 @st.composite
@@ -215,7 +242,7 @@ def _lifted_elements(draw):
 @given(_lifted_elements())
 def test_prime_descent_matches_elimination_oracle(case):
     L, coeffs = case
-    got = _minimized(L, list(coeffs))
+    got = _minimized_fractions(L, coeffs)
     assert (got.conductor, got.coeffs) == minimized_by_elimination(L, coeffs)
 
 
@@ -223,7 +250,7 @@ def test_prime_descent_matches_elimination_oracle(case):
 @given(_lifted_elements())
 def test_inverse_round_trip_at_real_conductors(case):
     L, coeffs = case
-    a = _minimized(L, list(coeffs))
+    a = _minimized_fractions(L, coeffs)
     if not a.is_zero():
         assert (1 / a) * a == 1
         assert a.inverse().inverse() == a
@@ -238,7 +265,7 @@ def test_zeta_inverse_is_conjugate_power(n):
 @pytest.mark.parametrize("n", range(1, 61))
 def test_zeta_closed_form_matches_descent(n):
     for k in range(n):
-        want = _minimized(n, reduce_mod_cyclotomic([Fraction(0)] * k + [Fraction(1)], n))
+        want = _minimized_fractions(n, reduce_mod_cyclotomic([Fraction(0)] * k + [Fraction(1)], n))
         got = zeta(n, k)
         assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
         assert zeta(n, k - n) == got
@@ -266,7 +293,7 @@ def _cyclotomic_scalars(draw):
     vec = [Fraction(0)] * L
     for k, q in terms:
         vec[k * step * (L // c)] += q
-    return _minimized(L, reduce_mod_cyclotomic(vec, L))
+    return _minimized_fractions(L, reduce_mod_cyclotomic(vec, L))
 
 
 _projector = exactnum._projector
@@ -302,7 +329,7 @@ def test_integer_kernel_matches_dense_oracle(a, b, doubled):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.one_of(_lifted_elements().map(lambda case: _minimized(case[0], list(case[1]))),
+@given(st.one_of(_lifted_elements().map(lambda case: _minimized_fractions(*case)),
                  _cyclotomic_scalars()))
 def test_inverse_stays_at_the_least_conductor(a):
     """a and 1/a generate the same field, so the inverse needs no descent: its conductor is
