@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
 from math import gcd, lcm, prod
 from typing import Optional, Sequence, Union
 
@@ -165,6 +166,8 @@ def _in_subfield(L: int, d: int, x: list[int]) -> Optional[tuple[list[int], int]
     """(y, s) with y / s the coordinates in Q(zeta_d) of the integer vector x of
     Q(zeta_L), or None if x is not there; x = E y / s exactly when E P x = s x."""
     s, P, E = _projector(L, d)
+    if not any(x[1:]):  # a rational x is s*x[0] times the first basis vector
+        return [s * x[0]] + [0] * (len(E) - 1), s
     y = [0] * len(E)
     for r, op in P:
         c = x[r]
@@ -176,7 +179,7 @@ def _in_subfield(L: int, d: int, x: list[int]) -> Optional[tuple[list[int], int]
         if c:
             for r, e in col:
                 z[r] += e * c
-    return (y, s) if z == (x if s == 1 else [s * v for v in x]) else None
+    return (y, s) if z == (list(x) if s == 1 else [s * v for v in x]) else None
 
 
 def _canonical(L: int, nums: Sequence[int], D: int) -> "CycScalar":
@@ -190,18 +193,33 @@ def _canonical(L: int, nums: Sequence[int], D: int) -> "CycScalar":
     return self
 
 
-def _minimized(L: int, nums: list[int], D: int = 1) -> "CycScalar":
-    """The canonical scalar of the residue nums / D of Q(zeta_L), by prime descent."""
-    while L > 1 and any(nums[1:]):
+def _descended(L: int, vecs: list, D: int = 1) -> tuple[int, list, int]:
+    """(N, ys, D * s) with ys[i] / (D * s) = vecs[i] / D in Q(zeta_L), N the least conductor whose
+    field holds all vecs: prime steps while one subfield holds all, as for a single value."""
+    while L > 1 and any(any(x[1:]) for x in vecs):
         for p in _prime_factors(L):
-            sub = _in_subfield(L, L // p, nums)
-            if sub is not None:
-                L, (nums, s) = L // p, sub
-                D *= s
+            subs = list(takewhile(bool, (_in_subfield(L, L // p, x) for x in vecs)))
+            if len(subs) == len(vecs):
+                L, vecs, D = L // p, [y for y, _ in subs], D * subs[0][1]
                 break
         else:
-            return _canonical(L, nums, D)
-    return _canonical(1, nums[:1], D)
+            return L, vecs, D
+    return 1, [x[:1] for x in vecs], D
+
+
+def _minimized(L: int, nums: list[int], D: int = 1) -> "CycScalar":
+    """The canonical scalar of the residue nums / D of Q(zeta_L), by prime descent."""
+    L, (nums,), D = _descended(L, [nums], D)
+    return _canonical(L, nums, D)
+
+
+def _lifted(nums: Sequence[int], N: int, L: int) -> Sequence[int]:
+    """The coordinates in Q(zeta_L) of the element of Q(zeta_N) with coordinates nums, N | L."""
+    if L == N:
+        return nums
+    vec = [0] * ((len(nums) - 1) * (L // N) + 1)
+    vec[::L // N] = nums
+    return tuple(_mod_phi(vec, L))
 
 
 def _power(base, k: int, one):
@@ -281,14 +299,6 @@ class CycScalar:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _lifted(self, L: int) -> Sequence[int]:
-        """The numerators over ``den`` of the residue in Q(zeta_L), L a multiple of the conductor."""
-        if L == self.conductor:
-            return self.nums
-        vec = [0] * ((len(self.nums) - 1) * (L // self.conductor) + 1)
-        vec[::L // self.conductor] = self.nums
-        return _mod_phi(vec, L)
-
     @staticmethod
     def _coerce(value: ScalarLike) -> "CycScalar":
         if isinstance(value, CycScalar):
@@ -304,7 +314,8 @@ class CycScalar:
         L = _check_conductor(lcm(self.conductor, other.conductor))
         D = lcm(self.den, other.den)
         ma, mb = D // self.den, D // other.den
-        return _minimized(L, [x * ma + y * mb for x, y in zip(self._lifted(L), other._lifted(L))], D)
+        a, b = _lifted(self.nums, self.conductor, L), _lifted(other.nums, other.conductor, L)
+        return _minimized(L, [x * ma + y * mb for x, y in zip(a, b)], D)
 
     __radd__ = __add__
 
@@ -331,7 +342,7 @@ class CycScalar:
                 return CycScalar(0)
             return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den)
         L = _check_conductor(lcm(self.conductor, other.conductor))
-        a, b = self._lifted(L), other._lifted(L)
+        a, b = _lifted(self.nums, self.conductor, L), _lifted(other.nums, other.conductor, L)
         nonzero_b = [(j, y) for j, y in enumerate(b) if y]
         product = [0] * (len(a) + nonzero_b[-1][0])
         for i, x in enumerate(a):
@@ -359,7 +370,10 @@ class CycScalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> "CycScalar":
-        return CycScalar._coerce(other) * self.inverse()
+        other = CycScalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int) -> "CycScalar":
         if not isinstance(k, int):

@@ -1,43 +1,60 @@
 """Sparse multivariate polynomials over cyclotomic scalars.
 
-A ``MultiPoly`` stores a map from exponent tuples to nonzero ``CycScalar``
-coefficients, together with a sorted tuple of variable names.  Unused
-variables are pruned, so two polynomials describing the same function have
-identical representations and compare equal.  Term order everywhere is
-graded lexicographic with respect to the variable tuple.
+A ``MultiPoly`` stores the least ``conductor`` N with every coefficient in
+Q(zeta_N), one positive ``den`` coprime to all numerators, and ``nums``: per
+exponent tuple an ``int`` numerator when N = 1, else a tuple of phi(N)
+power-basis coordinates.  Unused variables are pruned, so equal polynomials
+have identical representations; ``terms`` builds ``CycScalar`` coefficients on
+request.  Term order everywhere is graded lexicographic in the variable tuple.
+Products and substitution run one ``int`` pair loop: for L > 1 each vector is
+packed into signed slots, zeta -> 2^k (Kronecker), each product term unpacked
+and reduced mod Phi_L once, and each result descends and divides out its gcd once.
+When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
+is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
+such a polynomial works coefficient by coefficient, so the bound applies only
+where two coefficients meet: at a common monomial of a sum or in a product's pair.
 
+>>> from danisurf.exactnum import zeta
 >>> x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
 >>> print((x + y) ** 2)
 x^2 + 2*x*y + y^2
+>>> print((zeta(8)*x + zeta(8)) * zeta(8, 7))
+x + 1
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from itertools import chain
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Union
 
-from .exactnum import CycScalar, ScalarLike, _canonical, _power
+from .exactnum import (MAX_CONDUCTOR, CycScalar, ScalarLike, _canonical, _descended, _lifted,
+                       _minimized, _mod_phi, _power, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
 
 
 class MultiPoly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "conductor", "den", "nums")
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], ScalarLike] | None = None):
         vars_in = tuple(variables)
         order = sorted(range(len(vars_in)), key=vars_in.__getitem__)
-        pairs = [(tuple(e), c if isinstance(c, CycScalar) else CycScalar(c)) for e, c in (terms or {}).items()]
-        pairs = [(e, c) for e, c in pairs if not c.is_zero()]
+        pairs = [(tuple(e), c) for e, v in (terms or {}).items() if (c := CycScalar(v))]  # TypeError if no scalar
         if any(len(e) != len(vars_in) for e, _ in pairs):
             raise ValueError("exponent tuple does not match variable list")
         if any(k < 0 for e, _ in pairs for k in e):
             raise ValueError("negative exponent")
-        cleaned: dict[tuple[int, ...], CycScalar] = {}
-        _accumulate(cleaned, ((tuple(e[i] for i in order), c) for e, c in pairs))
-        _built(tuple(vars_in[i] for i in order), cleaned, prune=True, into=self)
+        names, pairs = tuple(sorted(vars_in)), [(tuple(e[i] for i in order), c) for e, c in pairs]
+        L, D = lcm(*(c.conductor for _, c in pairs)), lcm(*(c.den for _, c in pairs))
+        if L > MAX_CONDUCTOR:  # no one field: keep the coefficients as they are
+            _built(names, 0, 1, dict(pairs), prune=True, into=self)
+        else:  # no terms add
+            nums = {e: _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den)
+                    for e, c in pairs}
+            _settled(names, L, D, nums, descend=False, into=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -46,20 +63,20 @@ class MultiPoly:
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return _built((name,), {(1,): CycScalar(1)}, prune=False)
+        return _built((name,), 1, 1, {(1,): 1})
 
     @staticmethod
     def constant(value: ScalarLike) -> "MultiPoly":
         c = value if isinstance(value, CycScalar) else CycScalar(value)  # TypeError if no scalar
-        return _built((), {(): c} if c else {}, prune=False)
+        return _built((), c.conductor, c.den, {(): c.nums[0] if c.conductor == 1 else c.nums} if c else {})
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return _built((), {}, prune=False)
+        return _built((), 1, 1, {})
 
     @staticmethod
     def one() -> "MultiPoly":
-        return MultiPoly.constant(1)
+        return _built((), 1, 1, {(): 1})
 
     @staticmethod
     def from_pairs(variables: Iterable[str], pairs: Iterable[tuple[tuple[int, ...], ScalarLike]]) -> "MultiPoly":
@@ -80,39 +97,45 @@ class MultiPoly:
 
     # -- structure --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict[tuple[int, ...], CycScalar]:
+        """The coefficients as CycScalars, each at its own least conductor, in a new dict."""
+        if not self.conductor:
+            return dict(self.nums)
+        if self.conductor == 1:
+            return {e: _canonical(1, (c,), self.den) for e, c in self.nums.items()}
+        return {e: _minimized(self.conductor, list(c), self.den) for e, c in self.nums.items()}
 
-    def is_constant(self) -> bool:
-        return not self.variables
+    def is_zero(self) -> bool:
+        return not self.nums
 
     def as_scalar(self) -> CycScalar:
         if self.variables:
             raise ValueError(f"{self} is not a constant")
-        return self.terms.get((), CycScalar(0))
+        c = self.nums.get((), 0)  # a constant's conductor is its coefficient's least one
+        return _canonical(self.conductor, (c,) if self.conductor == 1 else c, self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
-            return 0 if self.terms else -1
+            return 0 if self.nums else -1
         i = self.variables.index(var)
-        return max((e[i] for e in self.terms), default=-1)
+        return max((e[i] for e in self.nums), default=-1)
 
     def coefficient_of(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of var**power, a polynomial in the other variables."""
         if var not in self.variables:
             return self if power == 0 else MultiPoly.zero()
         i = self.variables.index(var)
-        rest = self.variables[:i] + self.variables[i + 1:]
-        picked = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power}
-        return _built(rest, picked, prune=True)
+        picked = {e[:i] + e[i + 1:]: c for e, c in self.nums.items() if e[i] == power}
+        names = self.variables[:i] + self.variables[i + 1:]
+        return _settled(names, self.conductor, self.den, picked) if self.conductor else MultiPoly(names, picked)
 
     def leading_coefficient(self, var: str) -> CycScalar:
-        lc = self.coefficient_of(var, self.degree_in(var))
-        return lc.as_scalar()
+        return self.coefficient_of(var, self.degree_in(var)).as_scalar()
 
     def exponent_support(self, var: str) -> tuple[int, ...]:
         """Sorted exponents of a nonzero polynomial depending only on ``var``."""
@@ -120,40 +143,60 @@ class MultiPoly:
             raise ValueError("zero polynomial has no exponent support")
         if any(v != var for v in self.variables):
             raise ValueError(f"polynomial depends on more than {var!r}")
-        if not self.variables:
-            return (0,)
-        return tuple(sorted(e[0] for e in self.terms))
+        return tuple(sorted(e[0] if e else 0 for e in self.nums))
 
     def depends_only_on(self, var: str) -> bool:
         return all(v == var for v in self.variables)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _widened(self, names: tuple[str, ...]) -> dict:
-        """The terms with exponents over ``names``, a sorted superset of the variables."""
-        if self.variables == names:
-            return self.terms
-        idx = [self.variables.index(n) if n in self.variables else -1 for n in names]
-        return {tuple(e[i] if i >= 0 else 0 for i in idx): c for e, c in self.terms.items()}
+    def _widened(self, names: tuple[str, ...], scale: int = 1, terms: Mapping | None = None) -> Iterable:
+        """The terms (``nums`` unless given) over ``names``, a sorted superset of the variables,
+        numerators times ``scale``."""
+        terms = (self.nums if terms is None else terms).items()
+        if self.variables != names:
+            idx = [self.variables.index(n) if n in self.variables else -1 for n in names]
+            terms = [(tuple(e[i] if i >= 0 else 0 for i in idx), c) for e, c in terms]
+        return terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]
 
-    def __add__(self, other: PolyLike) -> "MultiPoly":
+    def _merged(self, other: PolyLike, sign: int) -> "MultiPoly":
+        """self + sign*other, one signed merge of the numerators over the lcm denominator."""
         other = MultiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         names = tuple(sorted({*self.variables, *other.variables}))
-        terms = dict(self._widened(names))
-        return _built(names, terms, prune=_accumulate(terms, other._widened(names).items()))
+        L, D = lcm(self.conductor, other.conductor), lcm(self.den, other.den)
+        if not 0 < L <= MAX_CONDUCTOR:  # no one field: add the coefficients that meet, one by one
+            acc = dict(self._widened(names, terms=self.terms))
+            for e, c in other._widened(names, terms=other.terms):
+                acc[e] = acc[e] + sign * c if e in acc else sign * c
+            return MultiPoly(names, acc)
+        a = _at(self._widened(names, D // self.den), self.conductor, L)
+        b, scale = _at(other._widened(names), other.conductor, L), sign * (D // other.den)
+        acc = dict(a)
+        for e, c in b:
+            c = _times(c, scale)
+            if e in acc:  # only common terms add
+                c = acc[e] + c if L == 1 else tuple(map(add, acc[e], c))
+                if not (c if L == 1 else any(c)):
+                    del acc[e]
+                    continue
+            acc[e] = c
+        overlap = len(acc) < len(a) + len(b)
+        return _settled(names, L, D, acc, overlap and gcd(self.conductor, other.conductor) > 1, prune=overlap)
+
+    def __add__(self, other: PolyLike) -> "MultiPoly":
+        return self._merged(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return _built(self.variables, {e: -c for e, c in self.terms.items()}, prune=False)
+        if not self.conductor:
+            return _built(self.variables, 0, 1, {e: -c for e, c in self.nums.items()})
+        return _built(self.variables, self.conductor, self.den, {e: _times(c, -1) for e, c in self.nums.items()})
 
     def __sub__(self, other: PolyLike) -> "MultiPoly":
-        other = MultiPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __rsub__(self, other: PolyLike) -> "MultiPoly":
         return (-self) + other
@@ -163,12 +206,18 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         names = tuple(sorted({*self.variables, *other.variables}))
-        a, b = self._widened(names), other._widened(names)
-        rational = all(c.conductor == 1 for p in (a, b) for c in p.values())
-        (da, a), (db, b) = _unboxed(a, rational), _unboxed(b, rational)
-        out = _boxed(_convolve(a, b), da * db, rational)
-        # over a domain a nonzero product uses every variable of its factors
-        return _built(names, out, prune=not out)
+        L = lcm(self.conductor, other.conductor)
+        if not 0 < L <= MAX_CONDUCTOR:  # no one field: multiply the coefficients pair by pair
+            acc = {}
+            for ea, ca in self._widened(names, terms=self.terms):
+                for eb, cb in other._widened(names, terms=other.terms):
+                    e = tuple(map(add, ea, eb))
+                    acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+            return MultiPoly(names, acc)
+        out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor))
+        # a nonzero product uses every variable of its factors
+        return _settled(names, L, self.den * other.den, out, gcd(self.conductor, other.conductor) > 1,
+                        prune=not out)
 
     __rmul__ = __mul__
 
@@ -185,48 +234,43 @@ class MultiPoly:
         if var not in self.variables:
             return MultiPoly.zero()
         i = self.variables.index(var)
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]}
-        return _built(self.variables, out, prune=True)
+        if not self.conductor:
+            lowered = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.nums.items()}
+            return MultiPoly(self.variables, lowered)
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: _times(c, e[i]) for e, c in self.nums.items() if e[i]}
+        return _settled(self.variables, self.conductor, self.den, out)
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "MultiPoly":
         """Ring-homomorphism evaluation; variables without an image map to themselves.
-        All-rational input runs on integers: with self = N / D and image v = N_v / D_v, the
-        term c*prod(v^k) lands on the common denominator D*prod(D_v^K_v), K_v = deg_v self."""
+        With self = N / D and image v = N_v / D_v, the term c*prod(v^k) lands on the common
+        denominator D*prod(D_v^K_v), K_v = deg_v self, so every sum is on integers."""
         table = [MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
                  for v in self.variables]
         names = tuple(sorted({n for p in table for n in p.variables}))
-        rational = all(c.conductor == 1 for p in (self, *table) for c in p.terms.values())
-        den, terms = _unboxed(self.terms, rational)
-        unboxed = [_unboxed(p._widened(names), rational) for p in table]
-        top = [max(ks) for ks in zip(*self.terms)]
-        powers = [[img] for _, img in unboxed]  # powers[i][k - 1]: numerators of image i to the k
+        L = lcm(self.conductor, *(p.conductor for p in table))
+        if not 0 < L <= MAX_CONDUCTOR:  # no one field: term by term, through the products
+            return sum((c * prod((p ** k for p, k in zip(table, e)), start=MultiPoly.one())
+                        for e, c in self.terms.items()), MultiPoly.zero())
+        top = [max(ks) for ks in zip(*self.nums)]
+        powers = [{1: p._widened(names)} for p in table]  # powers[i][k]: image i to the k
         zero, acc = (0,) * len(names), {}
-        for e, c in terms:
-            scale = prod(d ** (t - k) for (d, _), t, k in zip(unboxed, top, e))
-            part = [(zero, c * scale if rational else c)]
-            for cache, k in zip(powers, e):
-                while len(cache) < k:
-                    cache.append(_convolve(cache[-1], cache[0]))
+        for e, c in self.nums.items():
+            part, N = [(zero, _times(c, prod(p.den ** (t - k) for p, t, k in zip(table, top, e))))], self.conductor
+            for cache, p, k in zip(powers, table, e):
                 if k:
-                    part = _convolve(part, cache[k - 1])
-            for ep, cp in part:
-                acc[ep] = acc[ep] + cp if ep in acc else cp
-        den *= prod(d ** t for (d, _), t in zip(unboxed, top))
-        return _built(names, _boxed(acc.items(), den, rational), prune=True)
+                    part, N = _product(part, N, _power_of(cache, k, p.conductor), p.conductor), lcm(N, p.conductor)
+            for ep, cp in _at(part, N, L):
+                acc[ep] = (acc[ep] + cp if L == 1 else tuple(map(add, acc[ep], cp))) if ep in acc else cp
+        den = self.den * prod(p.den ** t for p, t in zip(table, top))
+        return _settled(names, L, den, {e: c for e, c in acc.items() if (c if L == 1 else any(c))})
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
-        if self.is_zero():
-            return self
-        if var not in self.variables:
+        i = self.variables.index(var) if var in self.variables else None
+        if self.nums and (i is None or any(e[i] == 0 for e in self.nums)):
             raise ValueError(f"{self} is not divisible by {var}")
-        i = self.variables.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                raise ValueError(f"{self} is not divisible by {var}")
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        return _built(self.variables, out, prune=True)
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c for e, c in self.nums.items()}
+        return _built(self.variables, self.conductor, self.den, out, prune=True)
 
     # -- identity ---------------------------------------------------------
 
@@ -235,72 +279,75 @@ class MultiPoly:
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self.conductor == other.conductor
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
         if not self.variables:  # a constant hashes as its scalar, which it equals
             return hash(self.as_scalar())
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.conductor, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- rendering --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], CycScalar]]:
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def _monomial_str(self, exps: tuple[int, ...]) -> str:
-        pieces = []
-        for v, e in zip(self.variables, exps):
-            if e == 1:
-                pieces.append(v)
-            elif e > 1:
-                pieces.append(f"{v}^{e}")
-        return "*".join(pieces)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         out = []
-        for exps, coeff in self.sorted_terms():
-            mono = self._monomial_str(exps)
-            if coeff.is_rational():
-                q = coeff.as_rational()
-                sign = "-" if q < 0 else "+"
-                mag = abs(q)
-                if not mono:
-                    body = str(mag)
-                elif mag == 1:
-                    body = mono
-                else:
-                    body = f"{mag}*{mono}"
+        for exps, c in sorted(self.nums.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, exps) if k)
+            N, D, c = (self.conductor, self.den, c) if self.conductor else (c.conductor, c.den, c.nums)
+            if N > 1 and any(c[1:]):
+                sign, body = "+", f"({_minimized(N, list(c), D)})" + ("*" + mono if mono else "")
             else:
-                sign = "+"
-                body = f"({coeff})*{mono}" if mono else f"({coeff})"
-            if not out:
-                out.append(body if sign == "+" else f"-{body}")
-            else:
-                out.append(f" {sign} {body}")
-        return "".join(out)
+                n = c if type(c) is int else c[0]  # a Fraction only if needed, for speed
+                sign, mag = "-" if n < 0 else "+", abs(Fraction(n, D) if D > 1 else n)
+                body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            out.append(f" {sign} {body}" if out else body if sign == "+" else f"-{body}")
+        return "".join(out) or "0"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
 
-def _unboxed(terms: dict, rational: bool) -> tuple[int, list]:
-    """(D, [(e, n), ...]) with each rational coefficient equal to the integer n / D, D the lcm;
-    (1, the terms) unchanged when some coefficient is cyclotomic."""
-    if not rational:
-        return 1, list(terms.items())
-    D = lcm(*(c.den for c in terms.values()))
-    return D, [(e, c.nums[0] * (D // c.den)) for e, c in terms.items()]
+def _times(c, k: int):
+    """Numerators, an int or a coordinate vector, times the integer k."""
+    return c if k == 1 else c * k if type(c) is int else tuple([v * k for v in c])
+
+
+def _at(terms: Iterable, N: int, L: int) -> Iterable:
+    """Terms at conductor N (int numerators at N = 1, vectors otherwise) lifted to L, N | L."""
+    return terms if N == L else [(e, _lifted((c,) if N == 1 else c, N, L)) for e, c in terms]
+
+
+def _top(terms: Iterable) -> int:  # the largest absolute numerator
+    return max(abs(c) if type(c) is int else max(map(abs, c)) for _, c in terms)
+
+
+def _pack(c, k: int) -> int:
+    """sum(c[i] * 2^(k*i)): a vector in signed k-bit slots, zeta -> 2^k; an int stays itself."""
+    if type(c) is int:
+        return c
+    n = 0
+    for v in reversed(c):
+        n = (n << k) + v
+    return n
+
+
+def _unpack(n: int, k: int, count: int) -> list:
+    """The first ``count`` slots of n, inverting _pack when each lies in (-2^(k-1), 2^(k-1))."""
+    out, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while n and len(out) < count:
+        c, n = n & mask, n >> k
+        if c >= half:  # a negative slot borrowed one from the slot above
+            c, n = c - (1 << k), n + 1
+        out.append(c)
+    return out
 
 
 def _convolve(a: Iterable, b: Iterable) -> list:
-    """The nonzero terms of the product of two term lists over one variable tuple, with
-    int or CycScalar coefficients: the one pair loop of products and substitution."""
+    """The nonzero terms of the product of two term lists over one variable tuple, with int
+    coefficients: the one pair loop of products and substitution."""
     acc = {}
     for ea, ca in a:
         for eb, cb in b:
@@ -309,34 +356,59 @@ def _convolve(a: Iterable, b: Iterable) -> list:
     return [(e, c) for e, c in acc.items() if c]
 
 
-def _boxed(pairs: Iterable, D: int, rational: bool) -> dict:
-    """The nonzero terms as CycScalars, from integer numerators over D if rational."""
-    if not rational:
-        return {e: c for e, c in pairs if c}
-    return {e: _canonical(1, (n,), D) for e, n in pairs if n}
+def _product(a, Na: int, b, Nb: int) -> list:
+    """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
+    Nb: a slot of a packed product term sums min(len(a), len(b)) pairs of phi(L) products."""
+    L = lcm(Na, Nb)
+    if L == 1 or not a or not b:
+        return _convolve(a, b)
+    a, b = (a if Na == 1 else _at(a, Na, L)), (b if Nb == 1 else _at(b, Nb, L))
+    k = (min(len(a), len(b)) * euler_phi(L) * _top(a) * _top(b)).bit_length() + 1
+    out = _convolve([(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b])
+    return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * euler_phi(L) - 1), L))]
 
 
-def _accumulate(dst: dict, pairs: Iterable) -> bool:
-    """Add (exponents, coefficient) pairs over one variable tuple into ``dst``; True if a term cancelled."""
-    cancelled = False
-    for e, c in pairs:
-        if e in dst and (c := dst[e] + c).is_zero():
-            del dst[e]
-            cancelled = True
-        else:
-            dst[e] = c
-    return cancelled
+def _power_of(cache: dict, k: int, N: int) -> list:
+    """cache[k], the k-th power of the term list cache[1] at conductor N, filled in: by
+    squaring for one term, else as cache[k-1] * cache[1], the fewest term pairs."""
+    if len(cache[1]) > 1:
+        for j in range(len(cache), k):
+            cache[j + 1] = _product(cache[j], N, cache[1], N)
+    elif k not in cache:
+        cache[k] = _product(_power_of(cache, k // 2, N), N, _power_of(cache, k - k // 2, N), N)
+    return cache[k]
 
 
-def _built(variables: tuple[str, ...], terms: dict, prune: bool, into: MultiPoly | None = None) -> MultiPoly:
-    """Trusted constructor (filling ``into`` if given) from sorted variables and nonzero
-    ``CycScalar`` terms; ``prune`` drops the variables that no term uses."""
+def _settled(variables: tuple[str, ...], L: int, D: int, nums: dict, descend: bool = True,
+             prune: bool = True, into: MultiPoly | None = None) -> MultiPoly:
+    """The polynomial of nonzero numerators ``nums`` over D > 0 at conductor L, descended to its
+    least conductor unless L is known least, and with the gcd divided out.  L is least for a
+    sum or product of a and b with coprime least conductors (were it in a smaller cyclotomic
+    field, an automorphism fixing that field and b but not a would fix a + b or a*b), and for a
+    sum without a common monomial, whose coefficients are those of a and b."""
+    if L > 1 and descend:
+        N, vecs, D = _descended(L, list(nums.values()), D)
+        if N < L:
+            L, nums = N, dict(zip(nums, (tuple(v) for v in vecs) if N > 1 else (v[0] for v in vecs)))
+    g = gcd(D, *(nums.values() if L == 1 else chain.from_iterable(nums.values()))) if D > 1 else 1
+    if g > 1:
+        nums = {e: c // g if L == 1 else tuple([v // g for v in c]) for e, c in nums.items()}
+    return _built(variables, L if nums else 1, D // g, nums, prune, into)
+
+
+def _built(variables: tuple[str, ...], N: int, D: int, nums: dict, prune: bool = False,
+           into: MultiPoly | None = None) -> MultiPoly:
+    """Trusted constructor (filling ``into`` if given) from sorted variables, the least
+    conductor N and nonzero numerators over D, in lowest terms; ``prune`` drops the
+    variables that no term uses."""
     if prune:
-        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+        used = [i for i in range(len(variables)) if any(e[i] for e in nums)]
         if len(used) < len(variables):
             variables = tuple(variables[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+            nums = {tuple(e[i] for i in used): c for e, c in nums.items()}
     p = object.__new__(MultiPoly) if into is None else into
     object.__setattr__(p, "variables", variables)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "conductor", N)
+    object.__setattr__(p, "den", D)
+    object.__setattr__(p, "nums", nums)
     return p

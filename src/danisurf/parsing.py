@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import CycScalar
+from .exactnum import CycScalar, _descended, _prime_factors
 from .multipoly import MultiPoly
 from .surface import SurfaceSpec
 
@@ -200,9 +201,21 @@ class _Parser:
 
 
 def _bounded(p: MultiPoly, pos: int) -> MultiPoly:
-    """p, unless a coefficient's denominator or a numerator has more than MAX_DIGITS digits;
-    each is compared with 10^MAX_DIGITS, never turned into text, so any size is cheap."""
-    if any(abs(n) >= _TOO_LONG for c in p.terms.values() for n in (c.den, *c.nums)):
+    """p, unless a coefficient's denominator or a numerator, in lowest terms at the coefficient's
+    own least conductor, has more than MAX_DIGITS digits; each is compared with 10^MAX_DIGITS,
+    never turned into text, so any size is cheap.  The stored numerators x over ``den`` are those
+    coordinates, up to their gcd with ``den``, when x is rational or the conductor a prime power,
+    whose subfields embed by selecting coordinates; only other coefficients descend."""
+    N, D = p.conductor, p.den
+    if N == 1:
+        coeffs = (([(n,)], D) for n in p.nums.values())
+    elif N:
+        composite = len(_prime_factors(N)) > 1
+        coeffs = (_descended(N, [x], D)[1:] if composite and any(x[1:]) else ([x], D) for x in p.nums.values())
+    else:  # the coefficients are stored as CycScalars
+        coeffs = (([c.nums], c.den) for c in p.nums.values())
+    sizes = ((D // (g := gcd(D, *x)), *(v // g for v in x)) for (x,), D in coeffs)
+    if any(abs(n) >= _TOO_LONG for size in sizes for n in size):
         raise ParseError(f"coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
     return p
 

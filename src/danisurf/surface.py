@@ -16,12 +16,12 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
-from .exactnum import CycScalar, ScalarLike
-from .multipoly import MultiPoly, PolyLike, _built
+from .exactnum import CycScalar
+from .multipoly import MultiPoly, PolyLike, _settled
 
 
 class SurfaceSpec:
-    __slots__ = ("kind", "f", "phi", "variables", "m", "lc", "d", "relation")
+    __slots__ = ("kind", "f", "phi", "variables", "m", "lc", "d", "relation", "monic")
 
     def __init__(self, kind: str, f: MultiPoly | None, phi: MultiPoly | None,
                  variables: tuple[str, ...]):
@@ -39,12 +39,13 @@ class SurfaceSpec:
             lc = f.leading_coefficient("x")
             d = phi.degree_in("z")
             relation = f * MultiPoly.variable("y") - phi
+            monic = relation if lc.is_one() else relation * lc.inverse()  # leading coefficient 1
         else:
             if not variables:
                 raise ValueError("free surface needs at least one variable")
             if len(set(variables)) != len(variables):
                 raise ValueError("duplicate variable names")
-            m = lc = d = relation = None
+            m = lc = d = relation = monic = None
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "phi", phi)
@@ -53,6 +54,7 @@ class SurfaceSpec:
         object.__setattr__(self, "lc", lc)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "monic", monic)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceSpec is immutable")
@@ -113,24 +115,19 @@ class SurfaceSpec:
 
 
 def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
-    m, lc, rel = S.m, S.lc, S.relation
     while True:
-        if not p.terms:
-            return p
         names = p.variables
         if "x" not in names or "y" not in names:
             return p
-        ix, iy = names.index("x"), names.index("y")
-        cofactor: dict[tuple[int, ...], CycScalar] = {}
-        for e, c in p.terms.items():
-            if e[ix] >= m and e[iy] >= 1:
-                reduced = list(e)
-                reduced[ix] -= m
-                reduced[iy] -= 1
-                cofactor[tuple(reduced)] = c / lc
+        # p's terms divisible by x^m*y, divided by it, numerators over p.den
+        shift = tuple(S.m if v == "x" else int(v == "y") for v in names)
+        cofactor = {tuple(map(operator.sub, e, shift)): c for e, c in p.nums.items()
+                    if all(map(operator.ge, e, shift))}
         if not cofactor:
             return p
-        p = p - _built(names, cofactor, prune=True) * rel
+        # a polynomial without one conductor keeps its CycScalar coefficients
+        quotient = _settled(names, p.conductor, p.den, cofactor) if p.conductor else MultiPoly(names, cofactor)
+        p = p - quotient * S.monic
 
 
 class SurfaceElement:

@@ -192,6 +192,54 @@ def dense_product(a: CycScalar, b: CycScalar) -> tuple[int, tuple[Fraction, ...]
     return minimized_by_elimination(L, reduce_mod_cyclotomic(vec, L))
 
 
+class Dense:
+    """An element of Q(zeta_L) as its phi(L) Fraction coordinates, added and multiplied by
+    schoolbook arithmetic and naive division by Phi_L: a coefficient type for the map_*
+    oracles above, with ints standing for rationals."""
+
+    __hash__ = None
+
+    def __init__(self, L: int, coords):
+        self.L, self.coords = L, tuple(Fraction(c) for c in coords)
+
+    def _lift(self, other) -> "Dense":
+        return other if isinstance(other, Dense) else Dense(self.L, [other] + [0] * (len(self.coords) - 1))
+
+    def __add__(self, other) -> "Dense":
+        return Dense(self.L, [x + y for x, y in zip(self.coords, self._lift(other).coords)])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Dense":
+        return Dense(self.L, [-x for x in self.coords])
+
+    def __mul__(self, other) -> "Dense":
+        vec = [Fraction(0)] * (2 * len(self.coords))
+        for i, x in enumerate(self.coords):
+            if x:
+                for j, y in enumerate(self._lift(other).coords):
+                    vec[i + j] += x * y
+        return Dense(self.L, reduce_mod_cyclotomic(vec, self.L))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.coords == self._lift(other).coords
+
+    def __repr__(self) -> str:
+        return f"Dense({self.L}, {self.coords})"
+
+
+def dense_map(p: MultiPoly, L: int, variables: tuple[str, ...]) -> dict:
+    """p's coefficients as Dense elements of Q(zeta_L), keyed by exponents over ``variables``."""
+    return {e: Dense(L, dense_at(c, L)) for e, c in term_map(p, variables).items()}
+
+
+def map_derivative(a: dict, i: int) -> dict:
+    """The partial derivative of a term map in its i-th variable."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
 def brute_root_of_unity_order(a: CycScalar) -> int | None:
     """Least k >= 1 with a^k = 1, by trying every k up to 2 * conductor."""
     if a.is_zero():

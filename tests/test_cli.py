@@ -186,7 +186,8 @@ class TestErrorsAndFiles:
                             "--derivation", "X -> 0; Y -> 1")
         assert code == EXIT_ERROR
 
-    @pytest.mark.parametrize("expr", ["zeta(100003)", "zeta(997)*zeta(991)"])
+    @pytest.mark.parametrize("expr", ["zeta(100003)", "zeta(997)*zeta(991)",
+                                      "(zeta(7)*X + zeta(11)*Y + zeta(13))^3"])
     def test_conductor_above_bound_rejected(self, capsys, expr):
         start = time.perf_counter()
         code, _, err = _run(capsys, "nf", "--surface", "free: X,Y", "--expr", expr)
@@ -234,9 +235,35 @@ class TestErrorsAndFiles:
         assert "MAX_DIGITS" in err and f"(at position {position})" in err
         assert time.perf_counter() - start < 1
 
+    # each coefficient of the last input has a denominator of about 400 digits, their lcm about 1200
+    # the bound applies where coefficients meet, not to the lcm of all conductors of a polynomial
+    @pytest.mark.parametrize("surface,expr,expected", [
+        ("free: X,Y", "zeta(997)*X + zeta(991)*Y", "(zeta(997))*X + (zeta(991))*Y"),
+        ("free: X,Y", "(zeta(7)*X + zeta(11)*Y + zeta(13))^2 - (zeta(7)*X + zeta(11)*Y)^2 - zeta(13)^2",
+         "(2*zeta(91)^20)*X + (2*zeta(143)^24)*Y"),
+        (SURFACE, "zeta(7)*x*y + zeta(11)*z + zeta(13)", "(zeta(7))*z^2 + (zeta(11))*z + (zeta(13))")])
+    def test_coefficients_without_one_conductor_accepted(self, capsys, surface, expr, expected):
+        code, out, _ = _run(capsys, "nf", "--surface", surface, "--expr", expr)
+        assert code == EXIT_OK and out == expected
+
+    def test_long_coefficient_without_one_conductor_rejected(self, capsys):
+        expr = f"(zeta(997)*X + zeta(991)*Y)*{10 ** (MAX_DIGITS - 1)}*10"
+        code, out, err = _run(capsys, "nf", "--surface", "free: X,Y", "--expr", expr)
+        assert code == EXIT_ERROR and not out
+        assert "MAX_DIGITS" in err and f"(at position {MAX_DIGITS + 28})" in err
+
+    def test_coefficient_bounded_at_its_own_conductor(self, capsys):
+        """A*(2*zeta(7)^5 + zeta(7)^6) has coordinates of size A at conductor 7 but 2*A at 21."""
+        expr = f"{6 * 10 ** (MAX_DIGITS - 1)}*(2*zeta(7)^5 + zeta(7)^6)*x + zeta(3)*y"
+        code, out, _ = _run(capsys, "nf", "--surface", SURFACE, "--expr", f"({expr})*1")
+        assert code == EXIT_OK and out == _run(capsys, "nf", "--surface", SURFACE, "--expr", expr)[1]
+
     @pytest.mark.parametrize("expr,expected", [
         ("(10^37)^27", "1" + "0" * (MAX_DIGITS - 1)), ("((1/10)^37)^27", "1/1" + "0" * (MAX_DIGITS - 1)),
-        ("9" * MAX_DIGITS + "*x*1", "9" * MAX_DIGITS + "*x")], ids=["power", "denominator", "product"])
+        ("9" * MAX_DIGITS + "*x*1", "9" * MAX_DIGITS + "*x"),
+        (f"(1/{10 ** 400}*x + 1/{3 ** 838}*y + 1/{7 ** 473}*z)*1",
+         f"1/{10 ** 400}*x + 1/{3 ** 838}*y + 1/{7 ** 473}*z")],
+        ids=["power", "denominator", "product", "common-denominator"])
     def test_coefficient_at_bound_accepted(self, capsys, expr, expected):
         code, out, _ = _run(capsys, "nf", "--surface", SURFACE, "--expr", expr)
         assert code == EXIT_OK and out == expected

@@ -93,6 +93,16 @@ class TestArithmetic:
         assert zeta(5) ** -1 * zeta(5) == CycScalar(1)
         assert (CycScalar(2) ** -3) == Fraction(1, 8)
 
+    @pytest.mark.parametrize("divisor", [zeta(3), CycScalar(0)])
+    def test_float_divided_by_scalar_is_a_type_error(self, divisor):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /: 'float' and 'CycScalar'"):
+            1.5 / divisor
+
+    def test_fraction_divided_by_scalar(self):
+        q = Fraction(1, 2) / zeta(3)
+        assert q == Fraction(1, 2) * zeta(3, 2) and q * zeta(3) == Fraction(1, 2)
+        assert 2 / zeta(4) == -2 * zeta(4)
+
 
 class TestConductorMinimization:
     def test_rational_values_at_conductor_one(self):

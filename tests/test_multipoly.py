@@ -1,15 +1,18 @@
 """Sparse polynomial arithmetic, substitution, derivatives, support queries."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from danisurf.exactnum import CycScalar, zeta
+from danisurf.exactnum import MAX_CONDUCTOR, CycScalar, euler_phi, zeta
 from danisurf.multipoly import MultiPoly
 
-from oracles import map_add, map_mul, map_neg, map_substitute, random_poly, term_map
+from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute,
+                     random_poly, term_map)
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -309,3 +312,170 @@ def test_substitute_denominator_stacks_exactly():
     got = p.substitute({"x": image, "z": image ** 2})
     assert got == Fraction(1, 5) * image ** 6 + Fraction(1, 7) * image ** 2 - Fraction(1, 3)
     assert p.substitute({"x": 0, "z": Fraction(1, 2)}) == Fraction(1, 40) - Fraction(1, 3)
+
+
+# -- cyclotomic kernels against the dense oracle ---------------------------------
+
+_CONDUCTORS = (7, 12, 15, 20, 105, 140)
+_XY = ("x", "y")
+
+
+def _check_canonical(p):
+    """The stored form: least conductor, den > 0 coprime to the numerators, int or phi(N)-tuple."""
+    _check_representation(p)
+    N = p.conductor
+    assert N == lcm(1, *(c.conductor for c in p.terms.values()))
+    assert all(type(c) is int if N == 1 else type(c) is tuple and len(c) == euler_phi(N) for c in p.nums.values())
+    assert p.den > 0 and gcd(p.den, *(n for c in p.nums.values() for n in ((c,) if N == 1 else c))) == 1
+
+
+def _cyclo_maps(L, max_exp=3, max_size=4):
+    """{exponents in x, y: coordinates at conductor L}: numerators of both signs, small or near
+    2^60, over a small denominator; x-degrees up to max_exp, so many pairs share a monomial."""
+    numerator = st.one_of(st.just(0), st.integers(-3, 3), st.integers(2 ** 60 - 4, 2 ** 60 + 4),
+                          st.integers(-2 ** 60 - 4, -2 ** 60 + 4))
+    coords = st.tuples(st.lists(numerator, min_size=euler_phi(L), max_size=euler_phi(L)), st.integers(1, 6))
+    return st.dictionaries(st.tuples(st.integers(0, max_exp), st.integers(0, 1)),
+                           coords.map(lambda t: [Fraction(n, t[1]) for n in t[0]]), max_size=max_size)
+
+
+def _poly_and_oracle(m, L):
+    """The polynomial with the coordinates of m at conductor L, and its Dense term map."""
+    coeffs = {e: sum((c * zeta(L, i) for i, c in enumerate(v) if c), CycScalar(0)) for e, v in m.items()}
+    return MultiPoly(_XY, coeffs), {e: Dense(L, v) for e, v in m.items() if any(v)}
+
+
+def _at_the_slot_bound(L, sign):
+    """Coordinates +-(2^60 - 1) whose products add up in one slot: the middle slot of the
+    product of the first two maps at x^3 is exactly 4 * phi(L) * (2^60 - 1)^2, the bound
+    that sizes the slots, so one bit less misreads it."""
+    n, top = euler_phi(L), 2 ** 60 - 1
+    a = [Fraction(sign * top * (-1) ** i) for i in range(n)]
+    b = [Fraction(top * (-1) ** (n - 1 - i)) for i in range(n)]
+    image = {(1, 0): [Fraction(1)] + [Fraction(0)] * (n - 1)}
+    return L, {(i, 0): a for i in range(4)}, {(i, 0): b for i in range(4)}, image, image
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(_CONDUCTORS).flatmap(lambda L: st.tuples(
+    st.just(L), _cyclo_maps(L), _cyclo_maps(L), _cyclo_maps(L, 1, 2), _cyclo_maps(L, 1, 2))))
+@example(_at_the_slot_bound(7, 1))
+@example(_at_the_slot_bound(20, -1))
+@example(_at_the_slot_bound(140, 1))
+def test_cyclotomic_arithmetic_matches_dense_oracle(case):
+    L, *maps = case
+    (p, a), (q, b), (r, c), (s, d) = (_poly_and_oracle(m, L) for m in maps)
+    cases = [(p * q, map_mul(a, b)), (p + q, map_add(a, b)), (p - q, map_add(a, map_neg(b))),
+             (p.substitute({"x": r, "y": s}), map_substitute(a, [c, d])),
+             (p.partial_derivative("x"), map_derivative(a, 0))]
+    for result, expected in cases:
+        _check_canonical(result)
+        assert dense_map(result, L, _XY) == expected
+
+
+class TestCanonicalForm:
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    target = Fraction(1, 2) * x + MultiPoly.constant(zeta(3)) * y
+
+    def test_sum_with_a_larger_conductor_comes_back(self):
+        q = MultiPoly.constant(zeta(140, 3)) * self.x * self.y + zeta(105)
+        built = (self.target + q) - q
+        assert (q + self.target).conductor == 420
+        assert built == self.target and hash(built) == hash(self.target)
+        assert (built.conductor, built.den) == (self.target.conductor, self.target.den) == (3, 2)
+
+    def test_cancelling_roots_of_unity_leave_the_least_conductor(self):
+        z8 = MultiPoly.constant(zeta(8))
+        built = (z8 * Fraction(1, 2) * self.x + z8 * zeta(3) * self.y) * zeta(8, 7)
+        assert built == self.target and hash(built) == hash(self.target)
+        assert (built.conductor, built.den) == (3, 2)
+        rational = (MultiPoly.constant(zeta(12)) * self.x + zeta(12)) * zeta(12, 11) * Fraction(1, 3)
+        assert rational == (self.x + 1) * Fraction(1, 3)
+        assert (rational.conductor, rational.den, rational.nums) == (1, 3, {(1,): 1, (0,): 1})
+
+    @pytest.mark.parametrize("c", [zeta(7), CycScalar(1), Fraction(-2, 9)])
+    def test_a_constant_built_from_cancelling_terms_hashes_as_its_scalar(self, c):
+        built = (self.x * zeta(105, 2) + c) - self.x * zeta(105, 2)
+        assert built == c and hash(built) == hash(c) and built.variables == ()
+
+
+# -- coefficients that no one field up to MAX_CONDUCTOR holds ----------------------------
+
+def _apart_maps():
+    """{exponents in x, y, z: CycScalar}: a rational plus a rational multiple of a root of unity
+    of conductor 1, 7, 11 or 13.  Two of these conductors share a field of conductor at most
+    143; all three need 1001 > MAX_CONDUCTOR."""
+    coeff = st.builds(lambda n, k, q, r: q * zeta(n, k) + r, st.sampled_from((1, 7, 11, 13)),
+                      st.integers(1, 12), st.fractions(-3, 3, max_denominator=4), st.integers(-2, 2))
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), coeff, max_size=5).map(
+        lambda m: {e: c for e, c in m.items() if c})
+
+
+def _check_apart(p):
+    """Conductor 0, den 1 and CycScalar numerators exactly when no field up to MAX_CONDUCTOR
+    holds every coefficient; otherwise the stored form of one conductor."""
+    _check_representation(p)
+    L = lcm(1, *(c.conductor for c in p.terms.values()))
+    if L > MAX_CONDUCTOR:
+        assert (p.conductor, p.den) == (0, 1) and p.nums == p.terms
+    else:
+        _check_canonical(p)
+
+
+_APART = {(1, 0, 0): zeta(7), (0, 1, 0): zeta(11), (0, 0, 1): zeta(13)}
+
+
+@settings(deadline=None, max_examples=100)
+@given(_apart_maps(), _apart_maps())
+@example(_APART, {(1, 0, 0): zeta(13), (0, 0, 0): CycScalar(1)})
+@example(_APART, {(1, 0, 0): zeta(143), (0, 1, 1): CycScalar(1)})
+def test_coefficients_apart_meet_only_at_common_monomials(a, b):
+    """A sum bounds the conductor of each common monomial's pair, not that of the whole
+    polynomial; every other operation keeps the coefficients as they are."""
+    p, q = MultiPoly(_XYZ, a), MultiPoly(_XYZ, b)
+    _check_apart(p)
+    assert term_map(p) == a
+    for op, expected in ((operator.add, lambda: map_add(a, b)), (operator.sub, lambda: map_add(a, map_neg(b)))):
+        try:
+            want = expected()
+        except ValueError:  # one common monomial's pair needs a conductor above the bound
+            with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+                op(p, q)
+            continue
+        got = op(p, q)
+        _check_apart(got)
+        assert term_map(got) == want
+        assert (got + q if op is operator.sub else got - q) == p
+    for got, want in ((-p, map_neg(a)), (p.partial_derivative("x"), map_derivative(a, 0)),
+                      (p * x, map_mul(a, {(1, 0, 0): 1})),
+                      (p.coefficient_of("y", 1), {(i, 0, k): c for (i, j, k), c in a.items() if j == 1})):
+        _check_apart(got)
+        assert term_map(got) == want
+    assert hash((p + x) - x) == hash(p) and (p + x) - x == p
+
+
+class TestCoefficientsApart:
+    q = zeta(7) * x + zeta(11) * y + zeta(13) * z
+
+    def test_products_bound_each_pair(self):
+        assert self.q.conductor == 0
+        square = self.q ** 2
+        _check_apart(square)
+        assert term_map(square) == map_mul(term_map(self.q), term_map(self.q))
+        with pytest.raises(ValueError, match="conductor 1001"):
+            self.q ** 3
+        assert term_map(zeta(3) * self.q) == {e: zeta(3) * c for e, c in term_map(self.q).items()}
+        with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+            MultiPoly.constant(zeta(997)) * self.q
+
+    def test_leaving_the_form_restores_one_conductor(self):
+        r = self.q - zeta(13) * z
+        _check_apart(r)
+        assert r.conductor == 77 and r == zeta(7) * x + zeta(11) * y
+        assert self.q.coefficient_of("z", 0) == r and self.q != r
+
+    def test_substitute_and_str(self):
+        got = self.q.substitute({"x": y, "z": Fraction(1, 2)})
+        assert got == (zeta(7) + zeta(11)) * y + zeta(13) / 2
+        assert str(self.q + 5 - 2 * x * y) == "-2*x*y + (zeta(7))*x + (zeta(11))*y + (zeta(13))*z + 5"
+        assert (x * self.q).divide_by_variable("x") == self.q
