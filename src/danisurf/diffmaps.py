@@ -288,8 +288,7 @@ def exp_derivation(D: Derivation, cap: Optional[int] = None) -> RingMap:
         k = 1
         while not current.is_zero():
             if k > cap:
-                raise CapExceededError(
-                    f"derivation is not nilpotent on {v!r} within cap {cap}")
+                raise CapExceededError(f"inconclusive: D^k({v}) is nonzero for every k <= {cap}")
             acc = acc + current * Fraction(1, math.factorial(k))
             current = D.apply(current)
             k += 1

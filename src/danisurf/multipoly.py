@@ -9,6 +9,8 @@ request.  Term order everywhere is graded lexicographic in the variable tuple.
 Products and substitution run one ``int`` pair loop: for L > 1 each vector is
 packed into signed slots, zeta -> 2^k (Kronecker), each product term unpacked
 and reduced mod Phi_L once, and each result descends and divides out its gcd once.
+Exponent keys are tuples, except inside ``substitute``: its whole product chain adds keys
+packed into one ``int`` of per-variable slots, unpacked once at the end.
 When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
 is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
 such a polynomial works coefficient by coefficient, so the bound applies only
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, lshift
 from typing import Iterable, Mapping, Union
 
 from .exactnum import (MAX_CONDUCTOR, CycScalar, ScalarLike, _canonical, _descended, _lifted,
@@ -208,13 +210,10 @@ class MultiPoly:
         names = tuple(sorted({*self.variables, *other.variables}))
         L = lcm(self.conductor, other.conductor)
         if not 0 < L <= MAX_CONDUCTOR:  # no one field: multiply the coefficients pair by pair
-            acc = {}
-            for ea, ca in self._widened(names, terms=self.terms):
-                for eb, cb in other._widened(names, terms=other.terms):
-                    e = tuple(map(add, ea, eb))
-                    acc[e] = acc[e] + ca * cb if e in acc else ca * cb
-            return MultiPoly(names, acc)
-        out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor))
+            return MultiPoly(names, dict(_convolve(self._widened(names, terms=self.terms),
+                                                   other._widened(names, terms=other.terms), _tuple_sum)))
+        out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor,
+                            _tuple_sum))
         # a nonzero product uses every variable of its factors
         return _settled(names, L, self.den * other.den, out, gcd(self.conductor, other.conductor) > 1,
                         prune=not out)
@@ -243,7 +242,12 @@ class MultiPoly:
     def substitute(self, images: Mapping[str, PolyLike]) -> "MultiPoly":
         """Ring-homomorphism evaluation; variables without an image map to themselves.
         With self = N / D and image v = N_v / D_v, the term c*prod(v^k) lands on the common
-        denominator D*prod(D_v^K_v), K_v = deg_v self, so every sum is on integers."""
+        denominator D*prod(D_v^K_v), K_v = deg_v self, so every sum is on integers.
+        The products run on packed int exponent keys: slot n is bit_length(B_n) bits wide,
+        B_n = sum_v K_v * deg_n(image v).  Every key of the chain (a power v^j, j <= K_v, a
+        term's partial product, the accumulator) is a monomial of some prod(v^j_v), j_v <= K_v,
+        so its slot n holds at most sum_v j_v * deg_n(image v) <= B_n; hence so does each slot
+        of a key sum ea + eb, which therefore never carries from one slot into the next."""
         table = [MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
                  for v in self.variables]
         names = tuple(sorted({n for p in table for n in p.variables}))
@@ -252,17 +256,25 @@ class MultiPoly:
             return sum((c * prod((p ** k for p, k in zip(table, e)), start=MultiPoly.one())
                         for e, c in self.terms.items()), MultiPoly.zero())
         top = [max(ks) for ks in zip(*self.nums)]
-        powers = [{1: p._widened(names)} for p in table]  # powers[i][k]: image i to the k
-        zero, acc = (0,) * len(names), {}
+        wide = [p._widened(names) for p in table]
+        widths = [sum(t * max((e[n] for e, _ in w), default=0) for w, t in zip(wide, top)).bit_length()
+                  for n in range(len(names))]
+        shifts = [sum(widths[:n]) for n in range(len(names))]
+        # powers[i][k]: image i to the k, on packed keys
+        powers = [{1: [(sum(map(lshift, e, shifts)), c) for e, c in w]} for w in wide]
+        acc = {}
         for e, c in self.nums.items():
-            part, N = [(zero, _times(c, prod(p.den ** (t - k) for p, t, k in zip(table, top, e))))], self.conductor
+            part, N = [(0, _times(c, prod(p.den ** (t - k) for p, t, k in zip(table, top, e))))], self.conductor
             for cache, p, k in zip(powers, table, e):
                 if k:
-                    part, N = _product(part, N, _power_of(cache, k, p.conductor), p.conductor), lcm(N, p.conductor)
+                    power = _power_of(cache, k, p.conductor)
+                    part, N = _product(part, N, power, p.conductor, add), lcm(N, p.conductor)
             for ep, cp in _at(part, N, L):
                 acc[ep] = (acc[ep] + cp if L == 1 else tuple(map(add, acc[ep], cp))) if ep in acc else cp
         den = self.den * prod(p.den ** t for p, t in zip(table, top))
-        return _settled(names, L, den, {e: c for e, c in acc.items() if (c if L == 1 else any(c))})
+        slots = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
+        return _settled(names, L, den, {tuple([ep >> s & m for s, m in slots]): c for ep, c in acc.items()
+                                        if (c if L == 1 else any(c))})
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
@@ -345,37 +357,42 @@ def _unpack(n: int, k: int, count: int) -> list:
     return out
 
 
-def _convolve(a: Iterable, b: Iterable) -> list:
-    """The nonzero terms of the product of two term lists over one variable tuple, with int
-    coefficients: the one pair loop of products and substitution."""
+def _tuple_sum(ea: tuple, eb: tuple) -> tuple:
+    return tuple(map(add, ea, eb))
+
+
+def _convolve(a: Iterable, b: Iterable, key_sum) -> list:
+    """The nonzero terms of the product of two term lists, whose exponent keys ``key_sum`` adds
+    (``_tuple_sum`` for tuples over one variable tuple, ``add`` for packed ints): the one pair
+    loop of products and substitution."""
     acc = {}
     for ea, ca in a:
         for eb, cb in b:
-            e = tuple(map(add, ea, eb))
+            e = key_sum(ea, eb)
             acc[e] = acc[e] + ca * cb if e in acc else ca * cb
     return [(e, c) for e, c in acc.items() if c]
 
 
-def _product(a, Na: int, b, Nb: int) -> list:
+def _product(a, Na: int, b, Nb: int, key_sum) -> list:
     """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
     Nb: a slot of a packed product term sums min(len(a), len(b)) pairs of phi(L) products."""
     L = lcm(Na, Nb)
     if L == 1 or not a or not b:
-        return _convolve(a, b)
+        return _convolve(a, b, key_sum)
     a, b = (a if Na == 1 else _at(a, Na, L)), (b if Nb == 1 else _at(b, Nb, L))
     k = (min(len(a), len(b)) * euler_phi(L) * _top(a) * _top(b)).bit_length() + 1
-    out = _convolve([(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b])
+    out = _convolve([(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], key_sum)
     return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * euler_phi(L) - 1), L))]
 
 
 def _power_of(cache: dict, k: int, N: int) -> list:
-    """cache[k], the k-th power of the term list cache[1] at conductor N, filled in: by
-    squaring for one term, else as cache[k-1] * cache[1], the fewest term pairs."""
+    """cache[k], the k-th power of the term list cache[1] (packed keys) at conductor N, filled
+    in: by squaring for one term, else as cache[k-1] * cache[1], the fewest term pairs."""
     if len(cache[1]) > 1:
         for j in range(len(cache), k):
-            cache[j + 1] = _product(cache[j], N, cache[1], N)
+            cache[j + 1] = _product(cache[j], N, cache[1], N, add)
     elif k not in cache:
-        cache[k] = _product(_power_of(cache, k // 2, N), N, _power_of(cache, k - k // 2, N), N)
+        cache[k] = _product(_power_of(cache, k // 2, N), N, _power_of(cache, k - k // 2, N), N, add)
     return cache[k]
 
 

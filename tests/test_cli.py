@@ -104,6 +104,16 @@ class TestBasicCommands:
                             "--derivation", "X -> X; Y -> 0", "--cap", "6")
         assert code == EXIT_CHECK_FAILED and "error" in out
 
+    def test_exp_past_the_cap_is_inconclusive(self, capsys):
+        """D(Y) = X^40 dies at D^41, past the default cap 32 of a free ring: no verdict."""
+        argv = ("exp", "--surface", "free: X,Y", "--derivation", "X -> 1; Y -> X^40")
+        code, out, _ = _run(capsys, *argv)
+        assert code == EXIT_CHECK_FAILED
+        assert out == "error: inconclusive: D^k(Y) is nonzero for every k <= 32"
+        code, out, _ = _run(capsys, *argv, "--format", "json")
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out) == {"error": "inconclusive: D^k(Y) is nonzero for every k <= 32"}
+
     def test_bound(self, capsys):
         code, out, _ = _run(capsys, "bound", "--g", "x+1", "--n", "2")
         assert code == EXIT_OK and out == "1"

@@ -202,10 +202,9 @@ def test_constant_hashes_as_its_scalar(c):
 _XYZ = ("x", "y", "z")
 
 
-def _term_maps(max_exp=3, max_size=6):
-    """Sparse {exponents: Fraction} maps in x, y, z, denominators 1-12 and both
-    signs, drawn as often as not as the zero polynomial or a constant."""
-    coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+def _term_maps(max_exp=3, max_size=6, coeff=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))):
+    """Sparse {exponents: coefficient} maps in x, y, z, by default Fractions with denominators
+    1-12 and both signs, drawn as often as not as the zero polynomial or a constant."""
     sparse = st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * 3), coeff, max_size=max_size)
     constant = coeff.map(lambda c: {(0, 0, 0): c})
     return st.one_of(st.just({}), constant, sparse, sparse).map(
@@ -371,6 +370,37 @@ def test_cyclotomic_arithmetic_matches_dense_oracle(case):
     for result, expected in cases:
         _check_canonical(result)
         assert dense_map(result, L, _XY) == expected
+
+
+# -- substitute on packed exponent keys, against the dense oracle at conductor 12 ------
+
+_C12 = st.builds(lambda q, k, r: q * zeta(12, k) + r, st.fractions(-3, 3, max_denominator=4),
+                 st.integers(0, 11), st.integers(-2, 2))  # scalars of Q(zeta_12)
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_term_maps(3, 4, _C12), st.lists(st.one_of(st.none(), _term_maps(2, 3, _C12)), min_size=3, max_size=3))
+# x -> y^5 + z on x^3*z: the slot bounds B_y = 15 = 2^4 - 1 and B_z = 3 + 1 = 2^2, both reached
+@example({(3, 0, 1): zeta(12), (0, 0, 0): Fraction(2)}, [{(0, 5, 0): 1, (0, 0, 1): zeta(12, 7)}, None, None])
+# x -> y^4 + 3*y*z on x^4: B_y = 16 = 2^4, reached by y^16
+@example({(4, 0, 0): Fraction(1), (1, 0, 2): zeta(12, 5)}, [{(0, 4, 0): 1, (0, 1, 1): 3}, None, None])
+# a one-term image of x to the 31st, 32nd and 33rd power: the squaring branch, B_y = 66, B_z = 34
+@example({(31, 0, 0): Fraction(1), (32, 0, 0): zeta(12), (33, 0, 1): Fraction(-1, 2)},
+         [{(0, 2, 1): zeta(12, 5)}, None, None])
+# a zero and a constant image
+@example({(1, 1, 1): Fraction(1), (2, 0, 0): zeta(12), (0, 2, 0): Fraction(3)},
+         [{}, {(0, 0, 0): Fraction(1, 2) + zeta(12)}, None])
+def test_packed_substitute_matches_dense_oracle(a, images):
+    """substitute, whose products run on exponent keys packed into slots of bit_length(B_n) bits,
+    against term-by-term expansion of Dense coefficients; a None image keeps its variable."""
+    p = MultiPoly(_XYZ, a)
+    table = {v: MultiPoly(_XYZ, m) for v, m in zip(_XYZ, images) if m is not None}
+    dense = [dense_map(table[v], 12, _XYZ) if v in table else {unit: Dense(12, [1, 0, 0, 0])}
+             for v, unit in zip(_XYZ, _UNITS)]
+    got = p.substitute(table)
+    _check_canonical(got)
+    assert dense_map(got, 12, _XYZ) == map_substitute(dense_map(p, 12, _XYZ), dense)
 
 
 class TestCanonicalForm:
