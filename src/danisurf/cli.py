@@ -2,7 +2,16 @@
 
 One surface and one command per invocation.  Exit codes: 0 when the command
 succeeds and any checked property holds, 1 when a verification check fails
-(the report is still emitted), 2 on parse or validation errors.
+(the report is still emitted), 2 on parse or validation errors.  ``run`` builds each
+distinct surface and ``--derivation``/``--map`` table once per process and reuses it, safely:
+each is immutable and a function of its text and surface, and a raising input is never kept.
+
+>>> run(["nf", "--surface", "f=x; phi=z^2", "--expr", "x*y"])
+z^2
+0
+>>> run(["nf", "--surface", "f=x; phi=z^2", "--expr", "y*x"])
+z^2
+0
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ def _build_session(args: argparse.Namespace) -> Session:
     session = Session(args)
     surface_text = _argvalue(getattr(args, "surface", None))
     if surface_text is not None:
-        session.surface = parse_surface(surface_text)
+        session.surface = _surface(surface_text)
     else:
         f_text = _argvalue(getattr(args, "f", None))
         n = getattr(args, "n", None)
@@ -68,12 +77,10 @@ def _build_session(args: argparse.Namespace) -> Session:
             session.surface = SurfaceSpec.danielewski(f, parse_expression(phi_text, ("z",)))
     der_text = _argvalue(getattr(args, "derivation", None))
     if der_text is not None:
-        session.D = Derivation(
-            _need_surface(session), parse_images(der_text, _need_surface(session)))
+        session.D = _table(Derivation, _need_surface(session), der_text)
     map_text = _argvalue(getattr(args, "map", None))
     if map_text is not None:
-        session.M = RingMap(
-            _need_surface(session), parse_images(map_text, _need_surface(session)))
+        session.M = _table(RingMap, _need_surface(session), map_text)
     h_text = _argvalue(getattr(args, "h", None))
     if h_text is not None:
         if session.M is not None:
@@ -310,8 +317,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser of run(), built on first use and then reused: parsing leaves it unchanged
+# built on first use and then reused by run(): the parser, which parsing leaves unchanged,
+# each surface, and each Derivation or RingMap, proved well defined once per surface and text
 _parser = lru_cache(maxsize=None)(build_arg_parser)
+_surface = lru_cache(maxsize=64)(parse_surface)
+
+
+@lru_cache(maxsize=64)
+def _table(kind: type, surface: SurfaceSpec, text: str):
+    return kind(surface, parse_images(text, surface))
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -312,9 +312,10 @@ class MultiPoly:
             if N > 1 and any(c[1:]):
                 sign, body = "+", f"({_minimized(N, list(c), D)})" + ("*" + mono if mono else "")
             else:
-                n = c if type(c) is int else c[0]  # a Fraction only if needed, for speed
-                sign, mag = "-" if n < 0 else "+", abs(Fraction(n, D) if D > 1 else n)
-                body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+                n = c if type(c) is int else c[0]
+                g = gcd(n, D)  # |n|/D in lowest terms from the integers, no Fraction per term
+                sign, mag = "-" if n < 0 else "+", str(abs(n) // g) if g == D else f"{abs(n) // g}/{D // g}"
+                body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
             out.append(f" {sign} {body}" if out else body if sign == "+" else f"-{body}")
         return "".join(out) or "0"
 

@@ -99,8 +99,8 @@ class SurfaceSpec:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurfaceSpec):
             return NotImplemented
-        return (self.kind == other.kind and self.f == other.f
-                and self.phi == other.phi and self.variables == other.variables)
+        return self is other or (self.kind == other.kind and self.f == other.f
+                                 and self.phi == other.phi and self.variables == other.variables)
 
     def __hash__(self) -> int:
         return hash((self.kind, self.f, self.phi, self.variables))

@@ -85,6 +85,21 @@ def in_relation_ideal(p: MultiPoly, f: MultiPoly, phi: MultiPoly) -> bool:
     return acc.is_zero()
 
 
+def render_with_fractions(p: MultiPoly) -> str:
+    """p as ``str`` prints it, read off ``p.terms`` with one Fraction per rational coefficient."""
+    out = []
+    for exps, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(p.variables, exps) if k)
+        if c.conductor > 1:
+            sign, body = "+", f"({c})" + ("*" + mono if mono else "")
+        else:
+            q = Fraction(c.nums[0], c.den)
+            sign, mag = "-" if q < 0 else "+", abs(q)
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        out.append(f" {sign} {body}" if out else body if sign == "+" else f"-{body}")
+    return "".join(out) or "0"
+
+
 def naive_dense_div(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder of dense univariate polynomials, ascending coeffs."""
     num = list(num)

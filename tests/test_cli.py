@@ -366,6 +366,71 @@ class TestDispatchTable:
         assert bool(err) == (code == EXIT_ERROR)
 
 
+class TestSessionCache:
+    """run() builds each distinct surface and --derivation/--map table once per process."""
+
+    SEQUENCE = [
+        ["nf", "--surface", SURFACE, "--expr", "x^2*y"],
+        ["apply", "--surface", SURFACE, "--derivation", CANONICAL_D, "--expr", "y*z"],
+        ["commute", "--surface", SURFACE, "--map", SHEAR, "--derivation", CANONICAL_D],
+        ["lnd", "--surface", SURFACE, "--derivation", ILL_D],
+        ["exp", "--surface", SURFACE, "--derivation", CANONICAL_D, "--scale", "x", "--format", "json"],
+        ["commute", "--surface", SURFACE, "--map", ILL_MAP, "--derivation", CANONICAL_D],
+        ["apply", "--surface", "f=x^2; phi=z^2+1", "--map", "x -> x; y -> y; z -> -z", "--expr", "z*y"],
+        ["apply", "--surface", SURFACE, "--map", "x -> x; y -> y; z -> -z", "--expr", "z*y"],  # same text
+        ["nf", "--surface", "f=x; phi=z^2 +", "--expr", "x"],
+        ["lnd", "--n", "1", "--phi", "z^2", "--derivation", CANONICAL_D],
+        ["apply", "--surface", "free: X,Y", "--derivation", "X -> Y; Y -> 0", "--expr", "X^2"],
+        ["eq", "--surface", SURFACE, "--left", "x*y", "--right", "z^2"],
+        ["apply", "--surface", SURFACE, "--map", SHEAR, "--expr", "y"],
+        ["lnd", "--surface", SURFACE, "--derivation", CANONICAL_D, "--format", "json"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        cli._surface.cache_clear()
+        cli._table.cache_clear()
+
+    def test_warm_run_matches_cold_runs(self, capsys):
+        cold = []
+        for argv in self.SEQUENCE:
+            cli._surface.cache_clear()
+            cli._table.cache_clear()
+            cold.append(TestParserReuse._outcome(capsys, argv))
+        cli._surface.cache_clear()
+        cli._table.cache_clear()
+        warm = [TestParserReuse._outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert warm == cold
+        assert [code for code, _, _ in warm].count(EXIT_ERROR) == 3
+        # (hits, misses, maxsize, currsize): 3 surfaces parse and 1 fails, 5 tables are proved
+        # and 2 fail; every other lookup is a hit, the table on the equal --n/--phi surface too
+        assert cli._surface.cache_info()[:4] == (9, 4, 64, 3)
+        assert cli._table.cache_info()[:4] == (6, 7, 64, 5)
+
+    @pytest.mark.parametrize("argv, cache", [
+        (["lnd", "--surface", SURFACE, "--derivation", ILL_D], "_table"),
+        (["nf", "--surface", "f=x; phi=z^2 +", "--expr", "x"], "_surface"),
+    ], ids=["ill-defined-derivation", "surface-parse-error"])
+    def test_bad_input_fails_every_time_and_is_not_kept(self, capsys, argv, cache):
+        first = TestParserReuse._outcome(capsys, argv)
+        size = getattr(cli, cache).cache_info().currsize
+        assert TestParserReuse._outcome(capsys, argv) == first
+        assert first[0] == EXIT_ERROR and first[2].startswith("error: ")
+        assert getattr(cli, cache).cache_info().currsize == size
+
+    def test_changed_surface_file_gives_new_answer(self, capsys, tmp_path):
+        spec = tmp_path / "surface.txt"
+        spec.write_text("f=x; phi=z^2\n", encoding="utf-8")
+        assert _run(capsys, "nf", "--surface", f"@{spec}", "--expr", "x*y") == (EXIT_OK, "z^2", "")
+        spec.write_text("f=x; phi=z^3 + 1\n", encoding="utf-8")
+        assert _run(capsys, "nf", "--surface", f"@{spec}", "--expr", "x*y") == (EXIT_OK, "z^3 + 1", "")
+
+    def test_surface_cache_is_bounded(self, capsys):
+        for k in range(1, 66):
+            assert _run(capsys, "nf", "--surface", f"f=x; phi=z^2 + {k}", "--expr", "x*y")[1] == f"z^2 + {k}"
+        assert cli._surface.cache_info().currsize == 64
+
+
 class TestModuleEntryPoint:
     """``python -m danisurf.cli`` in a fresh interpreter: exit codes reach the shell via main()."""
 

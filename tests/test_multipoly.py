@@ -12,7 +12,7 @@ from danisurf.exactnum import MAX_CONDUCTOR, CycScalar, euler_phi, zeta
 from danisurf.multipoly import MultiPoly
 
 from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute,
-                     random_poly, term_map)
+                     random_poly, render_with_fractions, term_map)
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -156,6 +156,31 @@ def test_canonical_rendering_order():
     assert str(MultiPoly.zero()) == "0"
     assert str(x - 1) == "x - 1"
     assert str(MultiPoly.constant(zeta(3)) * x + 1) == "(zeta(3))*x + 1"
+
+
+_RENDER_EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_RENDER_COEFFS = (st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12))
+                  | st.sampled_from([Fraction(1), Fraction(-1)]))  # magnitude 1: a bare monomial
+
+
+@settings(deadline=None)
+@given(st.dictionaries(_RENDER_EXPS, _RENDER_COEFFS, max_size=6),
+       st.none() | st.tuples(_RENDER_EXPS, st.sampled_from([zeta(3), zeta(7, 2) + 1, Fraction(-2, 9) * zeta(5)])))
+@example({(1, 0): Fraction(1), (0, 1): Fraction(1, 3)}, None)  # magnitude 1 over a common den of 3
+@example({(0, 0): Fraction(-7, 12), (2, 1): Fraction(-1)}, ((1, 0), zeta(3)))  # constant; -1 at N = 3
+@example({(0, 0): Fraction(6, 4), (1, 1): Fraction(-5)}, None)
+def test_str_matches_fraction_renderer(coeffs, cyclotomic):
+    """Rational coefficients render from the integers exactly as from one Fraction per term."""
+    terms = dict(coeffs)
+    if cyclotomic is not None:
+        terms[cyclotomic[0]] = cyclotomic[1]
+    p = MultiPoly(("x", "y"), terms)
+    assert str(p) == render_with_fractions(p)
+
+
+def test_str_of_polynomial_beyond_conductor_bound_matches_fraction_renderer():
+    p = MultiPoly(("x", "y"), {(1, 0): zeta(997), (0, 1): zeta(991), (1, 1): Fraction(-3, 4), (0, 0): 1})
+    assert p.conductor == 0 and str(p) == render_with_fractions(p)
 
 
 class TestTrustedConstructors:
