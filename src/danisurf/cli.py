@@ -48,7 +48,9 @@ class Session:
     D: Optional[Derivation] = None
     M: Optional[RingMap] = None
 
-    def emit(self, payload: dict, text: str) -> None:
+    def emit(self, payload: dict, text: Optional[str] = None) -> None:
+        """Print the payload as JSON, or else ``text``, by default the payload's one value."""
+        text = str(*payload.values()) if text is None else text
         print(json.dumps(payload) if self.args.format == "json" else text)
 
 
@@ -97,8 +99,7 @@ def _need_surface(session: Session) -> SurfaceSpec:
 
 def _cmd_nf(session: Session) -> int:
     S = _need_surface(session)
-    element = S.element(parse_expression(_argvalue(session.args.expr), S.variables))
-    session.emit({"normal_form": str(element)}, str(element))
+    session.emit({"normal_form": str(S.element(parse_expression(_argvalue(session.args.expr), S.variables)))})
     return EXIT_OK
 
 
@@ -129,8 +130,7 @@ def _cmd_apply(session: Session) -> int:
     op = session.D if session.D is not None else session.M
     if op is None:
         raise ValueError("apply needs --derivation or --map")
-    result = op.apply(target)
-    session.emit({"result": str(result)}, str(result))
+    session.emit({"result": str(op.apply(target))})
     return EXIT_OK
 
 
@@ -142,9 +142,9 @@ def _cmd_commute(session: Session) -> int:
     if result.commutes:
         session.emit(payload, "true")
         return EXIT_OK
-    payload["witness"] = {"generator": result.generator,
-                          "difference": str(result.difference)}
-    session.emit(payload, f"false (witness {result.generator}: {result.difference})")
+    difference = str(result.difference)
+    payload["witness"] = {"generator": result.generator, "difference": difference}
+    session.emit(payload, f"false (witness {result.generator}: {difference})")
     return EXIT_CHECK_FAILED
 
 
@@ -174,14 +174,14 @@ def _cmd_exp(session: Session) -> int:
     except CapExceededError as exc:
         session.emit({"error": str(exc)}, f"error: {exc}")
         return EXIT_CHECK_FAILED
-    session.emit({"map": str(rho)}, str(rho))
+    session.emit({"map": str(rho)})
     return EXIT_OK
 
 
 def _cmd_bound(session: Session) -> int:
     g = parse_expression(_argvalue(session.args.g), ("x",))
     bound = hyperbolic_order_bound(g, session.args.n)
-    session.emit({"bound": bound}, str(bound))
+    session.emit({"bound": bound})
     return EXIT_OK
 
 

@@ -1,16 +1,16 @@
 """Sparse multivariate polynomials over cyclotomic scalars.
 
-A ``MultiPoly`` stores the least ``conductor`` N with every coefficient in
-Q(zeta_N), one positive ``den`` coprime to all numerators, and ``nums``: per
-exponent tuple an ``int`` numerator when N = 1, else a tuple of phi(N)
-power-basis coordinates.  Unused variables are pruned, so equal polynomials
-have identical representations; ``terms`` builds ``CycScalar`` coefficients on
-request.  Term order everywhere is graded lexicographic in the variable tuple.
-Products and substitution run one ``int`` pair loop: for L > 1 each vector is
-packed into signed slots, zeta -> 2^k (Kronecker), each product term unpacked
-and reduced mod Phi_L once, and each result descends and divides out its gcd once.
-Exponent keys are tuples, except inside ``substitute``: its whole product chain adds keys
-packed into one ``int`` of per-variable slots, unpacked once at the end.
+A ``MultiPoly`` stores the least ``conductor`` N with every coefficient in Q(zeta_N), one
+positive ``den`` coprime to all numerators, and ``nums``: per monomial key an ``int``
+numerator when N = 1, else a tuple of phi(N) power-basis coordinates.  A key is one ``int``
+with the exponent of ``variables[i]`` in bits [20i, 20i + 20); the top bit of each slot is a
+guard kept clear, so exponents stay below 2^19.  Unused variables are pruned, so equal
+polynomials have identical representations; ``terms`` builds exponent tuples and
+``CycScalar`` coefficients on request.  Term order everywhere is graded lexicographic in the
+variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
+set guard bit raising ValueError; for L > 1 each vector is packed into signed slots, zeta ->
+2^k (Kronecker), each product term unpacked and reduced mod Phi_L once, and each result
+descends and divides out its gcd once.
 When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
 is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
 such a polynomial works coefficient by coefficient, so the bound applies only
@@ -27,15 +27,20 @@ x + 1
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import add, lshift
+from operator import add, or_
 from typing import Iterable, Mapping, Union
 
 from .exactnum import (MAX_CONDUCTOR, CycScalar, ScalarLike, _canonical, _descended, _lifted,
                        _minimized, _mod_phi, _power, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
+
+_W = 20  # bits per exponent slot of a key: 3 variables fit in 60 bits; W = 32 made term pairs ~40% slower
+_MASK = (1 << _W) - 1
+_OVERFLOW = "exponent above 2^19 - 1"
 
 
 class MultiPoly:
@@ -49,14 +54,10 @@ class MultiPoly:
             raise ValueError("exponent tuple does not match variable list")
         if any(k < 0 for e, _ in pairs for k in e):
             raise ValueError("negative exponent")
-        names, pairs = tuple(sorted(vars_in)), [(tuple(e[i] for i in order), c) for e, c in pairs]
-        L, D = lcm(*(c.conductor for _, c in pairs)), lcm(*(c.den for _, c in pairs))
-        if L > MAX_CONDUCTOR:  # no one field: keep the coefficients as they are
-            _built(names, 0, 1, dict(pairs), prune=True, into=self)
-        else:  # no terms add
-            nums = {e: _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den)
-                    for e, c in pairs}
-            _settled(names, L, D, nums, descend=False, into=self)
+        if any(k >> _W - 1 for e, _ in pairs for k in e):
+            raise ValueError(_OVERFLOW)
+        scalars = {sum(e[i] << _W * j for j, i in enumerate(order)): c for e, c in pairs}
+        _settled(tuple(sorted(vars_in)), 0, 1, scalars, into=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -65,12 +66,12 @@ class MultiPoly:
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return _built((name,), 1, 1, {(1,): 1})
+        return _built((name,), 1, 1, {1: 1})
 
     @staticmethod
     def constant(value: ScalarLike) -> "MultiPoly":
         c = value if isinstance(value, CycScalar) else CycScalar(value)  # TypeError if no scalar
-        return _built((), c.conductor, c.den, {(): c.nums[0] if c.conductor == 1 else c.nums} if c else {})
+        return _built((), c.conductor, c.den, {0: c.nums[0] if c.conductor == 1 else c.nums} if c else {})
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -78,7 +79,7 @@ class MultiPoly:
 
     @staticmethod
     def one() -> "MultiPoly":
-        return _built((), 1, 1, {(): 1})
+        return _built((), 1, 1, {0: 1})
 
     @staticmethod
     def from_pairs(variables: Iterable[str], pairs: Iterable[tuple[tuple[int, ...], ScalarLike]]) -> "MultiPoly":
@@ -102,6 +103,10 @@ class MultiPoly:
     @property
     def terms(self) -> dict[tuple[int, ...], CycScalar]:
         """The coefficients as CycScalars, each at its own least conductor, in a new dict."""
+        return {_unpacked(e, len(self.variables)): c for e, c in self._scalars().items()}
+
+    def _scalars(self) -> dict:
+        """The coefficients as CycScalars, each at its own least conductor, keyed as in nums."""
         if not self.conductor:
             return dict(self.nums)
         if self.conductor == 1:
@@ -114,27 +119,34 @@ class MultiPoly:
     def as_scalar(self) -> CycScalar:
         if self.variables:
             raise ValueError(f"{self} is not a constant")
-        c = self.nums.get((), 0)  # a constant's conductor is its coefficient's least one
+        c = self.nums.get(0, 0)  # a constant's conductor is its coefficient's least one
         return _canonical(self.conductor, (c,) if self.conductor == 1 else c, self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.nums), default=-1)
+        return max((sum(_unpacked(e, len(self.variables))) for e in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
             return 0 if self.nums else -1
-        i = self.variables.index(var)
-        return max((e[i] for e in self.nums), default=-1)
+        s = _W * self.variables.index(var)
+        return max((e >> s & _MASK for e in self.nums), default=-1)
 
     def coefficient_of(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of var**power, a polynomial in the other variables."""
         if var not in self.variables:
             return self if power == 0 else MultiPoly.zero()
         i = self.variables.index(var)
-        picked = {e[:i] + e[i + 1:]: c for e, c in self.nums.items() if e[i] == power}
-        names = self.variables[:i] + self.variables[i + 1:]
-        return _settled(names, self.conductor, self.den, picked) if self.conductor else MultiPoly(names, picked)
+        s, names = _W * i, self.variables[:i] + self.variables[i + 1:]
+        picked = [(e - (power << s), c) for e, c in self.nums.items() if e >> s & _MASK == power]
+        return _settled(names, self.conductor, self.den, dict(_rekeyed(picked, self.variables, names)))
+
+    def _cofactor(self, powers: Mapping[str, int]) -> "MultiPoly":
+        """The terms divisible by the monomial prod(v^k), (v, k) in powers, each divided by it.
+        Slot i of (e | G) - s is 2^19 + e_i - s_i >= 0, so its guard bit stays set iff e_i >= s_i."""
+        G, s = _guard(len(self.variables)), sum(k << _W * self.variables.index(v) for v, k in powers.items())
+        picked = {e - s: c for e, c in self.nums.items() if ((e | G) - s) & G == G}
+        return _settled(self.variables, self.conductor, self.den, picked)
 
     def leading_coefficient(self, var: str) -> CycScalar:
         return self.coefficient_of(var, self.degree_in(var)).as_scalar()
@@ -145,7 +157,7 @@ class MultiPoly:
             raise ValueError("zero polynomial has no exponent support")
         if any(v != var for v in self.variables):
             raise ValueError(f"polynomial depends on more than {var!r}")
-        return tuple(sorted(e[0] if e else 0 for e in self.nums))
+        return tuple(sorted(self.nums))  # the key of var^k is k, of a constant 0
 
     def depends_only_on(self, var: str) -> bool:
         return all(v == var for v in self.variables)
@@ -153,12 +165,9 @@ class MultiPoly:
     # -- arithmetic -------------------------------------------------------
 
     def _widened(self, names: tuple[str, ...], scale: int = 1, terms: Mapping | None = None) -> Iterable:
-        """The terms (``nums`` unless given) over ``names``, a sorted superset of the variables,
-        numerators times ``scale``."""
-        terms = (self.nums if terms is None else terms).items()
-        if self.variables != names:
-            idx = [self.variables.index(n) if n in self.variables else -1 for n in names]
-            terms = [(tuple(e[i] if i >= 0 else 0 for i in idx), c) for e, c in terms]
+        """The terms (``nums`` unless given) keyed over ``names``, a sorted superset of the
+        variables, numerators times ``scale``."""
+        terms = _rekeyed((self.nums if terms is None else terms).items(), self.variables, names)
         return terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]
 
     def _merged(self, other: PolyLike, sign: int) -> "MultiPoly":
@@ -169,10 +178,10 @@ class MultiPoly:
         names = tuple(sorted({*self.variables, *other.variables}))
         L, D = lcm(self.conductor, other.conductor), lcm(self.den, other.den)
         if not 0 < L <= MAX_CONDUCTOR:  # no one field: add the coefficients that meet, one by one
-            acc = dict(self._widened(names, terms=self.terms))
-            for e, c in other._widened(names, terms=other.terms):
+            acc = dict(self._widened(names, terms=self._scalars()))
+            for e, c in other._widened(names, terms=other._scalars()):
                 acc[e] = acc[e] + sign * c if e in acc else sign * c
-            return MultiPoly(names, acc)
+            return _settled(names, 0, 1, acc)
         a = _at(self._widened(names, D // self.den), self.conductor, L)
         b, scale = _at(other._widened(names), other.conductor, L), sign * (D // other.den)
         acc = dict(a)
@@ -193,8 +202,6 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        if not self.conductor:
-            return _built(self.variables, 0, 1, {e: -c for e, c in self.nums.items()})
         return _built(self.variables, self.conductor, self.den, {e: _times(c, -1) for e, c in self.nums.items()})
 
     def __sub__(self, other: PolyLike) -> "MultiPoly":
@@ -208,12 +215,11 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         names = tuple(sorted({*self.variables, *other.variables}))
-        L = lcm(self.conductor, other.conductor)
+        L, G = lcm(self.conductor, other.conductor), _guard(len(names))
         if not 0 < L <= MAX_CONDUCTOR:  # no one field: multiply the coefficients pair by pair
-            return MultiPoly(names, dict(_convolve(self._widened(names, terms=self.terms),
-                                                   other._widened(names, terms=other.terms), _tuple_sum)))
-        out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor,
-                            _tuple_sum))
+            return _settled(names, 0, 1, dict(_convolve(self._widened(names, terms=self._scalars()),
+                                                        other._widened(names, terms=other._scalars()), G)))
+        out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor, G))
         # a nonzero product uses every variable of its factors
         return _settled(names, L, self.den * other.den, out, gcd(self.conductor, other.conductor) > 1,
                         prune=not out)
@@ -232,22 +238,14 @@ class MultiPoly:
     def partial_derivative(self, var: str) -> "MultiPoly":
         if var not in self.variables:
             return MultiPoly.zero()
-        i = self.variables.index(var)
-        if not self.conductor:
-            lowered = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.nums.items()}
-            return MultiPoly(self.variables, lowered)
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: _times(c, e[i]) for e, c in self.nums.items() if e[i]}
+        s = _W * self.variables.index(var)
+        out = {e - (1 << s): _times(c, k) for e, c in self.nums.items() if (k := e >> s & _MASK)}
         return _settled(self.variables, self.conductor, self.den, out)
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "MultiPoly":
         """Ring-homomorphism evaluation; variables without an image map to themselves.
         With self = N / D and image v = N_v / D_v, the term c*prod(v^k) lands on the common
-        denominator D*prod(D_v^K_v), K_v = deg_v self, so every sum is on integers.
-        The products run on packed int exponent keys: slot n is bit_length(B_n) bits wide,
-        B_n = sum_v K_v * deg_n(image v).  Every key of the chain (a power v^j, j <= K_v, a
-        term's partial product, the accumulator) is a monomial of some prod(v^j_v), j_v <= K_v,
-        so its slot n holds at most sum_v j_v * deg_n(image v) <= B_n; hence so does each slot
-        of a key sum ea + eb, which therefore never carries from one slot into the next."""
+        denominator D*prod(D_v^K_v), K_v = deg_v self, so every sum is on integers."""
         table = [MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
                  for v in self.variables]
         names = tuple(sorted({n for p in table for n in p.variables}))
@@ -255,34 +253,28 @@ class MultiPoly:
         if not 0 < L <= MAX_CONDUCTOR:  # no one field: term by term, through the products
             return sum((c * prod((p ** k for p, k in zip(table, e)), start=MultiPoly.one())
                         for e, c in self.terms.items()), MultiPoly.zero())
-        top = [max(ks) for ks in zip(*self.nums)]
-        wide = [p._widened(names) for p in table]
-        widths = [sum(t * max((e[n] for e, _ in w), default=0) for w, t in zip(wide, top)).bit_length()
-                  for n in range(len(names))]
-        shifts = [sum(widths[:n]) for n in range(len(names))]
-        # powers[i][k]: image i to the k, on packed keys
-        powers = [{1: [(sum(map(lshift, e, shifts)), c) for e, c in w]} for w in wide]
+        G, slots = _guard(len(names)), range(0, _W * len(table), _W)
+        top = [max(e >> s & _MASK for e in self.nums) for s in slots]
+        powers = [{1: list(p._widened(names))} for p in table]  # powers[i][k]: image i to the k
         acc = {}
         for e, c in self.nums.items():
-            part, N = [(0, _times(c, prod(p.den ** (t - k) for p, t, k in zip(table, top, e))))], self.conductor
-            for cache, p, k in zip(powers, table, e):
+            ks = [e >> s & _MASK for s in slots]
+            part, N = [(0, _times(c, prod(p.den ** (t - k) for p, t, k in zip(table, top, ks))))], self.conductor
+            for cache, p, k in zip(powers, table, ks):
                 if k:
-                    power = _power_of(cache, k, p.conductor)
-                    part, N = _product(part, N, power, p.conductor, add), lcm(N, p.conductor)
+                    power = _power_of(cache, k, p.conductor, G)
+                    part, N = _product(part, N, power, p.conductor, G), lcm(N, p.conductor)
             for ep, cp in _at(part, N, L):
                 acc[ep] = (acc[ep] + cp if L == 1 else tuple(map(add, acc[ep], cp))) if ep in acc else cp
         den = self.den * prod(p.den ** t for p, t in zip(table, top))
-        slots = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
-        return _settled(names, L, den, {tuple([ep >> s & m for s, m in slots]): c for ep, c in acc.items()
-                                        if (c if L == 1 else any(c))})
+        return _settled(names, L, den, {e: c for e, c in acc.items() if (c if L == 1 else any(c))})
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
-        i = self.variables.index(var) if var in self.variables else None
-        if self.nums and (i is None or any(e[i] == 0 for e in self.nums)):
+        quotient = self._cofactor({var: 1}) if var in self.variables else MultiPoly.zero()
+        if len(quotient.nums) < len(self.nums):
             raise ValueError(f"{self} is not divisible by {var}")
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c for e, c in self.nums.items()}
-        return _built(self.variables, self.conductor, self.den, out, prune=True)
+        return quotient
 
     # -- identity ---------------------------------------------------------
 
@@ -305,8 +297,9 @@ class MultiPoly:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        out = []
-        for exps, c in sorted(self.nums.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        out, count = [], len(self.variables)
+        for exps, c in sorted(((_unpacked(e, count), c) for e, c in self.nums.items()),
+                              key=lambda t: (sum(t[0]), t[0]), reverse=True):
             mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, exps) if k)
             N, D, c = (self.conductor, self.den, c) if self.conductor else (c.conductor, c.den, c.nums)
             if N > 1 and any(c[1:]):
@@ -324,8 +317,8 @@ class MultiPoly:
 
 
 def _times(c, k: int):
-    """Numerators, an int or a coordinate vector, times the integer k."""
-    return c if k == 1 else c * k if type(c) is int else tuple([v * k for v in c])
+    """Numerators, an int or a coordinate vector, or a CycScalar coefficient, times the integer k."""
+    return c if k == 1 else c * k if type(c) in (int, CycScalar) else tuple([v * k for v in c])
 
 
 def _at(terms: Iterable, N: int, L: int) -> Iterable:
@@ -358,42 +351,70 @@ def _unpack(n: int, k: int, count: int) -> list:
     return out
 
 
-def _tuple_sum(ea: tuple, eb: tuple) -> tuple:
-    return tuple(map(add, ea, eb))
+def _unpacked(e: int, n: int) -> tuple[int, ...]:
+    return tuple([e >> s & _MASK for s in range(0, _W * n, _W)])
 
 
-def _convolve(a: Iterable, b: Iterable, key_sum) -> list:
-    """The nonzero terms of the product of two term lists, whose exponent keys ``key_sum`` adds
-    (``_tuple_sum`` for tuples over one variable tuple, ``add`` for packed ints): the one pair
-    loop of products and substitution."""
+@lru_cache(maxsize=64)
+def _guard(n: int) -> int:  # the top bit of each of n slots
+    return sum(1 << _W * i + _W - 1 for i in range(n))
+
+
+@lru_cache(maxsize=256)
+def _moves(src: tuple[str, ...], dst: tuple[str, ...]) -> tuple:
+    """(shift in src, shift in dst) of each slot of ``src`` whose variable is in ``dst``, or ()
+    when no key changes."""
+    moves = tuple((_W * i, _W * dst.index(v)) for i, v in enumerate(src) if v in dst)
+    return () if all(a == b for a, b in moves) else moves
+
+
+def _rekeyed(terms: Iterable, src: tuple[str, ...], dst: tuple[str, ...]) -> Iterable:
+    """The (key, value) pairs ``terms`` with keys over the variables ``src`` moved onto ``dst``,
+    one a subsequence of the other; the slots of variables missing from dst must be zero."""
+    if not (moves := _moves(src, dst)):
+        return terms
+    (a, b), *rest = moves
+    out = [((e >> a & _MASK) << b, c) for e, c in terms]
+    for a, b in rest:
+        out = [(k | (e >> a & _MASK) << b, c) for (k, c), (e, _) in zip(out, terms)]
+    return out
+
+
+def _convolve(a: Iterable, b: Iterable, guard: int) -> list:
+    """The nonzero terms of the product of two term lists over one variable tuple, with ``guard``
+    the guard bits of its keys: the one pair loop of products and substitution.  A key sum's slots
+    are below 2^20, so none carries; a slot's largest sum is a leading term's, which never cancels."""
     acc = {}
     for ea, ca in a:
         for eb, cb in b:
-            e = key_sum(ea, eb)
+            e = ea + eb
             acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+    if reduce(or_, acc, 0) & guard:
+        raise ValueError(_OVERFLOW)
     return [(e, c) for e, c in acc.items() if c]
 
 
-def _product(a, Na: int, b, Nb: int, key_sum) -> list:
+def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
     Nb: a slot of a packed product term sums min(len(a), len(b)) pairs of phi(L) products."""
     L = lcm(Na, Nb)
     if L == 1 or not a or not b:
-        return _convolve(a, b, key_sum)
+        return _convolve(a, b, guard)
     a, b = (a if Na == 1 else _at(a, Na, L)), (b if Nb == 1 else _at(b, Nb, L))
     k = (min(len(a), len(b)) * euler_phi(L) * _top(a) * _top(b)).bit_length() + 1
-    out = _convolve([(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], key_sum)
+    out = _convolve([(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], guard)
     return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * euler_phi(L) - 1), L))]
 
 
-def _power_of(cache: dict, k: int, N: int) -> list:
-    """cache[k], the k-th power of the term list cache[1] (packed keys) at conductor N, filled
-    in: by squaring for one term, else as cache[k-1] * cache[1], the fewest term pairs."""
+def _power_of(cache: dict, k: int, N: int, guard: int) -> list:
+    """cache[k], the k-th power of the term list cache[1] at conductor N, filled in: by squaring
+    for one term, else as cache[k-1] * cache[1], the fewest term pairs."""
     if len(cache[1]) > 1:
         for j in range(len(cache), k):
-            cache[j + 1] = _product(cache[j], N, cache[1], N, add)
+            cache[j + 1] = _product(cache[j], N, cache[1], N, guard)
     elif k not in cache:
-        cache[k] = _product(_power_of(cache, k // 2, N), N, _power_of(cache, k - k // 2, N), N, add)
+        half = _power_of(cache, k // 2, N, guard)
+        cache[k] = _product(half, N, _power_of(cache, k - k // 2, N, guard), N, guard)
     return cache[k]
 
 
@@ -404,6 +425,14 @@ def _settled(variables: tuple[str, ...], L: int, D: int, nums: dict, descend: bo
     sum or product of a and b with coprime least conductors (were it in a smaller cyclotomic
     field, an automorphism fixing that field and b but not a would fix a + b or a*b), and for a
     sum without a common monomial, whose coefficients are those of a and b."""
+    if not L:  # CycScalar coefficients, zeros allowed, kept as they are if no one field holds them
+        nums = {e: c for e, c in nums.items() if c}
+        L, D = lcm(*(c.conductor for c in nums.values())), lcm(*(c.den for c in nums.values()))
+        if L > MAX_CONDUCTOR:
+            return _built(variables, 0, 1, nums, prune, into)
+        descend = False  # L is the lcm of the least conductors
+        nums = {e: _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den)
+                for e, c in nums.items()}
     if L > 1 and descend:
         N, vecs, D = _descended(L, list(nums.values()), D)
         if N < L:
@@ -420,10 +449,10 @@ def _built(variables: tuple[str, ...], N: int, D: int, nums: dict, prune: bool =
     conductor N and nonzero numerators over D, in lowest terms; ``prune`` drops the
     variables that no term uses."""
     if prune:
-        used = [i for i in range(len(variables)) if any(e[i] for e in nums)]
-        if len(used) < len(variables):
-            variables = tuple(variables[i] for i in used)
-            nums = {tuple(e[i] for i in used): c for e, c in nums.items()}
+        used = reduce(or_, nums, 0)
+        kept = tuple(v for i, v in enumerate(variables) if used >> _W * i & _MASK)
+        if len(kept) < len(variables):
+            variables, nums = kept, dict(_rekeyed(nums.items(), variables, kept))
     p = object.__new__(MultiPoly) if into is None else into
     object.__setattr__(p, "variables", variables)
     object.__setattr__(p, "conductor", N)

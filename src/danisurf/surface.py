@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactnum import CycScalar
-from .multipoly import MultiPoly, PolyLike, _settled
+from .multipoly import MultiPoly, PolyLike
 
 
 class SurfaceSpec:
@@ -115,19 +115,10 @@ class SurfaceSpec:
 
 
 def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
-    while True:
-        names = p.variables
-        if "x" not in names or "y" not in names:
-            return p
-        # p's terms divisible by x^m*y, divided by it, numerators over p.den
-        shift = tuple(S.m if v == "x" else int(v == "y") for v in names)
-        cofactor = {tuple(map(operator.sub, e, shift)): c for e, c in p.nums.items()
-                    if all(map(operator.ge, e, shift))}
-        if not cofactor:
-            return p
-        # a polynomial without one conductor keeps its CycScalar coefficients
-        quotient = _settled(names, p.conductor, p.den, cofactor) if p.conductor else MultiPoly(names, cofactor)
+    # subtract (p's terms divisible by x^m*y, divided by it) * monic relation until none is left
+    while "x" in p.variables and "y" in p.variables and (quotient := p._cofactor({"x": S.m, "y": 1})):
         p = p - quotient * S.monic
+    return p
 
 
 class SurfaceElement:

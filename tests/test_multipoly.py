@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from danisurf.exactnum import MAX_CONDUCTOR, CycScalar, euler_phi, zeta
 from danisurf.multipoly import MultiPoly
+from danisurf.surface import SurfaceSpec
 
-from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute,
-                     random_poly, render_with_fractions, term_map)
+from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute, pick_max,
+                     random_poly, reduce_with_strategy, render_with_fractions, term_map)
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -344,6 +345,11 @@ _CONDUCTORS = (7, 12, 15, 20, 105, 140)
 _XY = ("x", "y")
 
 
+def _key(e):
+    """The stored key of the exponent tuple e: the exponent of variables[i] in bits [20i, 20i + 20)."""
+    return sum(k << 20 * i for i, k in enumerate(e))
+
+
 def _check_canonical(p):
     """The stored form: least conductor, den > 0 coprime to the numerators, int or phi(N)-tuple."""
     _check_representation(p)
@@ -446,7 +452,7 @@ class TestCanonicalForm:
         assert (built.conductor, built.den) == (3, 2)
         rational = (MultiPoly.constant(zeta(12)) * self.x + zeta(12)) * zeta(12, 11) * Fraction(1, 3)
         assert rational == (self.x + 1) * Fraction(1, 3)
-        assert (rational.conductor, rational.den, rational.nums) == (1, 3, {(1,): 1, (0,): 1})
+        assert (rational.conductor, rational.den, rational.nums) == (1, 3, {_key((1,)): 1, _key((0,)): 1})
 
     @pytest.mark.parametrize("c", [zeta(7), CycScalar(1), Fraction(-2, 9)])
     def test_a_constant_built_from_cancelling_terms_hashes_as_its_scalar(self, c):
@@ -472,7 +478,7 @@ def _check_apart(p):
     _check_representation(p)
     L = lcm(1, *(c.conductor for c in p.terms.values()))
     if L > MAX_CONDUCTOR:
-        assert (p.conductor, p.den) == (0, 1) and p.nums == p.terms
+        assert (p.conductor, p.den) == (0, 1) and p.nums == {_key(e): c for e, c in p.terms.items()}
     else:
         _check_canonical(p)
 
@@ -534,3 +540,118 @@ class TestCoefficientsApart:
         assert got == (zeta(7) + zeta(11)) * y + zeta(13) / 2
         assert str(self.q + 5 - 2 * x * y) == "-2*x*y + (zeta(7))*x + (zeta(11))*y + (zeta(13))*z + 5"
         assert (x * self.q).divide_by_variable("x") == self.q
+
+
+# -- the packed store over different variable subsets, against the term-map oracles -----------
+
+_ALL = ("X", "Y", "u", "x", "y", "z")  # sorted; a subset puts each variable in its own slot
+_SUBSET_COEFF = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                          st.builds(lambda q, k: q * zeta(12, k), st.fractions(-2, 2, max_denominator=3),
+                                    st.integers(0, 11)))
+
+
+@st.composite
+def _over_a_subset(draw, pool=_ALL, max_exp=2, max_size=4):
+    """(p, a): a polynomial over up to four variables of ``pool``, listed in any order, and its
+    term map over _ALL; coefficients rational or rational multiples of roots of unity of order 12."""
+    names = tuple(draw(st.lists(st.sampled_from(pool), unique=True, max_size=4)))
+    m = draw(st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * len(names)), _SUBSET_COEFF, max_size=max_size))
+    a = {tuple(e[names.index(v)] if v in names else 0 for v in _ALL): c for e, c in m.items() if c}
+    return MultiPoly(names, m), a
+
+
+def _check_stored(result, expected):
+    _check_representation(result)
+    assert term_map(result, _ALL) == expected
+    assert str(result) == render_with_fractions(result)
+    built = MultiPoly(_ALL, expected)
+    assert result == built and hash(result) == hash(built)
+
+
+@settings(deadline=None, max_examples=120)
+@given(_over_a_subset(), _over_a_subset(),
+       st.dictionaries(st.sampled_from(_ALL), _over_a_subset(max_exp=1, max_size=3), max_size=3),
+       st.sampled_from(_ALL), st.integers(0, 2))
+@example((MultiPoly(("z", "u"), {(2, 1): 1, (0, 2): Fraction(1, 2)}), {(0, 0, 1, 0, 0, 2): 1, (0, 0, 2, 0, 0, 0): Fraction(1, 2)}),
+         (MultiPoly(("Y", "x"), {(1, 1): -1}), {(0, 1, 0, 1, 0, 0): -1}),
+         {"u": (MultiPoly(("X", "y"), {(1, 0): 1, (0, 1): 3}), {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0): 3})},
+         "u", 1)
+def test_packed_store_matches_oracle_across_variable_subsets(pa, qb, images, v, k):
+    """Every operation whose keys change variable set: operands over different subsets (so
+    different slot layouts), substitution into and out of other subsets, and the queries that
+    read one slot, against term-by-term arithmetic on exponent tuples over _ALL."""
+    (p, a), (q, b), i = pa, qb, _ALL.index(v)
+    identity = [{tuple(int(j == n) for j in range(len(_ALL))): Fraction(1)} for n in range(len(_ALL))]
+    table = [images[w][1] if w in images else identity[n] for n, w in enumerate(_ALL)]
+    cases = [(p + q, map_add(a, b)), (p - q, map_add(a, map_neg(b))), (p * q, map_mul(a, b)),
+             (p.substitute({w: image for w, (image, _) in images.items()}), map_substitute(a, table)),
+             (p.partial_derivative(v), map_derivative(a, i)),
+             (p.coefficient_of(v, k), {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == k}),
+             (MultiPoly(_ALL, {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in a.items()}).divide_by_variable(v), a)]
+    for result, expected in cases:
+        _check_stored(result, expected)
+    if any(e[i] == 0 for e in a):
+        with pytest.raises(ValueError, match="not divisible"):
+            p.divide_by_variable(v)
+    else:
+        _check_stored(p.divide_by_variable(v), {e[:i] + (e[i] - 1,) + e[i + 1:]: c for e, c in a.items()})
+    assert p.degree_in(v) == max((e[i] for e in a), default=-1)
+    assert p.total_degree() == max((sum(e) for e in a), default=-1)
+    univariate = {e: c for e, c in a.items() if not any(e[:i] + e[i + 1:])}
+    for m in (a, univariate):
+        if m and m.keys() <= univariate.keys():
+            assert MultiPoly(_ALL, m).exponent_support(v) == tuple(sorted(e[i] for e in m))
+        else:
+            with pytest.raises(ValueError):
+                MultiPoly(_ALL, m).exponent_support(v)
+
+
+_REDUCE_SURFACES = [SurfaceSpec.danielewski(x, z ** 2), SurfaceSpec.danielewski(x ** 2, z ** 3 + 1),
+                    SurfaceSpec.danielewski(2 * x ** 3 + x, z ** 2 + z),
+                    SurfaceSpec.danielewski(x ** 2, zeta(3) * z ** 2 + zeta(4))]
+
+
+@settings(deadline=None, max_examples=80)
+@given(_over_a_subset(pool=_XYZ, max_exp=4, max_size=5), st.sampled_from(range(len(_REDUCE_SURFACES))))
+def test_reduce_on_packed_keys_matches_one_offender_at_a_time(pa, si):
+    """reduce picks the terms divisible by x^m*y with one test on each packed key; the normal
+    form is unique, so rewriting one offender at a time must reach the same polynomial."""
+    S, (p, _) = _REDUCE_SURFACES[si], pa
+    assert S.reduce(p) == reduce_with_strategy(p, S, pick_max)
+
+
+# -- the exponent guard: slots hold exponents up to 2^19 - 1 ------------------------------
+
+_TOP = 2 ** 19 - 1
+_HALF = 2 ** 18
+
+
+class TestExponentGuard:
+    def test_the_largest_exponent_builds_and_renders(self):
+        p = y * x ** _TOP * z ** _TOP
+        assert p == MultiPoly(("z", "y", "x"), {(_TOP, 1, _TOP): 1})
+        assert str(p) == f"x^{_TOP}*y*z^{_TOP}" and p.degree_in("x") == p.degree_in("z") == _TOP
+        assert p.terms == {(_TOP, 1, _TOP): CycScalar(1)} and p.total_degree() == 2 * _TOP + 1
+        assert (p * x ** 0).coefficient_of("z", _TOP) == y * x ** _TOP
+        assert (p.partial_derivative("x") * x).divide_by_variable("y") == _TOP * x ** _TOP * z ** _TOP
+
+    @pytest.mark.parametrize("build", [
+        lambda: x ** _HALF * x ** _HALF,
+        lambda: (y * x ** _TOP) ** 2,
+        lambda: (x ** _TOP * y) ** 4,  # unguarded, the x slot would carry into y's
+        lambda: (x * y ** _HALF * z) ** 2,  # a middle slot
+        lambda: x ** (_TOP + 1),
+        lambda: (zeta(7) * x ** _HALF + 1) * (x ** _HALF * y),  # a cyclotomic product
+        lambda: (zeta(7) * x + zeta(11) * y + zeta(13) * z ** _HALF) * z ** _HALF,  # no one conductor
+        lambda: (x ** _HALF + y).substitute({"x": x ** 2}),
+        lambda: (z ** 2 + 1).substitute({"z": x ** _HALF * z}),
+        lambda: MultiPoly(("x", "y"), {(1, _TOP + 1): 1}),
+    ])
+    def test_crossing_the_largest_exponent_raises(self, build):
+        with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):
+            build()
+
+    def test_reduce_at_the_largest_exponent(self):
+        S = SurfaceSpec.danielewski(x ** _TOP, z ** 2)
+        assert S.reduce(x ** _TOP * y * z) == z ** 3
+        assert S.reduce(x ** (_TOP - 1) * y ** 3) == x ** (_TOP - 1) * y ** 3
