@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .exactnum import CycScalar, ScalarLike, divisors, root_of_unity_order, zeta
@@ -71,7 +72,11 @@ class PhiShape:
 
 
 def classify_phi(phi: PolyLike) -> PhiShape:
-    phi = MultiPoly._coerce(phi)
+    return _shape(MultiPoly._coerce(phi))
+
+
+@lru_cache(maxsize=64)  # rescaling and symmetry classify one phi for every parameter
+def _shape(phi: MultiPoly) -> PhiShape:
     if not phi.depends_only_on("z") or phi.degree_in("z") < 1:
         raise ValueError("phi must be univariate in z with deg phi >= 1")
     d = phi.degree_in("z")
@@ -164,10 +169,14 @@ def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
         raise ValueError("h must be a polynomial in x")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
     w = h * S.f
-    u = MultiPoly.variable("u")
-    psi = (S.phi.substitute({"z": z + u}) - S.phi).divide_by_variable("u")
-    bump = h * psi.substitute({"u": w})
+    bump = h * _psi(S.phi).substitute({"u": w})
     return _trusted(RingMap, S, {"x": x, "y": y + bump, "z": z + w})
+
+
+@lru_cache(maxsize=64)  # psi(z, u) = (phi(z + u) - phi(z)) / u, one per phi for every h
+def _psi(phi: MultiPoly) -> MultiPoly:
+    z, u = MultiPoly.variable("z"), MultiPoly.variable("u")
+    return (phi.substitute({"z": z + u}) - phi).divide_by_variable("u")
 
 
 def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
@@ -330,8 +339,7 @@ def _record(family: str, params: str, expected: bool, res: CommutationResult) ->
 
 
 def _order_str(lam: CycScalar) -> str:
-    order = root_of_unity_order(lam)
-    return str(order) if order is not None else "none"
+    return str(root_of_unity_order(lam) or "none")  # an order is at least 1
 
 
 def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
@@ -356,9 +364,7 @@ def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
     checks: list[CheckRecord] = []
 
     # triangular family: every h must commute
-    hs: list[MultiPoly] = [MultiPoly.zero(), MultiPoly.one()]
-    for degree in plan.h_degrees:
-        hs.append(_random_univariate(rnd, "x", degree))
+    hs = [MultiPoly.zero(), MultiPoly.one(), *(_random_univariate(rnd, "x", k) for k in plan.h_degrees)]
     for h in hs:
         checks.append(_record("triangular", f"h = {h}", True, commutes(triangular(S, h), D)))
 
@@ -374,23 +380,19 @@ def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
     orders = list(divisors(bound))
     non_divisors = [k for k in range(2, bound + 5) if bound % k][:2]
     for k in orders + non_divisors:
-        lam = zeta(k)
-        expected = bound % k == 0
-        checks.append(_parameter_check(S, D, "hyperbolic", "lambda", lam, expected))
+        checks.append(_parameter_check(S, D, "hyperbolic", "lambda", zeta(k), bound % k == 0))
     checks.append(_parameter_check(S, D, "hyperbolic", "lambda", CycScalar(2), False))
 
     # rescalings: only the identity parameter commutes
     shape = classify_phi(S.phi)
     if shape.power is not None:
         for lam in (CycScalar(1), CycScalar(-1), CycScalar(2), zeta(3)):
-            expected = lam == 1
-            checks.append(_parameter_check(S, D, "rescaling", "lambda", lam, expected))
+            checks.append(_parameter_check(S, D, "rescaling", "lambda", lam, lam == 1))
 
     # symmetries: only the identity parameter commutes
     i, m, _ = shape.periodic
     if m >= 1:
-        for t in range(m):
-            mu = zeta(m, t)
+        for mu in (zeta(m, t) for t in range(m)):
             checks.append(_parameter_check(S, D, "symmetry", "mu", mu, mu == 1))
         checks.append(_parameter_check(S, D, "symmetry", "mu", zeta(m + 1), False))
 

@@ -10,7 +10,8 @@ polynomials have identical representations; ``terms`` builds exponent tuples and
 variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
 set guard bit raising ValueError; for L > 1 each vector is packed into signed slots, zeta ->
 2^k (Kronecker), each product term unpacked and reduced mod Phi_L once, and each result
-descends and divides out its gcd once.
+descends and divides out its gcd once.  ``substitute`` raises an image whose terms split into
+parts A and B over disjoint variables by the binomial rule, so no two keys of a product meet.
 When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
 is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
 such a polynomial works coefficient by coefficient, so the bound applies only
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, or_
 from typing import Iterable, Mapping, Union
 
@@ -48,6 +49,8 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], ScalarLike] | None = None):
         vars_in = tuple(variables)
+        if len(set(vars_in)) < len(vars_in):
+            raise ValueError("duplicate variable names")
         order = sorted(range(len(vars_in)), key=vars_in.__getitem__)
         pairs = [(tuple(e), c) for e, v in (terms or {}).items() if (c := CycScalar(v))]  # TypeError if no scalar
         if any(len(e) != len(vars_in) for e, _ in pairs):
@@ -406,15 +409,40 @@ def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * euler_phi(L) - 1), L))]
 
 
+def _parts(terms: list, guard: int):
+    """The power caches {1: A} and {1: B} of two parts of a term list whose non-constant terms
+    fall into two sets over disjoint variables, else False.  A term's support ((e | G) - ones) & G
+    keeps the guard bit of each slot it uses; A grows from the first non-constant term until
+    closed, and B takes the rest, with any constant."""
+    sup = [((e | guard) - (guard >> _W - 1)) & guard for e, _ in terms]
+    comp, last = next(filter(None, sup), 0), None
+    while comp != last:
+        comp, last = reduce(or_, [s for s in sup if s & comp], comp), comp
+    return any(s and not s & comp for s in sup) and tuple(
+        {1: [t for t, s in zip(terms, sup) if bool(s & comp) == side]} for side in (True, False))
+
+
 def _power_of(cache: dict, k: int, N: int, guard: int) -> list:
-    """cache[k], the k-th power of the term list cache[1] at conductor N, filled in: by squaring
-    for one term, else as cache[k-1] * cache[1], the fewest term pairs."""
-    if len(cache[1]) > 1:
-        for j in range(len(cache), k):
-            cache[j + 1] = _product(cache[j], N, cache[1], N, guard)
-    elif k not in cache:
+    """cache[k], the k-th power at conductor N of the term list P = cache[1], filled in: by squaring
+    for one term; for parts A and B (cache[0], from _parts once per cache) by the binomial rule
+    P^k = sum C(k, i) A^(k-i) B^i, no two keys meeting in a product; else as P^(k-1) * P."""
+    if k in cache:
+        return cache[k]
+    if len(cache[1]) == 1:
         half = _power_of(cache, k // 2, N, guard)
         cache[k] = _product(half, N, _power_of(cache, k - k // 2, N, guard), N, guard)
+    elif parts := cache[0] if 0 in cache else cache.setdefault(0, _parts(cache[1], guard)):
+        a, b = parts
+        acc = dict(_power_of(a, k, N, guard))
+        for i in range(1, k + 1):
+            bi, n = _power_of(b, i, N, guard), comb(k, i)
+            for e, c in bi if i == k else _product(_power_of(a, k - i, N, guard), N, bi, N, guard):
+                c = _times(c, n)
+                acc[e] = (acc[e] + c if N == 1 else tuple(map(add, acc[e], c))) if e in acc else c
+        cache[k] = [(e, c) for e, c in acc.items() if (c if N == 1 else any(c))]
+    else:
+        for j in range(len(cache) - 1, k):  # the keys are 0 and the powers 1..j
+            cache[j + 1] = _product(cache[j], N, cache[1], N, guard)
     return cache[k]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from danisurf.isotropy import (GeneratorRequest, SamplingPlan,
                                involution, make_generator, monomial_split,
                                plane_example_suite, rescaling, surface_class,
                                symmetry, triangular, verify_isotropy_theorem)
+from danisurf.isotropy import _psi, _shape
 
 from oracles import random_univariate
 
@@ -70,6 +72,43 @@ class TestClassifyPhi:
         assert shape.reconstruct_periodic() == phi
         if shape.power is not None:
             assert shape.reconstruct_power() == phi
+
+
+class TestPhiCaches:
+    """classify_phi and triangular keep one shape and one psi per phi, keyed on the polynomial."""
+
+    PHIS = [lambda: 2 * (z - 1) ** 3, lambda: z ** 8 + z ** 2,
+            lambda: MultiPoly.univariate("z", [1, 0, Fraction(1, 2), zeta(3)])]
+
+    @pytest.mark.parametrize("build", PHIS)
+    def test_cold_and_warm_results_agree(self, build):
+        _shape.cache_clear()
+        _psi.cache_clear()
+        shapes = [classify_phi(build()) for _ in range(3)]  # cold, then warm for equal phis built apart
+        maps = [triangular(SurfaceSpec.danielewski(x ** 2 + x, build()), x + 1) for _ in range(3)]
+        assert _shape.cache_info().hits == 2 and _psi.cache_info().hits == 2
+        for results in (shapes, maps):
+            assert results[0] == results[1] == results[2]
+            assert str(results[0]) == str(results[1]) == str(results[2])
+        assert shapes[0].reconstruct_periodic() == build()
+
+    @pytest.mark.parametrize("phi", [MultiPoly.constant(3), MultiPoly.zero(), x + z])
+    def test_a_raising_phi_is_never_cached(self, phi):
+        size = _shape.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"deg phi >= 1"):
+                classify_phi(phi)
+        assert _shape.cache_info().currsize == size
+
+    def test_shape_mismatch_errors_are_unchanged(self):
+        S = SurfaceSpec.danielewski(x, z ** 2 + z ** 5)  # i = 2, m = 3, no power form
+        for _ in range(2):  # cold, then warm
+            with pytest.raises(ShapeMismatchError, match=re.escape("phi = z^5 + z^2 is not of the form c*(z - a)^d")):
+                rescaling(S, CycScalar(-1))
+            with pytest.raises(ShapeMismatchError, match=re.escape("does not satisfy mu^3 = 1")):
+                symmetry(S, zeta(4))
+            with pytest.raises(ShapeMismatchError, match="phi is a monomial"):
+                symmetry(S_X2Z3, zeta(3))
 
 
 class TestMonomialSplit:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from danisurf.exactnum import MAX_CONDUCTOR, CycScalar, euler_phi, zeta
-from danisurf.multipoly import MultiPoly
+from danisurf.multipoly import MultiPoly, _guard, _parts
 from danisurf.surface import SurfaceSpec
 
 from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute, pick_max,
@@ -213,6 +213,14 @@ def test_equality_ignores_phantom_variables():
     p = MultiPoly(("x", "y"), {(2, 0): CycScalar(1)})
     assert p == x ** 2
     assert p.variables == ("x",)
+
+
+def test_repeated_variable_name_is_rejected():
+    """x*x^2 over ("x", "x") would print as such and differ from x^3."""
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        MultiPoly(("x", "x"), {(1, 2): 1})
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        MultiPoly.from_pairs(("y", "x", "y"), [])
 
 
 @pytest.mark.parametrize("c", [0, 2, -7, Fraction(3, 4), CycScalar(Fraction(-1, 3)),
@@ -434,6 +442,80 @@ def test_packed_substitute_matches_dense_oracle(a, images):
     assert dense_map(got, 12, _XYZ) == map_substitute(dense_map(p, 12, _XYZ), dense)
 
 
+# -- binomial powers of images whose parts share no variable, against the dense oracle ------
+
+_PART_COEFF = st.one_of(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), _C12)
+
+
+@st.composite
+def _split_images(draw):
+    """{exponents: coefficient} over x, y, z: up to three parts over disjoint sets of variables,
+    each one to three non-constant terms of mixed degree, and at times a constant."""
+    groups = draw(st.lists(st.sampled_from((None, 0, 1, 2)), min_size=3, max_size=3))
+    m = {}
+    for g in {*groups} - {None}:
+        exps = st.tuples(*(st.integers(0, 2) if h == g else st.just(0) for h in groups))
+        m.update(draw(st.dictionaries(exps.filter(any), _PART_COEFF, min_size=1, max_size=3)))
+    m[(0, 0, 0)] = draw(st.one_of(st.just(0), _PART_COEFF))
+    return {e: c for e, c in m.items() if c}
+
+
+def _leaves(terms, guard):
+    """The parts whose powers the binomial rule combines: the leaves of the split tree."""
+    parts = _parts(terms, guard)
+    return [terms] if not parts else [t for part in parts for t in _leaves(part[1], guard)]
+
+
+def _check_split(p):
+    """p's terms fall into one part per connected component of its non-constant terms, joined
+    where two share a variable, with the constant in one of them; no split for one component."""
+    n = len(p.variables)
+    def support(e):
+        return frozenset(i for i in range(n) if e >> 20 * i & (2 ** 20 - 1))
+    components = []
+    for s in (support(e) for e in p.nums if e):
+        joined = [c for c in components if c & s]
+        components = [c for c in components if not c & s] + [s.union(*joined)]
+    leaves = _leaves(list(p.nums.items()), _guard(n))
+    assert sorted(t for leaf in leaves for t in leaf) == sorted(p.nums.items())
+    if len(components) < 2:
+        assert len(leaves) == 1
+    else:
+        parts = [sorted(frozenset().union(*(support(e) for e, _ in leaf))) for leaf in leaves]
+        assert sorted(parts) == sorted(map(sorted, components))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_term_maps(3, 3, _C12), st.lists(st.one_of(st.none(), _split_images()), min_size=3, max_size=3))
+# z -> z + w(x): the triangular maps of the isotropy suites
+@example({(0, 0, 5): Fraction(1), (0, 0, 2): Fraction(3), (1, 0, 0): zeta(12)},
+         [None, None, {(0, 0, 1): 1, (2, 0, 0): Fraction(1, 2), (1, 0, 0): zeta(12)}])
+# x -> x + y + z: three parts, the second split again
+@example({(3, 1, 0): Fraction(1), (0, 0, 2): Fraction(-2, 3)}, [{(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, None, None])
+# z -> (z + z^2) + (x + 1): inhomogeneous parts, the constant riding with one of them
+@example({(0, 0, 4): Fraction(1), (1, 1, 1): Fraction(2)}, [None, None, {(0, 0, 1): 1, (0, 0, 2): 1, (1, 0, 0): 1, (0, 0, 0): 1}])
+# z -> z + z^2 + 5: a constant-only remainder, which does not split
+@example({(0, 0, 3): Fraction(1), (0, 1, 1): Fraction(2)}, [None, None, {(0, 0, 1): 1, (0, 0, 2): 1, (0, 0, 0): 5}])
+# x -> x + x*y + y*z: a chain of shared variables, one component, which does not split
+@example({(2, 0, 0): Fraction(1), (1, 0, 1): zeta(12, 3)}, [{(1, 0, 0): 1, (1, 1, 0): 2, (0, 1, 1): -1}, None, None])
+# x -> x/3 + zeta_12^5*y/2 + 1/4: denominators stacking over the powers
+@example({(4, 0, 0): Fraction(1, 5), (2, 1, 0): zeta(12)}, [{(1, 0, 0): Fraction(1, 3), (0, 1, 0): zeta(12, 5) / 2,
+                                                           (0, 0, 0): Fraction(1, 4)}, None, None])
+def test_split_images_match_dense_oracle(a, images):
+    """substitute with images whose terms split into parts over disjoint variables, raised by the
+    binomial rule, against term-by-term expansion of Dense coefficients; the split itself against
+    the connected components of each image's terms."""
+    p = MultiPoly(_XYZ, a)
+    table = {v: MultiPoly(_XYZ, m) for v, m in zip(_XYZ, images) if m is not None}
+    for image in table.values():
+        _check_split(image)
+    dense = [dense_map(table[v], 12, _XYZ) if v in table else {unit: Dense(12, [1, 0, 0, 0])}
+             for v, unit in zip(_XYZ, _UNITS)]
+    got = p.substitute(table)
+    _check_canonical(got)
+    assert dense_map(got, 12, _XYZ) == map_substitute(dense_map(p, 12, _XYZ), dense)
+
+
 class TestCanonicalForm:
     x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
     target = Fraction(1, 2) * x + MultiPoly.constant(zeta(3)) * y
@@ -646,6 +728,8 @@ class TestExponentGuard:
         lambda: (x ** _HALF + y).substitute({"x": x ** 2}),
         lambda: (z ** 2 + 1).substitute({"z": x ** _HALF * z}),
         lambda: MultiPoly(("x", "y"), {(1, _TOP + 1): 1}),
+        lambda: (z ** 2 + y).substitute({"z": z + x ** _HALF}),  # split images, crossing in x ...
+        lambda: (z ** 3).substitute({"z": zeta(12) * z ** _HALF + x + 1}),  # ... or in z
     ])
     def test_crossing_the_largest_exponent_raises(self, build):
         with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):
