@@ -10,8 +10,9 @@ polynomials have identical representations; ``terms`` builds exponent tuples and
 variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
 set guard bit raising ValueError; for L > 1 each vector is packed into signed slots, zeta ->
 2^k (Kronecker), each product term unpacked and reduced mod Phi_L once, and each result
-descends and divides out its gcd once.  ``substitute`` raises an image whose terms split into
-parts A and B over disjoint variables by the binomial rule, so no two keys of a product meet.
+descends and divides out its gcd once.  ``**`` and ``substitute`` raise a polynomial whose terms
+split into parts A and B over disjoint variables by the binomial rule, so no two keys of a
+product meet, one term by squaring, any other as P^(k-1)*P; ``**`` settles once, over den^k.
 When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
 is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
 such a polynomial works coefficient by coefficient, so the bound applies only
@@ -77,6 +78,12 @@ class MultiPoly:
         return _built((), c.conductor, c.den, {0: c.nums[0] if c.conductor == 1 else c.nums} if c else {})
 
     @staticmethod
+    def _monomial(exponents: Mapping[str, int], num: int, den: int) -> "MultiPoly":
+        """Trusted constructor of num/den * prod(v^k), (v, k) in exponents; den > 0, k < 2^19."""
+        names = tuple(sorted(exponents))
+        return _settled(names, 1, den, {sum(exponents[v] << _W * i for i, v in enumerate(names)): num} if num else {})
+
+    @staticmethod
     def zero() -> "MultiPoly":
         return _built((), 1, 1, {})
 
@@ -127,7 +134,8 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(_unpacked(e, len(self.variables))) for e in self.nums), default=-1)
+        slots = range(0, _W * len(self.variables), _W)
+        return max((sum([e >> s & _MASK for s in slots]) for e in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
@@ -234,7 +242,10 @@ class MultiPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, k, MultiPoly.one())
+        if not (k and self.nums and self.conductor):
+            return _power(self, k, MultiPoly.one())
+        terms = _power_of({1: list(self.nums.items())}, k, self.conductor, _guard(len(self.variables)))
+        return _settled(self.variables, self.conductor, self.den ** k, dict(terms), prune=False)  # uses every variable
 
     # -- calculus and substitution ----------------------------------------
 

@@ -12,13 +12,16 @@ are written ``f=<expr>; phi=<expr>`` or ``free: X,Y``; image tables are
 written ``x -> <expr>; y -> <expr>; z -> <expr>`` with an optional
 leading ``D:`` or ``M:`` tag.
 
-Parse errors carry the 0-based position of the offending token.
+Parse errors carry the 0-based position of the offending token.  A term that is a '*'-product
+of unsigned rationals and variable powers is first read as one monomial from plain ints; any
+other term, or one past a bound, is read again from its first token by the general grammar.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
@@ -37,31 +40,21 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(->)|([()+\-*/^=;:,]))")
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(->)|([()+\-*/^=;:,])|(\S)")
+_KINDS = (None, "int", "name", "arrow", "sym")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token.  The search skips only whitespace, as the last
+    group takes any other character that starts no token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if match.group(1) is not None:
-            if len(match.group(1)) > MAX_DIGITS:
-                raise ParseError(f"integer literal longer than MAX_DIGITS = {MAX_DIGITS} digits", match.start(1))
-            tokens.append(("int", match.group(1), match.start(1)))
-        elif match.group(2) is not None:
-            tokens.append(("name", match.group(2), match.start(2)))
-        elif match.group(3) is not None:
-            tokens.append(("arrow", "->", match.start(3)))
-        else:
-            tokens.append(("sym", match.group(4), match.start(4)))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        group, value, pos = match.lastindex, match.group(), match.start()
+        if group == 5:
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if group == 1 and len(value) > MAX_DIGITS:
+            raise ParseError(f"integer literal longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
+        tokens.append((_KINDS[group], value, pos))
     return tokens
 
 
@@ -136,6 +129,8 @@ class _Parser:
         return acc
 
     def term(self) -> MultiPoly:
+        if (folded := self.monomial()) is not None:
+            return folded
         acc = self.factor()
         while self.at_symbol("*"):
             star = self.next()
@@ -144,6 +139,38 @@ class _Parser:
                 raise ParseError(f"degree above MAX_EXPONENT = {MAX_EXPONENT}", star[2])
             acc = _bounded(acc * rhs, star[2])
         return acc
+
+    def monomial(self) -> Optional[MultiPoly]:
+        """The term as one monomial, the parser moved past it, if it is a '*'-product of unsigned
+        rationals and allowed variable powers whose raw numerator, denominator and degree stay in
+        bounds (then the general path accepts it too, with the same value); else None."""
+        tokens, i, allowed = self.tokens, self.index, self.allowed_vars
+        n, num, den, degree, exponents = len(tokens), 1, 1, 0, {}
+        while i < n:
+            kind, value, _ = tokens[i]
+            op, arg = tokens[i + 1][1] if i + 1 < n else None, 1
+            if op in ("/", "^"):
+                if i + 2 == n or tokens[i + 2][0] != "int":
+                    return None
+                arg, i = int(tokens[i + 2][1]), i + 2
+            i += 1
+            after = tokens[i][1] if i < n else None
+            if kind == "int" and op != "^" and after != "^" and arg:
+                num, den = num * int(value), den * arg
+                if num >= _TOO_LONG or den >= _TOO_LONG:
+                    return None
+            elif kind == "name" and value != "zeta" and op != "/" and (allowed is None or value in allowed):
+                degree += arg
+                if degree > MAX_EXPONENT:
+                    return None
+                exponents[value] = exponents.get(value, 0) + arg
+            else:
+                return None
+            if after != "*":
+                self.index = i
+                return MultiPoly._monomial(exponents, num, den)
+            i += 1
+        return None
 
     def factor(self) -> MultiPoly:
         base = self.base()
@@ -161,6 +188,8 @@ class _Parser:
         if negative:
             if base.variables:
                 raise ParseError("negative exponent on a non-scalar expression", caret[2])
+            if not base:
+                raise ParseError("zero to a negative power", caret[2])
             return _bounded(MultiPoly.constant(base.as_scalar() ** (-k)), caret[2])
         return _bounded(base ** k, caret[2])
 
@@ -205,12 +234,16 @@ def _bounded(p: MultiPoly, pos: int) -> MultiPoly:
     own least conductor, has more than MAX_DIGITS digits; each is compared with 10^MAX_DIGITS,
     never turned into text, so any size is cheap.  The stored numerators x over ``den`` are those
     coordinates, up to their gcd with ``den``, when x is rational or the conductor a prime power,
-    whose subfields embed by selecting coordinates; only other coefficients descend."""
+    whose subfields embed by selecting coordinates; only other coefficients descend.  There the
+    stored values bound the lowest terms, so when they are all short no gcd is taken."""
     N, D = p.conductor, p.den
+    composite = N > 1 and len(_prime_factors(N)) > 1
+    if N and not composite and D < _TOO_LONG and max(
+            map(abs, p.nums.values() if N == 1 else chain.from_iterable(p.nums.values())), default=0) < _TOO_LONG:
+        return p
     if N == 1:
         coeffs = (([(n,)], D) for n in p.nums.values())
     elif N:
-        composite = len(_prime_factors(N)) > 1
         coeffs = (_descended(N, [x], D)[1:] if composite and any(x[1:]) else ([x], D) for x in p.nums.values())
     else:  # the coefficients are stored as CycScalars
         coeffs = (([c.nums], c.den) for c in p.nums.values())

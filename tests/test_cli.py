@@ -214,6 +214,14 @@ class TestErrorsAndFiles:
         assert "MAX_EXPONENT" in err and f"(at position {position})" in err
         assert time.perf_counter() - start < 10
 
+    @pytest.mark.parametrize("argv,position", [
+        (["nf", "--surface", SURFACE, "--expr", "0^-1"], 1), (["nf", "--surface", SURFACE, "--expr", "(1-1)^-2"], 5),
+        (["nf", "--surface", SURFACE, "--expr", "x*0^-1"], 3), (["plane-example", "--s", "3", "--p", "0^-1"], 1)])
+    def test_zero_to_a_negative_power_rejected(self, capsys, argv, position):
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR and not out
+        assert "zero to a negative power" in err and f"(at position {position})" in err
+
     def test_exponent_at_bound_accepted(self, capsys):
         code, out, _ = _run(capsys, "nf", "--surface", SURFACE,
                             "--expr", f"x^{MAX_EXPONENT - 1}*y")

@@ -516,6 +516,25 @@ def test_split_images_match_dense_oracle(a, images):
     assert dense_map(got, 12, _XYZ) == map_substitute(dense_map(p, 12, _XYZ), dense)
 
 
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(_split_images(), _term_maps(max_exp=2, max_size=4, coeff=_PART_COEFF)), st.integers(0, 6))
+@example({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1}, 6)  # split, and split again
+@example({(0, 0, 1): 1, (0, 0, 2): 1, (0, 0, 0): 5}, 5)  # a constant-only remainder, which does not split
+@example({(1, 0, 0): zeta(4)}, 2)  # one term whose square descends to conductor 1
+@example({(1, 0, 0): Fraction(1, 3), (0, 1, 0): zeta(12, 5) / 2, (0, 0, 0): Fraction(1, 4)}, 6)  # stacked dens
+@example({(1, 0, 0): 1, (1, 1, 0): 2, (0, 1, 1): zeta(12)}, 4)  # one component, which does not split
+def test_power_matches_dense_oracle(a, k):
+    """p**k, through the power rule that substitute uses, against k repeated term-by-term products
+    of Dense coefficients."""
+    p = MultiPoly(_XYZ, a)
+    got = p ** k
+    _check_canonical(got)
+    expected = {(0, 0, 0): Dense(12, [1, 0, 0, 0])}
+    for _ in range(k):
+        expected = map_mul(expected, dense_map(p, 12, _XYZ))
+    assert dense_map(got, 12, _XYZ) == expected
+
 class TestCanonicalForm:
     x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
     target = Fraction(1, 2) * x + MultiPoly.constant(zeta(3)) * y
@@ -730,6 +749,7 @@ class TestExponentGuard:
         lambda: MultiPoly(("x", "y"), {(1, _TOP + 1): 1}),
         lambda: (z ** 2 + y).substitute({"z": z + x ** _HALF}),  # split images, crossing in x ...
         lambda: (z ** 3).substitute({"z": zeta(12) * z ** _HALF + x + 1}),  # ... or in z
+        lambda: (x ** _HALF + y) ** 2,  # a power of a split polynomial
     ])
     def test_crossing_the_largest_exponent_raises(self, build):
         with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):

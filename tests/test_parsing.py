@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from danisurf.parsing import (ParseError, parse_expression, parse_images,
                               parse_scalar, parse_surface)
 from danisurf.surface import SurfaceSpec
 
-from oracles import random_poly
+from oracles import map_add, map_mul, map_neg, random_poly, term_map
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -167,3 +168,89 @@ def test_derivation_render_parse_round_trip(seed):
     D = canonical_lnd(S, random_poly(rnd, ("x",), max_exp=2, max_terms=2) + 1).derivation
     again = Derivation(S, parse_images(str(D), S))
     assert again == D
+
+
+# -- terms read as one monomial, and those left to the general path ----------------------
+
+_XYZ = ("x", "y", "z")
+_ONE = {(0, 0, 0): Fraction(1)}
+
+
+def _literal(n, d):
+    return (str(n) if d is None else f"{n}/{d}"), ({(0, 0, 0): Fraction(n, d or 1)} if n else {})
+
+
+def _var_power(v, k):
+    return (v if k is None else f"{v}^{k}"), {tuple((1 if k is None else k) if w == v else 0 for w in _XYZ): Fraction(1)}
+
+
+def _sum(terms):
+    """(text, {exponents: coefficient}) of a sum of (sign, [(text, map) of each factor], '*' or ' * ')."""
+    text, value = "", {}
+    for i, (sign, factors, star) in enumerate(terms):
+        text += ("-" if sign < 0 else "") if i == 0 else (" + ", " - ")[sign < 0]
+        text += star.join(t for t, _ in factors)
+        product = reduce(map_mul, (m for _, m in factors), _ONE)
+        value = map_add(value, map_neg(product) if sign < 0 else product)
+    return text, value
+
+
+_MONOMIAL_FACTORS = st.one_of(
+    st.builds(_literal, st.integers(0, 30), st.one_of(st.none(), st.integers(1, 12))),
+    st.builds(_var_power, st.sampled_from(_XYZ), st.one_of(st.none(), st.integers(0, 4))))
+_STAR = st.sampled_from(("*", " * "))
+
+
+def _sums(factors):
+    return st.lists(st.tuples(st.sampled_from((1, -1)), st.lists(factors, min_size=1, max_size=4), _STAR),
+                    min_size=1, max_size=4).map(_sum)
+
+
+_OTHER_FACTORS = st.one_of(
+    st.sampled_from((1, 3, 4, 6, 12)).map(lambda k: (f"zeta({k})", {(0, 0, 0): zeta(k)})),
+    st.just(("2^3", {(0, 0, 0): Fraction(8)})),
+    _sums(_MONOMIAL_FACTORS).map(lambda s: (f"({s[0]})", s[1])))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_sums(st.one_of(_MONOMIAL_FACTORS, _MONOMIAL_FACTORS, _OTHER_FACTORS)))
+def test_terms_match_the_oracle(expression):
+    """Sums of terms mixing rational literals, powers of x, y, z and factors that are no monomial
+    literal (roots of unity, parentheses, a literal to a power), against term-by-term evaluation."""
+    text, expected = expression
+    got, built = parse_expression(text, _XYZ), MultiPoly(_XYZ, expected)
+    assert term_map(got) == expected
+    assert got == built and str(got) == str(built)
+
+
+_A = "7" * 1000
+
+
+# outputs and messages as the general path alone gives them
+_EDGES = [
+    ("0*x^40*x^40", None, "0"),
+    ("x^40*y^25", None, "degree above MAX_EXPONENT = 64 (at position 4)"),
+    (f"{_A}*1/{_A}", None, "1"),
+    ("9" * 1000 + "*x*10", None, "coefficient longer than MAX_DIGITS = 1000 digits (at position 1002)"),
+    ("2*w", _XYZ, "unknown variable 'w' (at position 2)"),
+    ("3/0*x", None, "zero denominator (at position 0)"),
+    ("2^3*x", None, "8*x"),
+    ("x^-1", None, "negative exponent on a non-scalar expression (at position 1)"),
+    ("x^2^3", None, "trailing input '^' (at position 3)"),
+    ("2 x", None, "trailing input 'x' (at position 2)"),
+    ("x^0*y", None, "y"),
+    ("4/6*x*3", None, "2*x"),
+    ("x*", None, "unexpected end of input (at position 2)"),
+    ("zeta*x", None, "expected '(', found '*' (at position 4)"),
+    ("x*y^(2)", None, "expected 'int', found '(' (at position 4)"),
+]
+
+
+@pytest.mark.parametrize("text,allowed,expected", _EDGES,
+                         ids=[t if len(t) < 20 else f"{t[0]}-{len(t)}-chars" for t, _, _ in _EDGES])
+def test_monomial_edge_cases(text, allowed, expected):
+    try:
+        got = str(parse_expression(text, allowed))
+    except ParseError as err:
+        got = str(err)
+    assert got == expected
