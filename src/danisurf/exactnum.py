@@ -7,8 +7,11 @@ gcd(den, *nums) = 1, the form every kernel works on.  It is stored at the least
 conductor N with the value in Q(zeta_N) (1 for rationals), where its
 coordinates are unique, so equal numbers compare equal.  A sum or product lifts
 the operands to the lcm conductor L, combines them and reduces mod Phi_L there,
-all on integers.  That value of Q(zeta_L) descends to Q(zeta_(L/p)), for a
-prime p | L, while some such subfield contains it.  This reaches the least
+all on integers.  One kernel multiplies two vectors of Q(zeta_L), for scalars and
+polynomial terms alike: the schoolbook over nonzero coordinates or, for dense ones, a
+Kronecker product; reduction walks only the nonzero coefficients of Phi_L.  That
+value of Q(zeta_L) descends to Q(zeta_(L/p)), for a prime p | L, while some such
+subfield contains it.  This reaches the least
 conductor: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the conductors
 d | L whose fields hold the value are closed under gcd, and the least one
 divides the others and is reached from any of them by prime steps.  Each
@@ -105,15 +108,20 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:  # phi(n), nonzero (j, c) of Phi_n below t^phi(n)
+    return euler_phi(n), tuple((j, c) for j, c in enumerate(cyclotomic_coeffs(n)[:-1]) if c)
+
+
 def _mod_phi(coeffs: list, n: int) -> list:
     """Remainder of a dense integer polynomial modulo Phi_n (monic), computed in place."""
-    phi = cyclotomic_coeffs(n)
-    deg = len(phi) - 1
+    deg, tail = _phi_tail(n)
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
-            for j in range(deg):
-                coeffs[i - deg + j] -= c * phi[j]
+            i -= deg
+            for j, p in tail:
+                coeffs[i + j] -= c * p
     del coeffs[deg:]
     coeffs += [0] * (deg - len(coeffs))
     return coeffs
@@ -234,6 +242,41 @@ def _power(base, k: int, one):
     return result
 
 
+def _pack(c: Sequence[int], k: int) -> int:
+    """sum(c[i] * 2^(k*i)): a vector in signed k-bit slots, zeta -> 2^k (Kronecker)."""
+    n = 0
+    for v in reversed(c):
+        n = (n << k) + v
+    return n
+
+
+def _unpack(n: int, k: int, count: int) -> list:
+    """The first ``count`` slots of n (fewer if the rest are 0), inverting _pack for slots in (-2^(k-1), 2^(k-1))."""
+    out, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while n and len(out) < count:
+        c, n = n & mask, n >> k
+        if c >= half:  # a negative slot borrowed one from the slot above
+            c, n = c - (1 << k), n + 1
+        out.append(c)
+    return out
+
+
+def _vec_product(a: Sequence[int], b: Sequence[int], L: int) -> list:
+    """The coordinates of a*b for nonzero integer vectors of Q(zeta_L): the schoolbook while nnz(a)*nnz(b)
+    <= 10*phi(L) (the timings cross there at L = 105, 140, 420), else Kronecker; reduced mod Phi_L."""
+    na = [(i, x) for i, x in enumerate(a) if x]
+    nb = [(j, y) for j, y in enumerate(b) if y]
+    if len(na) * len(nb) <= 10 * len(a):
+        product = [0] * (na[-1][0] + nb[-1][0] + 1)
+        for i, x in na:
+            for j, y in nb:
+                product[i + j] += x * y
+    else:
+        k = (min(len(na), len(nb)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+        product = _unpack(_pack(a, k) * _pack(b, k), k, 2 * len(a) - 1)
+    return _mod_phi(product, L)
+
+
 class CycScalar:
     """An element of some Q(zeta_N), stored at its minimal conductor.
 
@@ -343,13 +386,7 @@ class CycScalar:
             return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den)
         L = _check_conductor(lcm(self.conductor, other.conductor))
         a, b = _lifted(self.nums, self.conductor, L), _lifted(other.nums, other.conductor, L)
-        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
-        product = [0] * (len(a) + nonzero_b[-1][0])
-        for i, x in enumerate(a):
-            if x:
-                for j, y in nonzero_b:
-                    product[i + j] += x * y
-        return _minimized(L, _mod_phi(product, L), self.den * other.den)
+        return _minimized(L, _vec_product(a, b, L), self.den * other.den)
 
     __rmul__ = __mul__
 

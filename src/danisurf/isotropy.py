@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exactnum import CycScalar, ScalarLike, divisors, root_of_unity_order, zeta
+from .exactnum import CycScalar, ScalarLike, divisors, zeta
 from .multipoly import MultiPoly, PolyLike
 from .surface import SurfaceSpec
 from .diffmaps import CommutationResult, Derivation, RingMap, _trusted, commutes
@@ -338,10 +338,6 @@ def _record(family: str, params: str, expected: bool, res: CommutationResult) ->
     return CheckRecord(family, params, expected, res.commutes, witness)
 
 
-def _order_str(lam: CycScalar) -> str:
-    return str(root_of_unity_order(lam) or "none")  # an order is at least 1
-
-
 def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
                             plan: SamplingPlan | None = None) -> VerifyReport:
     """Sweep all applicable generator families against D = (0, g*phi_z, g*f).
@@ -380,28 +376,28 @@ def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
     orders = list(divisors(bound))
     non_divisors = [k for k in range(2, bound + 5) if bound % k][:2]
     for k in orders + non_divisors:
-        checks.append(_parameter_check(S, D, "hyperbolic", "lambda", zeta(k), bound % k == 0))
-    checks.append(_parameter_check(S, D, "hyperbolic", "lambda", CycScalar(2), False))
+        checks.append(_parameter_check(S, D, "hyperbolic", "lambda", zeta(k), k, bound % k == 0))
+    checks.append(_parameter_check(S, D, "hyperbolic", "lambda", CycScalar(2), None, False))
 
     # rescalings: only the identity parameter commutes
     shape = classify_phi(S.phi)
     if shape.power is not None:
-        for lam in (CycScalar(1), CycScalar(-1), CycScalar(2), zeta(3)):
-            checks.append(_parameter_check(S, D, "rescaling", "lambda", lam, lam == 1))
+        for lam, order in ((CycScalar(1), 1), (CycScalar(-1), 2), (CycScalar(2), None), (zeta(3), 3)):
+            checks.append(_parameter_check(S, D, "rescaling", "lambda", lam, order, order == 1))
 
     # symmetries: only the identity parameter commutes
     i, m, _ = shape.periodic
     if m >= 1:
-        for mu in (zeta(m, t) for t in range(m)):
-            checks.append(_parameter_check(S, D, "symmetry", "mu", mu, mu == 1))
-        checks.append(_parameter_check(S, D, "symmetry", "mu", zeta(m + 1), False))
+        for t in range(m):
+            checks.append(_parameter_check(S, D, "symmetry", "mu", zeta(m, t), m // math.gcd(m, t), t == 0))
+        checks.append(_parameter_check(S, D, "symmetry", "mu", zeta(m + 1), m + 1, False))
 
     return VerifyReport(f"isotropy-{cls}", str(S), str(g), tuple(checks))
 
 
-def _parameter_check(S: SurfaceSpec, D: Derivation, family: str, pname: str,
-                     value: CycScalar, expected: bool) -> CheckRecord:
-    params = f"{pname} = {value} (order {_order_str(value)})"
+def _parameter_check(S: SurfaceSpec, D: Derivation, family: str, pname: str, value: CycScalar,
+                     order: Optional[int], expected: bool) -> CheckRecord:  # order None: not a root of unity
+    params = f"{pname} = {value} (order {order or 'none'})"
     try:
         gen = make_generator(GeneratorRequest(family, value), S)
     except ShapeMismatchError as exc:
@@ -429,10 +425,10 @@ def plane_example_suite(s: int, p: ScalarLike,
     checks: list[CheckRecord] = []
 
     bad_order = next(k for k in range(2, s + 3) if (s - 1) % k)
-    dilations = [(zeta(s - 1, t), True) for t in range(s - 1)]
-    for c, expected in dilations + [(CycScalar(2), False), (zeta(bad_order), False)]:
+    dilations = [(zeta(s - 1, t), (s - 1) // math.gcd(s - 1, t), True) for t in range(s - 1)]
+    for c, order, expected in dilations + [(CycScalar(2), None, False), (zeta(bad_order), bad_order, False)]:
         rho = RingMap(F, {"X": MultiPoly.constant(c) * X, "Y": MultiPoly.constant(c) * Y})
-        checks.append(_record("dilation", f"c = {c} (order {_order_str(c)})", expected,
+        checks.append(_record("dilation", f"c = {c} (order {order or 'none'})", expected,
                               commutes(rho, d)))
     members = sum(rec.observed for rec in checks if rec.expected)
     checks.append(CheckRecord("member-count", f"expected group order {s - 1}",

@@ -8,11 +8,14 @@ guard kept clear, so exponents stay below 2^19.  Unused variables are pruned, so
 polynomials have identical representations; ``terms`` builds exponent tuples and
 ``CycScalar`` coefficients on request.  Term order everywhere is graded lexicographic in the
 variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
-set guard bit raising ValueError; for L > 1 each vector is packed into signed slots, zeta ->
-2^k (Kronecker), each product term unpacked and reduced mod Phi_L once, and each result
-descends and divides out its gcd once.  ``**`` and ``substitute`` raise a polynomial whose terms
-split into parts A and B over disjoint variables by the binomial rule, so no two keys of a
-product meet, one term by squaring, any other as P^(k-1)*P; ``**`` settles once, over den^k.
+set guard bit raising ValueError.  At L > 1 a rational side is never packed nor reduced mod
+Phi_L: one or two terms scale the other side's vectors, more multiply them packed into signed
+slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product (``exactnum``'s kernel);
+other cyclotomic sides are both packed, each product term unpacked and reduced mod Phi_L once.
+Each result descends and divides out its gcd once.  ``**`` and ``substitute`` raise a
+polynomial whose terms split into parts A and B over disjoint variables by the binomial rule,
+so no two keys of a product meet, one term by squaring, any other as P^(k-1)*P; ``**``
+settles once, over den^k.
 When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
 is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
 such a polynomial works coefficient by coefficient, so the bound applies only
@@ -36,7 +39,7 @@ from operator import add, or_
 from typing import Iterable, Mapping, Union
 
 from .exactnum import (MAX_CONDUCTOR, CycScalar, ScalarLike, _canonical, _descended, _lifted,
-                       _minimized, _mod_phi, _power, euler_phi)
+                       _minimized, _mod_phi, _pack, _power, _unpack, _vec_product, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
 
@@ -181,34 +184,36 @@ class MultiPoly:
         terms = _rekeyed((self.nums if terms is None else terms).items(), self.variables, names)
         return terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]
 
-    def _merged(self, other: PolyLike, sign: int) -> "MultiPoly":
-        """self + sign*other, one signed merge of the numerators over the lcm denominator."""
-        other = MultiPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        names = tuple(sorted({*self.variables, *other.variables}))
-        L, D = lcm(self.conductor, other.conductor), lcm(self.den, other.den)
+    def _merged(self, signed: list) -> "MultiPoly":
+        """self + sum(sign*q) over the pairs (q, sign) of polynomials, one signed merge of all
+        numerators over the lcm denominator; where no one field holds every coefficient, the
+        coefficients that meet add one by one, in order."""
+        names = tuple(sorted(set(self.variables).union(*[q.variables for q, _ in signed])))
+        L, D = lcm(self.conductor, *[q.conductor for q, _ in signed]), lcm(self.den, *[q.den for q, _ in signed])
         if not 0 < L <= MAX_CONDUCTOR:  # no one field: add the coefficients that meet, one by one
             acc = dict(self._widened(names, terms=self._scalars()))
-            for e, c in other._widened(names, terms=other._scalars()):
-                acc[e] = acc[e] + sign * c if e in acc else sign * c
+            for q, sign in signed:
+                for e, c in q._widened(names, terms=q._scalars()):
+                    acc[e] = acc[e] + sign * c if e in acc else sign * c
             return _settled(names, 0, 1, acc)
-        a = _at(self._widened(names, D // self.den), self.conductor, L)
-        b, scale = _at(other._widened(names), other.conductor, L), sign * (D // other.den)
-        acc = dict(a)
-        for e, c in b:
-            c = _times(c, scale)
-            if e in acc:  # only common terms add
-                c = acc[e] + c if L == 1 else tuple(map(add, acc[e], c))
-                if not (c if L == 1 else any(c)):
-                    del acc[e]
-                    continue
-            acc[e] = c
-        overlap = len(acc) < len(a) + len(b)
-        return _settled(names, L, D, acc, overlap and gcd(self.conductor, other.conductor) > 1, prune=overlap)
+        acc = dict(_at(self._widened(names, D // self.den), self.conductor, L))
+        for q, sign in signed:
+            scale = sign * (D // q.den)
+            for e, c in _at(q._widened(names), q.conductor, L):
+                c = _times(c, scale)
+                if e in acc:  # only common terms add
+                    c = acc[e] + c if L == 1 else tuple(map(add, acc[e], c))
+                    if not (c if L == 1 else any(c)):
+                        del acc[e]
+                        continue
+                acc[e] = c
+        overlap = len(acc) < len(self.nums) + sum([len(q.nums) for q, _ in signed])
+        coprime = prod([q.conductor for q, _ in signed], start=self.conductor) == L  # pairwise: L is least
+        return _settled(names, L, D, acc, overlap and not coprime, prune=overlap)
 
     def __add__(self, other: PolyLike) -> "MultiPoly":
-        return self._merged(other, 1)
+        other = MultiPoly._coerce(other)
+        return NotImplemented if other is NotImplemented else self._merged([(other, 1)])
 
     __radd__ = __add__
 
@@ -216,7 +221,8 @@ class MultiPoly:
         return _built(self.variables, self.conductor, self.den, {e: _times(c, -1) for e, c in self.nums.items()})
 
     def __sub__(self, other: PolyLike) -> "MultiPoly":
-        return self._merged(other, -1)
+        other = MultiPoly._coerce(other)
+        return NotImplemented if other is NotImplemented else self._merged([(other, -1)])
 
     def __rsub__(self, other: PolyLike) -> "MultiPoly":
         return (-self) + other
@@ -344,27 +350,6 @@ def _top(terms: Iterable) -> int:  # the largest absolute numerator
     return max(abs(c) if type(c) is int else max(map(abs, c)) for _, c in terms)
 
 
-def _pack(c, k: int) -> int:
-    """sum(c[i] * 2^(k*i)): a vector in signed k-bit slots, zeta -> 2^k; an int stays itself."""
-    if type(c) is int:
-        return c
-    n = 0
-    for v in reversed(c):
-        n = (n << k) + v
-    return n
-
-
-def _unpack(n: int, k: int, count: int) -> list:
-    """The first ``count`` slots of n, inverting _pack when each lies in (-2^(k-1), 2^(k-1))."""
-    out, mask, half = [], (1 << k) - 1, 1 << (k - 1)
-    while n and len(out) < count:
-        c, n = n & mask, n >> k
-        if c >= half:  # a negative slot borrowed one from the slot above
-            c, n = c - (1 << k), n + 1
-        out.append(c)
-    return out
-
-
 def _unpacked(e: int, n: int) -> tuple[int, ...]:
     return tuple([e >> s & _MASK for s in range(0, _W * n, _W)])
 
@@ -410,14 +395,28 @@ def _convolve(a: Iterable, b: Iterable, guard: int) -> list:
 
 def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
-    Nb: a slot of a packed product term sums min(len(a), len(b)) pairs of phi(L) products."""
+    Nb.  A rational side is never packed nor reduced mod Phi_L: one or two terms scale the other
+    side's vectors (faster than packing b at two terms, not at four).  One term by one term is
+    one scalar product (_vec_product).  Otherwise cyclotomic sides are packed; a slot of a product
+    term sums min(len(a), len(b)) pairs of phi(L) products, or of one by a rational side."""
     L = lcm(Na, Nb)
     if L == 1 or not a or not b:
         return _convolve(a, b, guard)
-    a, b = (a if Na == 1 else _at(a, Na, L)), (b if Nb == 1 else _at(b, Nb, L))
-    k = (min(len(a), len(b)) * euler_phi(L) * _top(a) * _top(b)).bit_length() + 1
-    out = _convolve([(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], guard)
-    return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * euler_phi(L) - 1), L))]
+    if Nb == 1:  # the rational side, if any, first
+        a, Na, b, Nb = b, Nb, a, Na
+    a, b, n = a if Na == 1 else _at(a, Na, L), _at(b, Nb, L), euler_phi(L)
+    if Na == 1 and len(a) <= 2 or len(a) == len(b) == 1:  # scale b's vectors, or one scalar product
+        acc = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e, v = ea + eb, tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, cb, L))
+                acc[e] = tuple(map(add, acc[e], v)) if e in acc else v
+        if reduce(or_, acc, 0) & guard:
+            raise ValueError(_OVERFLOW)
+        return [(e, v) for e, v in acc.items() if any(v)]
+    k = (min(len(a), len(b)) * (1 if Na == 1 else n) * _top(a) * _top(b)).bit_length() + 1
+    out = _convolve(a if Na == 1 else [(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], guard)
+    return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * n - 1), L))]
 
 
 def _parts(terms: list, guard: int):

@@ -22,10 +22,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import CycScalar, _descended, _prime_factors
+from .exactnum import MAX_CONDUCTOR, CycScalar, _descended, _prime_factors
 from .multipoly import MultiPoly
 from .surface import SurfaceSpec
 
@@ -115,18 +115,15 @@ class _Parser:
     # -- expression grammar -------------------------------------------------
 
     def expr(self) -> MultiPoly:
-        negate = False
-        if self.at_symbol("-"):
+        if negate := self.at_symbol("-"):
             self.next()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+        first, signed, L = -self.term() if negate else self.term(), [], 1
         while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.next()[1]
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            sign = 1 if self.next()[1] == "+" else -1
+            signed.append((self.term(), sign))
+            if not 0 < (L := lcm(L, first.conductor, signed[-1][0].conductor)) <= MAX_CONDUCTOR:
+                first, signed = first._merged(signed), []  # coefficients may meet outside one field and raise
+        return first._merged(signed) if signed else first  # one merge: a sum of n terms is linear in n
 
     def term(self) -> MultiPoly:
         if (folded := self.monomial()) is not None:

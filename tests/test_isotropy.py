@@ -12,6 +12,7 @@ from danisurf.diffmaps import (Derivation, RingMap, check_derivation_well_define
                                check_map_well_defined, commutes)
 from danisurf.exactnum import CycScalar, root_of_unity_order, zeta
 from danisurf.multipoly import MultiPoly
+from danisurf.parsing import parse_scalar
 from danisurf.surface import SurfaceSpec
 from danisurf.isotropy import (GeneratorRequest, SamplingPlan,
                                ShapeMismatchError, canonical_lnd, classify_phi,
@@ -396,6 +397,28 @@ class TestVerifySuite:
         # deterministic: same seed, same serialization
         again = verify_isotropy_theorem(S_X2Z3, 1)
         assert json.dumps(payload) == json.dumps(again.to_dict())
+
+
+_STATED_ORDER = re.compile(r"(?:lambda|mu|c) = (.+) \(order (\w+)\)")
+_ORDER_SUITES = [(s, p, {"dilation"}) for s in range(2, 14) for p in (1, zeta(7))] + [
+    (SurfaceSpec.danielewski(x, z ** 3 + 1), x ** 2, {"hyperbolic", "symmetry"}),  # xy: bound 3, mu^3 = 1
+    (SurfaceSpec.danielewski(x ** 2, 2 * (z - 1) ** 3), x ** 4, {"hyperbolic", "rescaling", "symmetry"}),
+    (SurfaceSpec.danielewski(x ** 3 + x, z ** 6 + z ** 2), x, {"hyperbolic", "symmetry"}),  # fx: mu^4 = 1
+]
+
+
+@pytest.mark.parametrize("surface,g,families", _ORDER_SUITES)
+def test_stated_orders_match_the_definition(surface, g, families):
+    """The suites print the order of each parameter from how they built it; parsed back, each
+    parameter's root_of_unity_order must say the same, "none" for a non-root of unity."""
+    if isinstance(surface, int):
+        report = plane_example_suite(surface, g)
+    else:
+        report = verify_isotropy_theorem(surface, g, SamplingPlan(h_degrees=(1,)))
+    stated = [(rec.family, *m.groups()) for rec in report.checks if (m := _STATED_ORDER.fullmatch(rec.params))]
+    assert {family for family, _, _ in stated} == families and any(order == "none" for *_, order in stated)
+    for _, text, order in stated:
+        assert str(root_of_unity_order(parse_scalar(text)) or "none") == order, text
 
 
 class TestPlaneExampleSuite:

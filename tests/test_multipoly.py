@@ -13,7 +13,7 @@ from danisurf.multipoly import MultiPoly, _guard, _parts
 from danisurf.surface import SurfaceSpec
 
 from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute, pick_max,
-                     random_poly, reduce_with_strategy, render_with_fractions, term_map)
+                     random_poly, reduce_mod_cyclotomic, reduce_with_strategy, render_with_fractions, term_map)
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -411,6 +411,82 @@ def test_cyclotomic_arithmetic_matches_dense_oracle(case):
         assert dense_map(result, L, _XY) == expected
 
 
+# -- every product path of _product, against the dense oracle ---------------------------------
+
+# (Na, Nb): a rational side against a cyclotomic one, and fields that meet at a larger conductor
+_PATH_FIELDS = ((1, 140), (140, 1), (1, 12), (105, 1), (1, 420), (7, 20), (20, 7), (12, 12), (4, 3),
+                (3, 35), (105, 105), (7, 60), (140, 140), (420, 420))
+_BIG = 2 ** 64
+
+
+@st.composite
+def _path_operand(draw, N, max_terms):
+    """{exponents in x, y: coordinates at conductor N}, 1..max_terms terms, each vector sparse (one
+    or two nonzero coordinates) or dense (none zero); numerators small or beyond 2^64, of both signs."""
+    n = euler_phi(N)
+    numerator = st.one_of(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(_BIG, 4 * _BIG),
+                          st.integers(-4 * _BIG, -_BIG))
+    den = draw(st.integers(1, 6))
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    keys = draw(st.lists(monomial, min_size=1, max_size=max_terms, unique=True))
+    out = {}
+    for e in keys:
+        sparse = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 2), unique=True)
+        spots = range(n) if draw(st.booleans()) else draw(sparse)
+        out[e] = [Fraction(draw(numerator), den) if i in spots else Fraction(0) for i in range(n)]
+    return out
+
+
+def _path_poly(m, N, L):
+    """The polynomial with the coordinates of m at conductor N, and its term map of Dense elements of
+    Q(zeta_L), N | L, lifted independently: zeta_N^i = zeta_L^(i*L/N), reduced by naive division."""
+    coeffs = {e: sum((c * zeta(N, i) for i, c in enumerate(v) if c), CycScalar(0)) for e, v in m.items()}
+    lifted = {}
+    for e, v in m.items():
+        spread = [Fraction(0)] * ((len(v) - 1) * (L // N) + 1)
+        spread[::L // N] = v
+        lifted[e] = Dense(L, reduce_mod_cyclotomic(spread, L))
+    return MultiPoly(_XY, coeffs), lifted
+
+
+def _dense_one_term(N, top):
+    """One term x*y whose coordinates at N are all nonzero, alternating +-top: beyond the crossover."""
+    return {(1, 1): [Fraction(top * (-1) ** i) for i in range(euler_phi(N))]}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(_PATH_FIELDS).flatmap(lambda f: st.tuples(
+    st.just(f), st.integers(1, 3).flatmap(lambda t: _path_operand(f[0], t)),
+    st.integers(1, 3).flatmap(lambda t: _path_operand(f[1], t)), st.integers(0, 2))))
+@example(((1, 140), {(2, 0): [Fraction(-3 * _BIG, 5)]}, _dense_one_term(140, _BIG + 1), 2))  # one rational term
+@example(((140, 1), _dense_one_term(140, 3), {(0, 0): [Fraction(2)], (2, 1): [Fraction(-_BIG)]}, 1))  # two
+@example(((1, 20), {(0, 0): [Fraction(2)], (1, 0): [Fraction(-7)], (2, 1): [Fraction(_BIG, 3)]},
+          {(1, 0): [Fraction(1)] * 8, (0, 1): [Fraction(0)] * 7 + [Fraction(-1)]}, 2))  # three, packed
+@example(((7, 20), {(1, 0): [Fraction(0)] * 5 + [Fraction(-1)]}, {(0, 1): [Fraction(1)] + [Fraction(0)] * 7}, 3))
+@example(((140, 140), _dense_one_term(140, -_BIG), _dense_one_term(140, 7), 2))  # Kronecker side
+@example(((420, 420), _dense_one_term(420, 2), {(1, 0): [Fraction(0)] * 95 + [Fraction(5)]}, 1))  # schoolbook
+@example(((105, 105), _dense_one_term(105, -1), _dense_one_term(105, _BIG), 0))
+def test_every_product_path_matches_dense_oracle(case):
+    """*, ** and substitute against term-by-term Dense arithmetic at L = lcm(Na, Nb): rational sides of
+    one, two (scaling) and three terms (packed) times cyclotomic ones, one term by one term with sparse
+    and dense vectors on both sides of the schoolbook/Kronecker crossover, and fields that meet at a
+    larger conductor."""
+    (Na, Nb), ma, mb, k = case
+    L = lcm(Na, Nb)
+    (p, a), (q, b) = _path_poly(ma, Na, L), _path_poly(mb, Nb, L)
+    one = {(0, 0): Dense(L, [1] + [0] * (euler_phi(L) - 1))}
+    power = one
+    for _ in range(k):
+        power = map_mul(power, a)
+    y_image = {(0, 1): Dense(L, [1] + [0] * (euler_phi(L) - 1))}
+    cases = [(p * q, map_mul(a, b)), (q * p, map_mul(b, a)), (p ** k, power),
+             (p.substitute({"x": q}), map_substitute(a, [b, y_image])),
+             (q.substitute({"y": p}), map_substitute(b, [{(1, 0): one[(0, 0)]}, a]))]
+    for result, expected in cases:
+        _check_canonical(result)
+        assert dense_map(result, L, _XY) == expected
+
+
 # -- substitute on packed exponent keys, against the dense oracle at conductor 12 ------
 
 _C12 = st.builds(lambda q, k, r: q * zeta(12, k) + r, st.fractions(-3, 3, max_denominator=4),
@@ -725,6 +801,7 @@ def test_reduce_on_packed_keys_matches_one_offender_at_a_time(pa, si):
 
 _TOP = 2 ** 19 - 1
 _HALF = 2 ** 18
+_DENSE_140 = sum((zeta(140, i) for i in range(euler_phi(140))), CycScalar(0))  # no coordinate zero
 
 
 class TestExponentGuard:
@@ -750,6 +827,14 @@ class TestExponentGuard:
         lambda: (z ** 2 + y).substitute({"z": z + x ** _HALF}),  # split images, crossing in x ...
         lambda: (z ** 3).substitute({"z": zeta(12) * z ** _HALF + x + 1}),  # ... or in z
         lambda: (x ** _HALF + y) ** 2,  # a power of a split polynomial
+        lambda: (x ** _TOP * zeta(7)) * (3 * x),  # one or two rational terms scale a cyclotomic side ...
+        lambda: (3 * x) * (x ** _TOP * y * zeta(7) + zeta(7, 2) * y),
+        lambda: (zeta(7) * x ** _TOP + y) * (3 * x + 1),
+        lambda: (zeta(7) * x ** _TOP + y) * (3 * x + y + 1),  # ... more multiply its packed vectors
+        lambda: (zeta(20) * x ** _HALF) * (zeta(7) * x ** _HALF),  # one term by one term: schoolbook ...
+        lambda: (_DENSE_140 * x ** _HALF) * (_DENSE_140 * y * x ** _HALF),  # ... and Kronecker
+        lambda: (x * y).substitute({"x": zeta(7) * x ** _TOP, "y": 3 * x}),
+        lambda: (x ** 2).substitute({"x": zeta(12) * x ** _HALF}),
     ])
     def test_crossing_the_largest_exponent_raises(self, build):
         with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):

@@ -254,3 +254,32 @@ def test_monomial_edge_cases(text, allowed, expected):
     except ParseError as err:
         got = str(err)
     assert got == expected
+
+
+def test_a_long_sum_parses_to_the_polynomial_built_term_by_term():
+    """A sum of 4,000 signed terms, merged once after its terms are read: rational and cyclotomic
+    coefficients, repeated monomials, and every tenth term cancelling an earlier one."""
+    rnd, pieces, expected = random.Random(4), [], {}
+    for i in range(4000):
+        if i % 10 == 9:
+            sign, body, e, c = pieces[rnd.randrange(i - 9, i - 1)]  # a term of the last ten, so none cancels twice
+            sign = "+" if sign == "-" else "-"
+        else:
+            e = (rnd.randint(0, 20), rnd.randint(0, 20), rnd.randint(0, 20))
+            q = Fraction(rnd.randint(1, 9), rnd.randint(1, 4))
+            c = q * zeta(7, i) if i % 100 == 0 else q
+            body = f"{q}*" + (f"zeta(7)^{i % 7}*" if i % 100 == 0 else "") + f"x^{e[0]}*y^{e[1]}*z^{e[2]}"
+            sign = rnd.choice("+-")
+        pieces.append((sign, body, e, c))
+        expected[e] = expected.get(e, 0) + (c if sign == "+" else -c)
+    text = "".join(f" {sign} {body}" if k else f"{'-' if sign == '-' else ''}{body}"
+                   for k, (sign, body, _, _) in enumerate(pieces))
+    assert parse_expression(text) == MultiPoly(("x", "y", "z"), expected)
+
+
+def test_a_sum_outside_one_field_adds_in_order_before_reading_on():
+    """Terms whose coefficients no field up to MAX_CONDUCTOR holds merge as they are read, so
+    a sum raises where adding term by term raises, before a later syntax error."""
+    with pytest.raises(ValueError, match="conductor 988027"):
+        parse_expression("zeta(997)*x + zeta(991)*x + )")
+    assert parse_expression("-zeta(991)*x + y + zeta(991)*x + zeta(997)*x") == zeta(997) * x + y
