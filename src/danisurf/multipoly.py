@@ -10,7 +10,8 @@ polynomials have identical representations; ``terms`` builds exponent tuples and
 variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
 set guard bit raising ValueError.  At L > 1 a rational side is never packed nor reduced mod
 Phi_L: one or two terms scale the other side's vectors, more multiply them packed into signed
-slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product (``exactnum``'s kernel);
+slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product (``exactnum``'s kernel,
+or at two conductors one of the unlifted coordinates);
 other cyclotomic sides are both packed, each product term unpacked and reduced mod Phi_L once.
 Each result descends and divides out its gcd once.  ``**`` and ``substitute`` raise a
 polynomial whose terms split into parts A and B over disjoint variables by the binomial rule,
@@ -155,13 +156,6 @@ class MultiPoly:
         picked = [(e - (power << s), c) for e, c in self.nums.items() if e >> s & _MASK == power]
         return _settled(names, self.conductor, self.den, dict(_rekeyed(picked, self.variables, names)))
 
-    def _cofactor(self, powers: Mapping[str, int]) -> "MultiPoly":
-        """The terms divisible by the monomial prod(v^k), (v, k) in powers, each divided by it.
-        Slot i of (e | G) - s is 2^19 + e_i - s_i >= 0, so its guard bit stays set iff e_i >= s_i."""
-        G, s = _guard(len(self.variables)), sum(k << _W * self.variables.index(v) for v, k in powers.items())
-        picked = {e - s: c for e, c in self.nums.items() if ((e | G) - s) & G == G}
-        return _settled(self.variables, self.conductor, self.den, picked)
-
     def leading_coefficient(self, var: str) -> CycScalar:
         return self.coefficient_of(var, self.degree_in(var)).as_scalar()
 
@@ -193,21 +187,13 @@ class MultiPoly:
         if not 0 < L <= MAX_CONDUCTOR:  # no one field: add the coefficients that meet, one by one
             acc = dict(self._widened(names, terms=self._scalars()))
             for q, sign in signed:
-                for e, c in q._widened(names, terms=q._scalars()):
-                    acc[e] = acc[e] + sign * c if e in acc else sign * c
+                _added(acc, q._widened(names, terms=q._scalars()), sign)
             return _settled(names, 0, 1, acc)
         acc = dict(_at(self._widened(names, D // self.den), self.conductor, L))
         for q, sign in signed:
-            scale = sign * (D // q.den)
-            for e, c in _at(q._widened(names), q.conductor, L):
-                c = _times(c, scale)
-                if e in acc:  # only common terms add
-                    c = acc[e] + c if L == 1 else tuple(map(add, acc[e], c))
-                    if not (c if L == 1 else any(c)):
-                        del acc[e]
-                        continue
-                acc[e] = c
-        overlap = len(acc) < len(self.nums) + sum([len(q.nums) for q, _ in signed])
+            _added(acc, _at(q._widened(names), q.conductor, L), sign * (D // q.den))
+        if overlap := len(acc) < len(self.nums) + sum([len(q.nums) for q, _ in signed]):  # drop what cancelled
+            acc = {e: c for e, c in acc.items() if (c if L == 1 else any(c))}
         coprime = prod([q.conductor for q, _ in signed], start=self.conductor) == L  # pairwise: L is least
         return _settled(names, L, D, acc, overlap and not coprime, prune=overlap)
 
@@ -284,17 +270,16 @@ class MultiPoly:
                 if k:
                     power = _power_of(cache, k, p.conductor, G)
                     part, N = _product(part, N, power, p.conductor, G), lcm(N, p.conductor)
-            for ep, cp in _at(part, N, L):
-                acc[ep] = (acc[ep] + cp if L == 1 else tuple(map(add, acc[ep], cp))) if ep in acc else cp
+            _added(acc, _at(part, N, L))
         den = self.den * prod(p.den ** t for p, t in zip(table, top))
         return _settled(names, L, den, {e: c for e, c in acc.items() if (c if L == 1 else any(c))})
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
-        quotient = self._cofactor({var: 1}) if var in self.variables else MultiPoly.zero()
-        if len(quotient.nums) < len(self.nums):
+        s = 1 << _W * self.variables.index(var) if var in self.variables else 0
+        if not all(e & _MASK * s for e in self.nums):
             raise ValueError(f"{self} is not divisible by {var}")
-        return quotient
+        return _built(self.variables, self.conductor, self.den, {e - s: c for e, c in self.nums.items()}, prune=True)
 
     # -- identity ---------------------------------------------------------
 
@@ -339,6 +324,13 @@ class MultiPoly:
 def _times(c, k: int):
     """Numerators, an int or a coordinate vector, or a CycScalar coefficient, times the integer k."""
     return c if k == 1 else c * k if type(c) in (int, CycScalar) else tuple([v * k for v in c])
+
+
+def _added(acc: dict, terms: Iterable, scale: int = 1) -> dict:
+    """acc with the numerators (ints, vectors or CycScalars) of terms times scale added in, zeros kept."""
+    for e, c in terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]:
+        acc[e] = (tuple(map(add, acc[e], c)) if type(c) is tuple else acc[e] + c) if e in acc else c
+    return acc
 
 
 def _at(terms: Iterable, N: int, L: int) -> Iterable:
@@ -396,27 +388,41 @@ def _convolve(a: Iterable, b: Iterable, guard: int) -> list:
 def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
     Nb.  A rational side is never packed nor reduced mod Phi_L: one or two terms scale the other
-    side's vectors (faster than packing b at two terms, not at four).  One term by one term is
-    one scalar product (_vec_product).  Otherwise cyclotomic sides are packed; a slot of a product
-    term sums min(len(a), len(b)) pairs of phi(L) products, or of one by a rational side."""
+    side's vectors (faster than packing b at two terms, not at four).  One term by one term is one
+    scalar product, of the unlifted coordinates at two conductors.  Otherwise cyclotomic sides are
+    packed; a slot of a product term sums min(len(a), len(b)) pairs of phi(L) products, or of one by
+    a rational side."""
     L = lcm(Na, Nb)
     if L == 1 or not a or not b:
         return _convolve(a, b, guard)
     if Nb == 1:  # the rational side, if any, first
         a, Na, b, Nb = b, Nb, a, Na
-    a, b, n = a if Na == 1 else _at(a, Na, L), _at(b, Nb, L), euler_phi(L)
     if Na == 1 and len(a) <= 2 or len(a) == len(b) == 1:  # scale b's vectors, or one scalar product
         acc = {}
         for ea, ca in a:
             for eb, cb in b:
-                e, v = ea + eb, tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, cb, L))
+                e = ea + eb
+                v = tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, cb, L) if Na == Nb
+                          else _spread_product(ca, L // Na, cb, L // Nb, L))
                 acc[e] = tuple(map(add, acc[e], v)) if e in acc else v
         if reduce(or_, acc, 0) & guard:
             raise ValueError(_OVERFLOW)
         return [(e, v) for e, v in acc.items() if any(v)]
+    a, b, n = a if Na == 1 else _at(a, Na, L), _at(b, Nb, L), euler_phi(L)
     k = (min(len(a), len(b)) * (1 if Na == 1 else n) * _top(a) * _top(b)).bit_length() + 1
     out = _convolve(a if Na == 1 else [(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], guard)
     return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * n - 1), L))]
+
+
+def _spread_product(a, sa: int, b, sb: int, L: int) -> list:
+    """The coordinates in Q(zeta_L) of a*b for vectors a of Q(zeta_(L/sa)) and b of Q(zeta_(L/sb)), unlifted:
+    zeta_(L/sa)^i * zeta_(L/sb)^j = zeta_L^(i*sa + j*sb), then one reduction mod Phi_L."""
+    out, nb = [0] * ((len(a) - 1) * sa + (len(b) - 1) * sb + 1), [(j * sb, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nb:
+                out[i * sa + j] += x * y
+    return _mod_phi(out, L)
 
 
 def _parts(terms: list, guard: int):
@@ -445,10 +451,8 @@ def _power_of(cache: dict, k: int, N: int, guard: int) -> list:
         a, b = parts
         acc = dict(_power_of(a, k, N, guard))
         for i in range(1, k + 1):
-            bi, n = _power_of(b, i, N, guard), comb(k, i)
-            for e, c in bi if i == k else _product(_power_of(a, k - i, N, guard), N, bi, N, guard):
-                c = _times(c, n)
-                acc[e] = (acc[e] + c if N == 1 else tuple(map(add, acc[e], c))) if e in acc else c
+            bi = _power_of(b, i, N, guard)
+            _added(acc, bi if i == k else _product(_power_of(a, k - i, N, guard), N, bi, N, guard), comb(k, i))
         cache[k] = [(e, c) for e, c in acc.items() if (c if N == 1 else any(c))]
     else:
         for j in range(len(cache) - 1, k):  # the keys are 0 and the powers 1..j

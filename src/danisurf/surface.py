@@ -6,6 +6,12 @@ and we reduce with respect to lex y > x > z, whose leading monomial is
 lc * x^m * y (m = deg f).  A polynomial is in normal form exactly when no
 monomial has x-degree >= m together with y-degree >= 1.
 
+One sweep reduces.  Terms go into buckets keyed by (y-degree, x-degree); y's key slot sits above x's,
+so the keys order as plain ints, and the buckets are popped from the top.  A bucket x^i*y^j*c(z) with
+i >= m, j >= 1 is rewritten once by x^m*y = -rest/den (rest: the monic relation's other terms, over
+den): a row x^a*y*r(z) of rest, a < m, sends it to x-degree i - m + a < i and the row phi(z) to
+y-degree j - 1, so every bucket is final when popped.  Each keeps its own power of den until one settle.
+
 The degenerate "free" kind is a plain polynomial ring in named variables
 (used for the plane K[X,Y] examples); its normal form is the identity.
 """
@@ -13,15 +19,19 @@ The degenerate "free" kind is a plain polynomial ring in named variables
 from __future__ import annotations
 
 import operator
+from bisect import insort
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
-from .exactnum import CycScalar
-from .multipoly import MultiPoly, PolyLike
+from .exactnum import MAX_CONDUCTOR, CycScalar
+from .multipoly import _W, MultiPoly, PolyLike, _added, _at, _convolve, _guard, _product, _settled, _times
+
+_XY = (1 << 2 * _W) - 1  # the x and y slots of a key over (x, y, z)
 
 
 class SurfaceSpec:
-    __slots__ = ("kind", "f", "phi", "variables", "m", "lc", "d", "relation", "monic")
+    __slots__ = ("kind", "f", "phi", "variables", "m", "lc", "d", "relation", "monic", "rows")
 
     def __init__(self, kind: str, f: MultiPoly | None, phi: MultiPoly | None,
                  variables: tuple[str, ...]):
@@ -35,26 +45,19 @@ class SurfaceSpec:
             if not phi.depends_only_on("z") or phi.degree_in("z") < 1:
                 raise ValueError("phi must be univariate in z with deg phi >= 1")
             variables = ("x", "y", "z")
-            m = f.degree_in("x")
-            lc = f.leading_coefficient("x")
-            d = phi.degree_in("z")
+            m, lc, d = f.degree_in("x"), f.leading_coefficient("x"), phi.degree_in("z")
             relation = f * MultiPoly.variable("y") - phi
             monic = relation if lc.is_one() else relation * lc.inverse()  # leading coefficient 1
+            rows = _rows(monic.nums.items(), m)
         else:
             if not variables:
                 raise ValueError("free surface needs at least one variable")
             if len(set(variables)) != len(variables):
                 raise ValueError("duplicate variable names")
-            m = lc = d = relation = monic = None
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lc", lc)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "monic", monic)
+            m = lc = d = relation = monic = rows = None
+        values = (kind, f, phi, tuple(variables), m, lc, d, relation, monic, rows)
+        for name, value in zip(SurfaceSpec.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceSpec is immutable")
@@ -114,11 +117,47 @@ class SurfaceSpec:
         return f"SurfaceSpec({self})"
 
 
+def _rows(terms: Iterable, m: int) -> list:
+    """-rest, x^m*y's image times den, as rows (their (x, y)-part minus x^m*y's, their terms)."""
+    xy, rows = m | 1 << _W, {}
+    for e, c in terms:
+        if e != xy:
+            rows.setdefault((e & _XY) - xy, []).append((e, _times(c, -1)))
+    return list(rows.items())
+
+
 def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
-    # subtract (p's terms divisible by x^m*y, divided by it) * monic relation until none is left
-    while "x" in p.variables and "y" in p.variables and (quotient := p._cofactor({"x": S.m, "y": 1})):
-        p = p - quotient * S.monic
-    return p
+    """The normal form of p: one sweep of its (y-degree, x-degree) buckets, on numerators."""
+    xy, G, G3 = S.m | 1 << _W, _guard(2), _guard(3)
+    divisible = lambda e: ((e | G) - xy) & G == G  # x-degree >= m and y-degree >= 1
+    if p.variables[:2] != ("x", "y") or not any(map(divisible, p.nums)):
+        return p
+    N, L = S.monic.conductor, lcm(p.conductor, S.monic.conductor)
+    if not 0 < L <= MAX_CONDUCTOR:  # no one field: CycScalar coefficients over den 1
+        L, den, rows, terms = 0, 1, _rows(S.monic._scalars().items(), S.m), p._scalars().items()
+    else:
+        den, rows, terms = S.monic.den, S.rows, _at(p.nums.items(), p.conductor, L)
+    buckets = {}  # (y, x)-part -> [t, {key: numerator over p.den * den^t}]
+    for e, c in terms:
+        buckets.setdefault(e & _XY, [0, {}])[1][e] = c
+    todo = sorted(filter(divisible, buckets))  # the buckets to rewrite, ascending
+    while todo:
+        b = todo.pop()
+        t, part = buckets.pop(b)
+        t += den != 1  # the power of den under the terms this rewrite emits
+        quotient = [(e - xy, c) for e, c in part.items() if (any(c) if type(c) is tuple else c)]
+        for off, row in rows:
+            out = _product(quotient, L, row, N, G3) if L else _convolve(quotient, row, G3)
+            if (target := b + off) not in buckets and divisible(target):
+                insort(todo, target)
+            s, acc = buckets.setdefault(target, [t, {}])
+            if s < t:  # bring the bucket up to power t
+                s, acc = buckets[target] = [t, {e: _times(c, den ** (t - s)) for e, c in acc.items()}]
+            _added(acc, out, den ** (s - t))
+    T = max(t for t, _ in buckets.values())
+    nums = {e: _times(c, den ** (T - t)) for t, part in buckets.values() for e, c in part.items()
+            if (any(c) if type(c) is tuple else c)}
+    return _settled(("x", "y", "z"), L, p.den * den ** T if L else 1, nums)
 
 
 class SurfaceElement:
@@ -129,6 +168,15 @@ class SurfaceElement:
     def __init__(self, surface: SurfaceSpec, p: MultiPoly):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "rep", surface.reduce(p))
+
+    @staticmethod
+    def _trusted(surface: SurfaceSpec, rep: MultiPoly) -> "SurfaceElement":
+        """The element whose representative rep is already a normal form: a sum, difference or negation
+        of normal forms is one, as normal forms are the span of the monomials not divisible by x^m*y."""
+        el = object.__new__(SurfaceElement)
+        object.__setattr__(el, "surface", surface)
+        object.__setattr__(el, "rep", rep)
+        return el
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceElement is immutable")
@@ -144,31 +192,31 @@ class SurfaceElement:
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def _combined(self, other, op) -> "SurfaceElement":
-        """op on the representatives of self and other, an element of the same surface."""
+    def _combined(self, other, op, build) -> "SurfaceElement":
+        """build(surface, op on the representatives of self and other, an element of the same surface)."""
         other = SurfaceElement._coerce(other, self.surface)
         if other is NotImplemented:
             return NotImplemented
         if self.surface != other.surface:
             raise ValueError("elements live on different surfaces")
-        return SurfaceElement(self.surface, op(self.rep, other.rep))
+        return build(self.surface, op(self.rep, other.rep))
 
     def __add__(self, other) -> "SurfaceElement":
-        return self._combined(other, operator.add)
+        return self._combined(other, operator.add, SurfaceElement._trusted)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurfaceElement":
-        return SurfaceElement(self.surface, -self.rep)
+        return SurfaceElement._trusted(self.surface, -self.rep)
 
     def __sub__(self, other) -> "SurfaceElement":
-        return self._combined(other, operator.sub)
+        return self._combined(other, operator.sub, SurfaceElement._trusted)
 
     def __rsub__(self, other) -> "SurfaceElement":
         return (-self) + other
 
     def __mul__(self, other) -> "SurfaceElement":
-        return self._combined(other, operator.mul)
+        return self._combined(other, operator.mul, SurfaceElement)
 
     __rmul__ = __mul__
 

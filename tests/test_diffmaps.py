@@ -138,6 +138,21 @@ class TestCommutes:
         assert res.generator == "x"
         assert res.difference == -S_XY.element(2 * z)
 
+    @pytest.mark.parametrize("S, rho", [
+        (S_XY, lambda S: RingMap(S, {"x": y, "y": x, "z": z})),  # the involution
+        (S_XY, lambda S: _hyperbolic(S, CycScalar(2), 1)),
+        (S_X2, lambda S: _hyperbolic(S, zeta(3), 2)),
+        (SurfaceSpec.danielewski(x, z ** 2 + zeta(7)), lambda S: RingMap(S, {"x": y, "y": x, "z": z})),
+    ])
+    def test_failure_witness_matches_the_subtraction(self, S, rho):
+        """commutes compares normal forms; its witness is the first generator whose reduced
+        difference rho(D v) - D(rho v) is nonzero, as subtracting on every generator finds."""
+        rho, D = rho(S), _canonical(S, 1)
+        diffs = [(v, S.element(rho.apply(D.images[v]).rep - D.apply(rho.images[v]).rep)) for v in S.variables]
+        v, diff = next((v, d) for v, d in diffs if not d.is_zero())
+        res = commutes(rho, D)
+        assert not res and res.generator == v and res.difference == diff
+
     def test_hyperbolic_minus_one_on_x2(self):
         D = _canonical(S_X2, 1)
         assert commutes(_hyperbolic(S_X2, CycScalar(-1), 2), D)

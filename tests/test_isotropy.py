@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from danisurf.diffmaps import (Derivation, RingMap, check_derivation_well_defined,
-                               check_map_well_defined, commutes)
+                               check_map_well_defined, commutes, exp_derivation)
 from danisurf.exactnum import CycScalar, root_of_unity_order, zeta
 from danisurf.multipoly import MultiPoly
 from danisurf.parsing import parse_scalar
@@ -281,6 +281,18 @@ def test_factory_outputs_are_well_defined(case):
     D = canonical_lnd(S, g).derivation
     for delta in (D, D.scaled_by(g * x + 1), Derivation.zero(S)):
         assert check_derivation_well_defined(delta.images, S), delta
+
+
+@settings(deadline=None, max_examples=30)
+@given(_factory_cases())
+def test_exponentials_are_well_defined(case):
+    """exp_derivation builds its map without re-proving it; the proof obligation is checked here,
+    on canonical derivations and on their multiples by kernel elements."""
+    S, g, h, rnd = case
+    D = canonical_lnd(S, g).derivation
+    for delta in (D, D.scaled_by(x + 1), D.scaled_by(h * x - 2)):
+        rho = exp_derivation(delta)
+        assert check_map_well_defined(rho.images, S), (delta, rho)
 
 
 class TestCanonicalLND:

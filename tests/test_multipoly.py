@@ -466,11 +466,17 @@ def _dense_one_term(N, top):
 @example(((140, 140), _dense_one_term(140, -_BIG), _dense_one_term(140, 7), 2))  # Kronecker side
 @example(((420, 420), _dense_one_term(420, 2), {(1, 0): [Fraction(0)] * 95 + [Fraction(5)]}, 1))  # schoolbook
 @example(((105, 105), _dense_one_term(105, -1), _dense_one_term(105, _BIG), 0))
+# one term by one term at two conductors: unlifted coordinates in slots i*L/Na + j*L/Nb, reduced once
+@example(((7, 5), _dense_one_term(7, 2), {(0, 1): [Fraction(0), Fraction(-1), Fraction(0), Fraction(3, 2)]}, 1))
+@example(((7, 15), {(2, 0): [Fraction(0)] * 5 + [Fraction(-_BIG)]}, _dense_one_term(15, 5), 2))
+@example(((5, 21), _dense_one_term(5, -_BIG), _dense_one_term(21, 3), 1))
+@example(((4, 3), {(1, 0): [Fraction(1, 2), Fraction(-1)]}, {(0, 1): [Fraction(0), Fraction(7)]}, 2))
+@example(((20, 7), _dense_one_term(20, 1), {(2, 1): [Fraction(-3, 4)] + [Fraction(0)] * 4 + [Fraction(_BIG)]}, 1))
 def test_every_product_path_matches_dense_oracle(case):
     """*, ** and substitute against term-by-term Dense arithmetic at L = lcm(Na, Nb): rational sides of
     one, two (scaling) and three terms (packed) times cyclotomic ones, one term by one term with sparse
-    and dense vectors on both sides of the schoolbook/Kronecker crossover, and fields that meet at a
-    larger conductor."""
+    and dense vectors on both sides of the schoolbook/Kronecker crossover or at two conductors, and
+    fields that meet at a larger conductor."""
     (Na, Nb), ma, mb, k = case
     L = lcm(Na, Nb)
     (p, a), (q, b) = _path_poly(ma, Na, L), _path_poly(mb, Nb, L)
@@ -835,6 +841,9 @@ class TestExponentGuard:
         lambda: (_DENSE_140 * x ** _HALF) * (_DENSE_140 * y * x ** _HALF),  # ... and Kronecker
         lambda: (x * y).substitute({"x": zeta(7) * x ** _TOP, "y": 3 * x}),
         lambda: (x ** 2).substitute({"x": zeta(12) * x ** _HALF}),
+        lambda: SurfaceSpec.danielewski(x, z ** 4 + 1).reduce(x * y * z ** (_TOP - 1)),  # the normal form's sweep ...
+        lambda: SurfaceSpec.danielewski(x ** 2 + zeta(3) * x, z ** 4 + zeta(7)).reduce(  # ... at a cyclotomic relation
+            zeta(5) * x ** 3 * y + x ** 2 * y * z ** (_TOP - 1)),
     ])
     def test_crossing_the_largest_exponent_raises(self, build):
         with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):

@@ -196,3 +196,70 @@ def test_non_monic_leading_coefficient_division():
     S = SurfaceSpec.danielewski(2 * x, z ** 2)
     # 2xy = z^2, so xy reduces to z^2/2
     assert S.element(x * y).rep == MultiPoly.constant(CycScalar(1) / 2) * z ** 2
+
+
+# -- the one-sweep normal form, against one-offender-at-a-time rewriting -------------------
+
+_SWEEP_F = [x, x ** 3, x ** 2 + x, 2 * x ** 2 - x + 3, Fraction(2, 3) * x ** 2 + Fraction(1, 2),
+            x ** 2 + zeta(3) * x, zeta(4) * x + 1]  # monomial, not, non-monic, zeta coefficients
+_SWEEP_PHI = [z ** 2, z ** 3 + z + 1, Fraction(1, 2) * z ** 3 + z, z ** 2 + zeta(7), 3 * z - zeta(12)]
+_SWEEP_COEFFS = [1, -1, 2, Fraction(-3, 2), Fraction(5, 7), zeta(3), zeta(4) - 1, 2 * zeta(7, 3) + 1]
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(S, p): f and phi from the lists above, p of up to five terms with y-degree up to 6."""
+    S = SurfaceSpec.danielewski(draw(st.sampled_from(_SWEEP_F)), draw(st.sampled_from(_SWEEP_PHI)))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(0, 2))
+    terms = draw(st.dictionaries(exps, st.sampled_from(_SWEEP_COEFFS), min_size=1, max_size=5))
+    return S, MultiPoly(("x", "y", "z"), terms)
+
+
+def _check_sweep(S, p, nf):
+    assert _basis_shape_ok(nf, S)
+    assert in_relation_ideal(p - nf, S.f, S.phi)
+    assert reduce_with_strategy(p, S, pick_max) == nf
+
+
+@settings(deadline=None, max_examples=60)
+@given(_sweep_cases())
+def test_sweep_matches_one_offender_rewriting(case):
+    """The bucket sweep against the oracle's one-rewrite-at-a-time reduction: rational and zeta
+    coefficients, monomial and non-monomial f, non-monic lc (den > 1), cyclotomic relations."""
+    S, p = case
+    _check_sweep(S, p, S.reduce(p))
+
+
+@pytest.mark.parametrize("f, phi, p", [
+    (x, z ** 2, x ** 3 * y ** 6 * z),  # six y-rows, each bucket rewritten once
+    (2 * x ** 2 - x + 3, Fraction(1, 2) * z ** 3 + z, (x * y + z - 1) ** 4),  # den = 2, powers of it
+    (x ** 2 + zeta(3) * x, z ** 2 + zeta(7), zeta(5) * x ** 4 * y ** 3 + x ** 2 * y),  # conductor 105
+    (zeta(4) * x + 1, z ** 3, Fraction(1, 3) * x ** 2 * y ** 2),  # lc zeta(4): a cyclotomic monic relation
+])
+def test_sweep_examples(f, phi, p):
+    S = SurfaceSpec.danielewski(f, phi)
+    _check_sweep(S, p, S.reduce(p))
+
+
+def test_sweep_without_one_field():
+    """zeta(997) terms on a surface whose phi holds zeta(991): no Q(zeta_N), N <= 1000, holds both,
+    so the sweep runs on CycScalar coefficients; the zeta(997) terms sit where no rewrite reaches."""
+    S = SurfaceSpec.danielewski(x ** 2 + x, z ** 2 + zeta(991))
+    far = zeta(997) * z ** 9 + zeta(997, 2) * x * y * z ** 8
+    for q in (x ** 2 * y, 3 * x ** 3 * y ** 2 * z - x ** 2 * y, zeta(991) * x ** 4 * y ** 2):
+        nf = S.reduce(q + far)
+        assert nf.conductor == 0 and nf == S.reduce(q) + far
+        _check_sweep(S, q + far, nf)
+
+
+@settings(deadline=None, max_examples=50)
+@given(_seeds, st.sampled_from(range(len(SURFACES))))
+def test_sums_of_normal_forms_need_no_reduction(seed, si):
+    """Sums, differences and negations of elements are built without reducing: normal forms span
+    a subspace, so each result must already be the normal form of the raw polynomial."""
+    S = SURFACES[si]
+    rnd = random.Random(seed)
+    a, b = (S.element(random_poly(rnd, max_exp=3, cyclotomic=True)) for _ in range(2))
+    for element, raw in [(a + b, a.rep + b.rep), (a - b, a.rep - b.rep), (-a, -a.rep),
+                         (a + 3, a.rep + 3), (2 - b, 2 - b.rep)]:
+        assert element.rep == S.reduce(raw)
