@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -30,8 +29,8 @@ from .isotropy import (SamplingPlan, classify_phi, hyperbolic_order_bound,
                        plane_example_suite, surface_class, triangular,
                        verify_isotropy_theorem)
 from .multipoly import MultiPoly
-from .parsing import (ParseError, parse_expression, parse_images,
-                      parse_scalar, parse_surface)
+from .parsing import (MAX_EXPONENT, ParseError, parse_expression,
+                      parse_images, parse_scalar, parse_surface)
 from .surface import SurfaceSpec
 
 EXIT_OK = 0
@@ -39,14 +38,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
 
 
-@dataclass
 class Session:
     """The parsed arguments of one invocation and the objects built from them."""
 
-    args: argparse.Namespace
-    surface: Optional[SurfaceSpec] = None
-    D: Optional[Derivation] = None
-    M: Optional[RingMap] = None
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.surface: Optional[SurfaceSpec] = None
+        self.D: Optional[Derivation] = None
+        self.M: Optional[RingMap] = None
 
     def emit(self, payload: dict, text: Optional[str] = None) -> None:
         """Print the payload as JSON, or else ``text``, by default the payload's one value."""
@@ -209,6 +208,8 @@ def _cmd_verify(session: Session) -> int:
     S = _need_surface(session)
     if args.suite and (actual := surface_class(S)) != args.suite:
         raise ValueError(f"surface has class {actual!r}, not requested {args.suite!r}")
+    if args.hdeg > MAX_EXPONENT:  # --h cannot give a higher degree either
+        raise ValueError(f"--hdeg above MAX_EXPONENT = {MAX_EXPONENT}")
     g = parse_expression(_argvalue(args.g), ("x",)) if args.g else MultiPoly.one()
     plan = SamplingPlan(h_degrees=tuple(range(args.hdeg + 1)), seed=args.seed)
     report = verify_isotropy_theorem(S, g, plan)

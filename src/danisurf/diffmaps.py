@@ -8,17 +8,21 @@ go through ``_trusted``, which skips the re-proof; each caller states its proof.
 Commutation with a derivation is decided on generators alone: the defect rho∘D - D∘rho
 obeys a twisted Leibniz rule, so vanishing on generators forces it to vanish
 everywhere.  Normal forms are unique, so the two sides are compared as they are.
+The result records (``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Mapping, NamedTuple, Optional
 
 from .multipoly import MultiPoly, PolyLike
 from .surface import SurfaceElement, SurfaceSpec
+
+
+MAX_CAP = 5000  # bound on an explicit cap; the default cap of a parsed table is at most 2 + 64*65
 
 
 class CapExceededError(RuntimeError):
@@ -191,8 +195,7 @@ def compose_maps(rho: RingMap, sigma: RingMap) -> RingMap:
     return rho.compose(sigma)
 
 
-@dataclass(frozen=True)
-class CommutationResult:
+class CommutationResult(NamedTuple):
     commutes: bool
     generator: Optional[str] = None
     difference: Optional[SurfaceElement] = None
@@ -213,8 +216,7 @@ def commutes(rho: RingMap, D: Derivation) -> CommutationResult:
     return CommutationResult(True)
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(NamedTuple):
     indices: dict[str, Optional[int]]  # None marks "exceeded cap"
     cap: int
 
@@ -235,23 +237,30 @@ class NilpotencyReport:
         return f"{'; '.join(parts)} (cap {self.cap}) -> {verdict}"
 
 
-def is_locally_nilpotent(D: Derivation, cap: Optional[int] = None) -> NilpotencyReport:
-    """Iterate D on each generator; exceeding the cap is inconclusive, not a disproof."""
+def _checked_cap(D: Derivation, cap: Optional[int]) -> int:
+    """The given cap, within 1..MAX_CAP, or else D's default cap."""
     if cap is None:
-        cap = D.default_cap()
+        return D.default_cap()
     if cap < 1:
         raise ValueError("cap must be positive")
-    indices: dict[str, Optional[int]] = {}
-    for v in D.surface.variables:
-        current = D.images[v]
-        found: Optional[int] = None
-        for k in range(1, cap + 1):
-            if current.is_zero():
-                found = k
-                break
-            current = D.apply(current)
-        indices[v] = found
-    return NilpotencyReport(indices, cap)
+    if cap > MAX_CAP:
+        raise ValueError(f"cap above MAX_CAP = {MAX_CAP}")
+    return cap
+
+
+def _powers(D: Derivation, v: str):
+    """D(v), D^2(v), ... while nonzero; each is computed only when asked for."""
+    current = D.images[v]
+    while not current.is_zero():
+        yield current
+        current = D.apply(current)
+
+
+def is_locally_nilpotent(D: Derivation, cap: Optional[int] = None) -> NilpotencyReport:
+    """Iterate D on each generator; exceeding the cap is inconclusive, not a disproof."""
+    cap = _checked_cap(D, cap)
+    counts = {v: sum(1 for _ in islice(_powers(D, v), cap)) for v in D.surface.variables}
+    return NilpotencyReport({v: n + 1 if n < cap else None for v, n in counts.items()}, cap)
 
 
 def kernel_contains(D: Derivation, p: SurfaceElement | PolyLike) -> bool:
@@ -266,20 +275,12 @@ def exp_derivation(D: Derivation, cap: Optional[int] = None) -> RingMap:
     """The exponential automorphism v -> sum_k D^k(v)/k! of a locally nilpotent D, not re-proved: D is
     a derivation (proved or factory-built) nilpotent on the generators, so locally nilpotent, and in
     characteristic 0 exp(D) is a ring automorphism (Freudenburg, ch. 1)."""
-    if cap is None:
-        cap = D.default_cap()
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    cap = _checked_cap(D, cap)
     images = {}
     for v in D.surface.variables:
-        acc = D.surface.gen(v)
-        current = D.images[v]
-        k = 1
-        while not current.is_zero():
-            if k > cap:
-                raise CapExceededError(f"inconclusive: D^k({v}) is nonzero for every k <= {cap}")
-            acc = acc + current * Fraction(1, math.factorial(k))
-            current = D.apply(current)
-            k += 1
-        images[v] = acc
+        powers = list(islice(_powers(D, v), cap + 1))  # summed only once some D^k(v) is 0
+        if len(powers) > cap:
+            raise CapExceededError(f"inconclusive: D^k({v}) is nonzero for every k <= {cap}")
+        images[v] = sum((p * Fraction(1, math.factorial(k)) for k, p in enumerate(powers, 1)),
+                        D.surface.gen(v))
     return _trusted(RingMap, D.surface, images)

@@ -15,17 +15,18 @@ For a surface f(x)y = phi(z) the relevant generator families are
 A hyperbolic rotation commutes with the canonical derivation
 D = (0, g*phi_z, g*f) exactly when the order of lam divides
 gcd{j + e : e in the exponent support of g} (and divides s where f forces
-it); the suites sweep parameters on both sides of that criterion.
+it); the suites sweep parameters on both sides of that criterion.  Shapes,
+requests, canonical derivations, check records, reports and sampling plans
+are immutable ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import CycScalar, ScalarLike, divisors, zeta
 from .multipoly import MultiPoly, PolyLike
@@ -41,8 +42,7 @@ class ShapeMismatchError(ValueError):
 # shape analysis
 
 
-@dataclass(frozen=True)
-class PhiShape:
+class PhiShape(NamedTuple):
     """Shape data of a univariate phi: degree, power form, periodic form.
 
     power:    (c, a) with phi = c*(z - a)^degree, when phi has that form.
@@ -215,8 +215,7 @@ def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
     })
 
 
-@dataclass(frozen=True)
-class GeneratorRequest:
+class GeneratorRequest(NamedTuple):
     family: str  # hyperbolic | involution | triangular | rescaling | symmetry
     parameter: object = None
 
@@ -235,8 +234,7 @@ def make_generator(request: GeneratorRequest, S: SurfaceSpec) -> RingMap:
 # canonical locally nilpotent derivations
 
 
-@dataclass(frozen=True)
-class CanonicalLND:
+class CanonicalLND(NamedTuple):
     """The derivation D = (0, g*phi_z, g*f) realized on its surface."""
 
     surface: SurfaceSpec
@@ -263,8 +261,7 @@ def canonical_lnd(S: SurfaceSpec, g: PolyLike) -> CanonicalLND:
 # verification reports
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     family: str
     params: str
     expected: bool
@@ -276,8 +273,7 @@ class CheckRecord:
         return self.expected == self.observed
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     surface: str
     g: str
@@ -320,8 +316,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(NamedTuple):
     h_degrees: tuple[int, ...] = (0, 1, 2, 3, 4)
     seed: int = 0
 

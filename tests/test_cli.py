@@ -11,6 +11,7 @@ import pytest
 
 from danisurf import cli
 from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
+from danisurf.diffmaps import MAX_CAP
 from danisurf.parsing import MAX_DIGITS, MAX_EXPONENT
 
 SURFACE = "f=x; phi=z^2"
@@ -93,6 +94,14 @@ class TestBasicCommands:
                             "--derivation", "X -> X; Y -> 0", "--cap", "8")
         assert code == EXIT_CHECK_FAILED and "exceeded cap" in out
 
+    @pytest.mark.parametrize("command", ["lnd", "exp"])
+    def test_cap_bound(self, capsys, command):
+        argv = (command, "--surface", "free: X,Y", "--derivation", "X -> X; Y -> Y")
+        code, _, err = _run(capsys, *argv, "--cap", str(MAX_CAP + 1))
+        assert code == EXIT_ERROR and err == f"error: cap above MAX_CAP = {MAX_CAP}"
+        code, out, _ = _run(capsys, *argv, "--cap", str(MAX_CAP))
+        assert code == EXIT_CHECK_FAILED and f"{MAX_CAP}" in out
+
     def test_exp_with_scale(self, capsys):
         code, out, _ = _run(capsys, "exp", "--surface", SURFACE,
                             "--derivation", CANONICAL_D, "--scale", "x")
@@ -161,6 +170,14 @@ class TestSuiteCommands:
         members = [c for c in payload["checks"]
                    if c["family"] == "dilation" and c["expected"]]
         assert len(members) == 2
+
+    def test_hdeg_bound(self, capsys):
+        """--h cannot give a degree above MAX_EXPONENT, so neither can --hdeg."""
+        argv = ("verify", "--suite", "xy", "--f", "x", "--phi", "z^8+1")
+        code, _, err = _run(capsys, *argv, "--hdeg", str(MAX_EXPONENT + 1))
+        assert code == EXIT_ERROR and err == f"error: --hdeg above MAX_EXPONENT = {MAX_EXPONENT}"
+        code, out, _ = _run(capsys, *argv, "--hdeg", "6")
+        assert code == EXIT_OK and out.endswith("PASS")
 
     def test_seed_determinism(self, capsys):
         args = ("verify", "--n", "2", "--phi", "z^2", "--g", "x+1",
@@ -456,3 +473,14 @@ class TestModuleEntryPoint:
         assert done.returncode == code, done.stderr
         assert done.stdout.strip() == out
         assert done.stderr.startswith("error: ") == (code == EXIT_ERROR)
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        """Every CLI call pays for the import; the records are NamedTuples, so it skips both."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+                 "import danisurf.cli\n"
+                 "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+        done = subprocess.run([sys.executable, "-E", "-s", "-c", probe, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from danisurf.diffmaps import (CapExceededError, Derivation, RingMap,
+from danisurf.diffmaps import (MAX_CAP, CapExceededError, CommutationResult,
+                               Derivation, NilpotencyReport, RingMap,
                                apply_derivation, apply_map,
                                check_derivation_well_defined,
                                check_map_well_defined, commutes, compose_maps,
@@ -193,6 +194,21 @@ class TestNilpotency:
         report = is_locally_nilpotent(Derivation.zero(S_XY))
         assert report.indices == {"x": 1, "y": 1, "z": 1}
 
+    def test_cap_bound(self):
+        """Every default cap of a parsed table is below MAX_CAP; a larger explicit cap raises."""
+        assert MAX_CAP >= 2 + 64 * 65
+        F = SurfaceSpec.free_ring(("X", "Y"))
+        E = Derivation(F, {"X": MultiPoly.variable("X"), "Y": 0})
+        report = is_locally_nilpotent(E, cap=MAX_CAP)
+        assert report.cap == MAX_CAP and report.indices == {"X": None, "Y": 1}
+        for bad in (MAX_CAP + 1, 0):
+            with pytest.raises(ValueError):
+                is_locally_nilpotent(E, cap=bad)
+            with pytest.raises(ValueError):
+                exp_derivation(E, cap=bad)
+        assert exp_derivation(Derivation(F, {"X": 0, "Y": 1}), cap=MAX_CAP).images["Y"] == F.element(
+            MultiPoly.variable("Y") + 1)
+
 
 class TestKernelAndExp:
     def test_kernel_membership(self):
@@ -318,3 +334,34 @@ def test_representative_independence(seed):
     q = random_poly(rnd, max_exp=2)
     shifted = p + S.relation * q
     assert raw_apply(shifted) == raw_apply(p) == D.apply(S.element(p))
+
+
+class TestRecords:
+    """The result records are immutable NamedTuples with defaults, their own truth value and text."""
+
+    def test_defaults_and_keywords(self):
+        res = CommutationResult(True)
+        assert (res.commutes, res.generator, res.difference) == (True, None, None)
+        assert CommutationResult(commutes=False, generator="x").generator == "x"
+        report = NilpotencyReport(indices={"x": 1}, cap=3)
+        assert report.indices == {"x": 1} and report.cap == 3
+
+    def test_immutable(self):
+        for record, field in ((CommutationResult(True), "commutes"),
+                              (NilpotencyReport({"x": 1}, 3), "cap")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_truth_value_is_the_verdict(self):
+        assert bool(CommutationResult(False)) is False
+        assert bool(CommutationResult(True)) is True
+        assert bool(CommutationResult(False, "x", S_XY.gen("x"))) is False
+
+    def test_text(self):
+        assert str(NilpotencyReport({"x": 1, "y": None, "z": 2}, 7)) == \
+            "x: 1; y: exceeded cap; z: 2 (cap 7) -> inconclusive"
+        report = NilpotencyReport({"x": 1, "y": 3, "z": 2}, 7)
+        assert str(report) == "x: 1; y: 3; z: 2 (cap 7) -> locally nilpotent"
+        assert report.all_nilpotent and not report.inconclusive
+        assert repr(CommutationResult(True)) == \
+            "CommutationResult(commutes=True, generator=None, difference=None)"

@@ -14,7 +14,8 @@ from danisurf.exactnum import CycScalar, root_of_unity_order, zeta
 from danisurf.multipoly import MultiPoly
 from danisurf.parsing import parse_scalar
 from danisurf.surface import SurfaceSpec
-from danisurf.isotropy import (GeneratorRequest, SamplingPlan,
+from danisurf.isotropy import (CanonicalLND, CheckRecord, GeneratorRequest,
+                               PhiShape, SamplingPlan, VerifyReport,
                                ShapeMismatchError, canonical_lnd, classify_phi,
                                hyperbolic_order_bound, hyperbolic_rotation,
                                involution, make_generator, monomial_split,
@@ -458,3 +459,52 @@ class TestPlaneExampleSuite:
             plane_example_suite(1, CycScalar(1))
         with pytest.raises(ValueError):
             plane_example_suite(3, CycScalar(0))
+
+
+class TestRecords:
+    """The report records are immutable NamedTuples: defaults, keywords, repr, hashing, JSON shape."""
+
+    HYP = CheckRecord("hyperbolic", "lambda = -1 (order 2)", False, True, "x: -2*x")
+    TRI = CheckRecord("triangular", "h = 0", True, True)
+
+    def test_defaults_and_keywords(self):
+        assert SamplingPlan() == SamplingPlan(h_degrees=(0, 1, 2, 3, 4), seed=0)
+        assert SamplingPlan(seed=3).h_degrees == (0, 1, 2, 3, 4)
+        request = GeneratorRequest("involution")
+        assert (request.family, request.parameter) == ("involution", None)
+        assert GeneratorRequest(family="hyperbolic", parameter=2).parameter == 2
+        assert self.TRI.witness is None
+
+    def test_immutable(self):
+        records = [(SamplingPlan(), "seed"), (GeneratorRequest("involution"), "family"),
+                   (self.TRI, "observed"), (VerifyReport("s", "x*y = z^2", "1", ()), "checks"),
+                   (classify_phi(z ** 2), "degree"), (canonical_lnd(S_XY2, 1), "g")]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_repr_and_hash(self):
+        assert repr(self.HYP) == ("CheckRecord(family='hyperbolic', params='lambda = -1 (order 2)', "
+                                  "expected=False, observed=True, witness='x: -2*x')")
+        assert repr(self.TRI) == ("CheckRecord(family='triangular', params='h = 0', "
+                                  "expected=True, observed=True, witness=None)")
+        twin = CheckRecord("triangular", "h = 0", True, True, None)
+        assert twin == self.TRI and hash(twin) == hash(self.TRI)
+        assert len({self.TRI, twin, self.HYP}) == 2
+        assert not self.HYP.ok and self.TRI.ok
+
+    def test_to_dict(self):
+        report = VerifyReport("isotropy-xy", "x*y = z^2", "1", (self.TRI, self.HYP))
+        assert report.to_dict() == {
+            "suite": "isotropy-xy", "surface": "x*y = z^2", "g": "1",
+            "checks": [{"family": "hyperbolic", "params": "lambda = -1 (order 2)",
+                        "expected": False, "observed": True, "witness": "x: -2*x"},
+                       {"family": "triangular", "params": "h = 0", "expected": True, "observed": True}],
+            "pass": False}
+
+    def test_shape_and_canonical_records(self):
+        shape = classify_phi(2 * (z - 1) ** 3)
+        assert isinstance(shape, PhiShape) and shape.degree == 3
+        assert shape.reconstruct_power() == 2 * (z - 1) ** 3
+        lnd = canonical_lnd(S_XY2, x)
+        assert isinstance(lnd, CanonicalLND) and lnd.surface == S_XY2 and lnd.g == x
