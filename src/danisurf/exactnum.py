@@ -5,13 +5,14 @@ polynomial in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), stored as
 ``int`` numerators ``nums`` over one positive denominator ``den`` with
 gcd(den, *nums) = 1, the form every kernel works on.  It is stored at the least
 conductor N with the value in Q(zeta_N) (1 for rationals), where its
-coordinates are unique, so equal numbers compare equal.  A sum or product lifts
-the operands to the lcm conductor L, combines them and reduces mod Phi_L there,
-all on integers.  One kernel multiplies two vectors of Q(zeta_L), for scalars and
-polynomial terms alike: the schoolbook over nonzero coordinates or, for dense ones, a
-Kronecker product; reduction walks only the nonzero coefficients of Phi_L.  That
-value of Q(zeta_L) descends to Q(zeta_(L/p)), for a prime p | L, while some such
-subfield contains it.  This reaches the least
+coordinates are unique, so equal numbers compare equal.  A sum lifts the
+operands to the lcm conductor L, adds them and reduces mod Phi_L there, all on
+integers.  A product lifts nothing: one kernel multiplies the coordinates of
+Q(zeta_(L/sa)) and Q(zeta_(L/sb)) at strides sa and sb, for scalars and polynomial
+terms alike, by the schoolbook over nonzero coordinates or, for dense ones, a
+Kronecker product, and reduces mod Phi_L once, walking only the nonzero
+coefficients of Phi_L.  That value of Q(zeta_L) descends to Q(zeta_(L/p)), for a
+prime p | L, while some such subfield contains it.  This reaches the least
 conductor: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the conductors
 d | L whose fields hold the value are closed under gcd, and the least one
 divides the others and is reached from any of them by prime steps.  Each
@@ -261,19 +262,22 @@ def _unpack(n: int, k: int, count: int) -> list:
     return out
 
 
-def _vec_product(a: Sequence[int], b: Sequence[int], L: int) -> list:
-    """The coordinates of a*b for nonzero integer vectors of Q(zeta_L): the schoolbook while nnz(a)*nnz(b)
-    <= 10*phi(L) (the timings cross there at L = 105, 140, 420), else Kronecker; reduced mod Phi_L."""
-    na = [(i, x) for i, x in enumerate(a) if x]
-    nb = [(j, y) for j, y in enumerate(b) if y]
-    if len(na) * len(nb) <= 10 * len(a):
+def _vec_product(a: Sequence[int], sa: int, b: Sequence[int], sb: int, L: int) -> list:
+    """The coordinates in Q(zeta_L) of a*b for nonzero integer vectors a of Q(zeta_(L/sa)) and b of
+    Q(zeta_(L/sb)), unlifted: zeta_(L/sa)^i * zeta_(L/sb)^j = zeta_L^(i*sa + j*sb).  The schoolbook while
+    nnz(a)*nnz(b) <= 10*phi(L) (the timings cross there at L = 105, 140, 420), else Kronecker, a at
+    slots i*sa and b at slots j*sb; reduced mod Phi_L once.  An index i*sa + j*sb takes at most one
+    j per i, so a slot sums at most min(nnz(a), nnz(b)) products."""
+    na = [(i * sa, x) for i, x in enumerate(a) if x]
+    nb = [(j * sb, y) for j, y in enumerate(b) if y]
+    if len(na) * len(nb) <= 10 * _phi_tail(L)[0]:
         product = [0] * (na[-1][0] + nb[-1][0] + 1)
         for i, x in na:
             for j, y in nb:
                 product[i + j] += x * y
     else:
         k = (min(len(na), len(nb)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
-        product = _unpack(_pack(a, k) * _pack(b, k), k, 2 * len(a) - 1)
+        product = _unpack(_pack(a, k * sa) * _pack(b, k * sb), k, (len(a) - 1) * sa + (len(b) - 1) * sb + 1)
     return _mod_phi(product, L)
 
 
@@ -385,8 +389,8 @@ class CycScalar:
                 return CycScalar(0)
             return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den)
         L = _check_conductor(lcm(self.conductor, other.conductor))
-        a, b = _lifted(self.nums, self.conductor, L), _lifted(other.nums, other.conductor, L)
-        return _minimized(L, _vec_product(a, b, L), self.den * other.den)
+        product = _vec_product(self.nums, L // self.conductor, other.nums, L // other.conductor, L)
+        return _minimized(L, product, self.den * other.den)
 
     __rmul__ = __mul__
 

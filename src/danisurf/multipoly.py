@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over cyclotomic scalars.
 
-A ``MultiPoly`` stores the least ``conductor`` N with every coefficient in Q(zeta_N), one
-positive ``den`` coprime to all numerators, and ``nums``: per monomial key an ``int``
-numerator when N = 1, else a tuple of phi(N) power-basis coordinates.  A key is one ``int``
+A ``MultiPoly`` has one stored form: the least ``conductor`` N with every coefficient in
+Q(zeta_N), one positive ``den`` coprime to all numerators, and ``nums``: per monomial key an
+``int`` numerator when N = 1, else a tuple of phi(N) power-basis coordinates.  Coefficients
+that need N above the scalar bound raise ValueError, as scalars do.  A key is one ``int``
 with the exponent of ``variables[i]`` in bits [20i, 20i + 20); the top bit of each slot is a
 guard kept clear, so exponents stay below 2^19.  Unused variables are pruned, so equal
 polynomials have identical representations; ``terms`` builds exponent tuples and
@@ -10,17 +11,13 @@ polynomials have identical representations; ``terms`` builds exponent tuples and
 variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
 set guard bit raising ValueError.  At L > 1 a rational side is never packed nor reduced mod
 Phi_L: one or two terms scale the other side's vectors, more multiply them packed into signed
-slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product (``exactnum``'s kernel,
-or at two conductors one of the unlifted coordinates);
-other cyclotomic sides are both packed, each product term unpacked and reduced mod Phi_L once.
+slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product of the unlifted
+coordinates (``exactnum``'s kernel); other cyclotomic sides are both packed, each product term
+unpacked and reduced mod Phi_L once.
 Each result descends and divides out its gcd once.  ``**`` and ``substitute`` raise a
 polynomial whose terms split into parts A and B over disjoint variables by the binomial rule,
 so no two keys of a product meet, one term by squaring, any other as P^(k-1)*P; ``**``
 settles once, over den^k.
-When no Q(zeta_N) with N <= MAX_CONDUCTOR holds every coefficient, ``conductor``
-is 0, ``den`` 1 and ``nums`` holds the ``CycScalar`` coefficients; arithmetic on
-such a polynomial works coefficient by coefficient, so the bound applies only
-where two coefficients meet: at a common monomial of a sum or in a product's pair.
 
 >>> from danisurf.exactnum import zeta
 >>> x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
@@ -39,7 +36,7 @@ from math import comb, gcd, lcm, prod
 from operator import add, or_
 from typing import Iterable, Mapping, Union
 
-from .exactnum import (MAX_CONDUCTOR, CycScalar, ScalarLike, _canonical, _descended, _lifted,
+from .exactnum import (CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _lifted,
                        _minimized, _mod_phi, _pack, _power, _unpack, _vec_product, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
@@ -64,8 +61,11 @@ class MultiPoly:
             raise ValueError("negative exponent")
         if any(k >> _W - 1 for e, _ in pairs for k in e):
             raise ValueError(_OVERFLOW)
-        scalars = {sum(e[i] << _W * j for j, i in enumerate(order)): c for e, c in pairs}
-        _settled(tuple(sorted(vars_in)), 0, 1, scalars, into=self)
+        L = _check_conductor(lcm(*(c.conductor for _, c in pairs)))  # least: the lcm of the least conductors
+        D = lcm(*(c.den for _, c in pairs))
+        nums = {sum(e[i] << _W * j for j, i in enumerate(order)):
+                _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den) for e, c in pairs}
+        _settled(tuple(sorted(vars_in)), L, D, nums, descend=False, into=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -117,15 +117,9 @@ class MultiPoly:
     @property
     def terms(self) -> dict[tuple[int, ...], CycScalar]:
         """The coefficients as CycScalars, each at its own least conductor, in a new dict."""
-        return {_unpacked(e, len(self.variables)): c for e, c in self._scalars().items()}
-
-    def _scalars(self) -> dict:
-        """The coefficients as CycScalars, each at its own least conductor, keyed as in nums."""
-        if not self.conductor:
-            return dict(self.nums)
-        if self.conductor == 1:
-            return {e: _canonical(1, (c,), self.den) for e, c in self.nums.items()}
-        return {e: _minimized(self.conductor, list(c), self.den) for e, c in self.nums.items()}
+        N, D, n = self.conductor, self.den, len(self.variables)
+        return {_unpacked(e, n): _canonical(1, (c,), D) if N == 1 else _minimized(N, list(c), D)
+                for e, c in self.nums.items()}
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -172,23 +166,17 @@ class MultiPoly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _widened(self, names: tuple[str, ...], scale: int = 1, terms: Mapping | None = None) -> Iterable:
-        """The terms (``nums`` unless given) keyed over ``names``, a sorted superset of the
-        variables, numerators times ``scale``."""
-        terms = _rekeyed((self.nums if terms is None else terms).items(), self.variables, names)
+    def _widened(self, names: tuple[str, ...], scale: int = 1) -> Iterable:
+        """The terms keyed over ``names``, a sorted superset of the variables, numerators times ``scale``."""
+        terms = _rekeyed(self.nums.items(), self.variables, names)
         return terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]
 
     def _merged(self, signed: list) -> "MultiPoly":
         """self + sum(sign*q) over the pairs (q, sign) of polynomials, one signed merge of all
-        numerators over the lcm denominator; where no one field holds every coefficient, the
-        coefficients that meet add one by one, in order."""
+        numerators over the lcm denominator."""
         names = tuple(sorted(set(self.variables).union(*[q.variables for q, _ in signed])))
-        L, D = lcm(self.conductor, *[q.conductor for q, _ in signed]), lcm(self.den, *[q.den for q, _ in signed])
-        if not 0 < L <= MAX_CONDUCTOR:  # no one field: add the coefficients that meet, one by one
-            acc = dict(self._widened(names, terms=self._scalars()))
-            for q, sign in signed:
-                _added(acc, q._widened(names, terms=q._scalars()), sign)
-            return _settled(names, 0, 1, acc)
+        L = _check_conductor(lcm(self.conductor, *[q.conductor for q, _ in signed]))
+        D = lcm(self.den, *[q.den for q, _ in signed])
         acc = dict(_at(self._widened(names, D // self.den), self.conductor, L))
         for q, sign in signed:
             _added(acc, _at(q._widened(names), q.conductor, L), sign * (D // q.den))
@@ -218,10 +206,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         names = tuple(sorted({*self.variables, *other.variables}))
-        L, G = lcm(self.conductor, other.conductor), _guard(len(names))
-        if not 0 < L <= MAX_CONDUCTOR:  # no one field: multiply the coefficients pair by pair
-            return _settled(names, 0, 1, dict(_convolve(self._widened(names, terms=self._scalars()),
-                                                        other._widened(names, terms=other._scalars()), G)))
+        L, G = _check_conductor(lcm(self.conductor, other.conductor)), _guard(len(names))
         out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor, G))
         # a nonzero product uses every variable of its factors
         return _settled(names, L, self.den * other.den, out, gcd(self.conductor, other.conductor) > 1,
@@ -234,7 +219,7 @@ class MultiPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        if not (k and self.nums and self.conductor):
+        if not (k and self.nums):
             return _power(self, k, MultiPoly.one())
         terms = _power_of({1: list(self.nums.items())}, k, self.conductor, _guard(len(self.variables)))
         return _settled(self.variables, self.conductor, self.den ** k, dict(terms), prune=False)  # uses every variable
@@ -255,10 +240,7 @@ class MultiPoly:
         table = [MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
                  for v in self.variables]
         names = tuple(sorted({n for p in table for n in p.variables}))
-        L = lcm(self.conductor, *(p.conductor for p in table))
-        if not 0 < L <= MAX_CONDUCTOR:  # no one field: term by term, through the products
-            return sum((c * prod((p ** k for p, k in zip(table, e)), start=MultiPoly.one())
-                        for e, c in self.terms.items()), MultiPoly.zero())
+        L = _check_conductor(lcm(self.conductor, *(p.conductor for p in table)))
         G, slots = _guard(len(names)), range(0, _W * len(table), _W)
         top = [max(e >> s & _MASK for e in self.nums) for s in slots]
         powers = [{1: list(p._widened(names))} for p in table]  # powers[i][k]: image i to the k
@@ -302,11 +284,10 @@ class MultiPoly:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        out, count = [], len(self.variables)
+        out, count, N, D = [], len(self.variables), self.conductor, self.den
         for exps, c in sorted(((_unpacked(e, count), c) for e, c in self.nums.items()),
                               key=lambda t: (sum(t[0]), t[0]), reverse=True):
             mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, exps) if k)
-            N, D, c = (self.conductor, self.den, c) if self.conductor else (c.conductor, c.den, c.nums)
             if N > 1 and any(c[1:]):
                 sign, body = "+", f"({_minimized(N, list(c), D)})" + ("*" + mono if mono else "")
             else:
@@ -322,12 +303,12 @@ class MultiPoly:
 
 
 def _times(c, k: int):
-    """Numerators, an int or a coordinate vector, or a CycScalar coefficient, times the integer k."""
-    return c if k == 1 else c * k if type(c) in (int, CycScalar) else tuple([v * k for v in c])
+    """Numerators, an int or a coordinate vector, times the integer k."""
+    return c if k == 1 else c * k if type(c) is int else tuple([v * k for v in c])
 
 
 def _added(acc: dict, terms: Iterable, scale: int = 1) -> dict:
-    """acc with the numerators (ints, vectors or CycScalars) of terms times scale added in, zeros kept."""
+    """acc with the numerators (ints or vectors) of terms times scale added in, zeros kept."""
     for e, c in terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]:
         acc[e] = (tuple(map(add, acc[e], c)) if type(c) is tuple else acc[e] + c) if e in acc else c
     return acc
@@ -389,9 +370,8 @@ def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
     Nb.  A rational side is never packed nor reduced mod Phi_L: one or two terms scale the other
     side's vectors (faster than packing b at two terms, not at four).  One term by one term is one
-    scalar product, of the unlifted coordinates at two conductors.  Otherwise cyclotomic sides are
-    packed; a slot of a product term sums min(len(a), len(b)) pairs of phi(L) products, or of one by
-    a rational side."""
+    scalar product of the unlifted coordinates.  Otherwise cyclotomic sides are packed; a slot of a
+    product term sums min(len(a), len(b)) pairs of phi(L) products, or of one by a rational side."""
     L = lcm(Na, Nb)
     if L == 1 or not a or not b:
         return _convolve(a, b, guard)
@@ -402,8 +382,7 @@ def _product(a, Na: int, b, Nb: int, guard: int) -> list:
         for ea, ca in a:
             for eb, cb in b:
                 e = ea + eb
-                v = tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, cb, L) if Na == Nb
-                          else _spread_product(ca, L // Na, cb, L // Nb, L))
+                v = tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, L // Na, cb, L // Nb, L))
                 acc[e] = tuple(map(add, acc[e], v)) if e in acc else v
         if reduce(or_, acc, 0) & guard:
             raise ValueError(_OVERFLOW)
@@ -412,17 +391,6 @@ def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     k = (min(len(a), len(b)) * (1 if Na == 1 else n) * _top(a) * _top(b)).bit_length() + 1
     out = _convolve(a if Na == 1 else [(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], guard)
     return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * n - 1), L))]
-
-
-def _spread_product(a, sa: int, b, sb: int, L: int) -> list:
-    """The coordinates in Q(zeta_L) of a*b for vectors a of Q(zeta_(L/sa)) and b of Q(zeta_(L/sb)), unlifted:
-    zeta_(L/sa)^i * zeta_(L/sb)^j = zeta_L^(i*sa + j*sb), then one reduction mod Phi_L."""
-    out, nb = [0] * ((len(a) - 1) * sa + (len(b) - 1) * sb + 1), [(j * sb, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nb:
-                out[i * sa + j] += x * y
-    return _mod_phi(out, L)
 
 
 def _parts(terms: list, guard: int):
@@ -467,14 +435,6 @@ def _settled(variables: tuple[str, ...], L: int, D: int, nums: dict, descend: bo
     sum or product of a and b with coprime least conductors (were it in a smaller cyclotomic
     field, an automorphism fixing that field and b but not a would fix a + b or a*b), and for a
     sum without a common monomial, whose coefficients are those of a and b."""
-    if not L:  # CycScalar coefficients, zeros allowed, kept as they are if no one field holds them
-        nums = {e: c for e, c in nums.items() if c}
-        L, D = lcm(*(c.conductor for c in nums.values())), lcm(*(c.den for c in nums.values()))
-        if L > MAX_CONDUCTOR:
-            return _built(variables, 0, 1, nums, prune, into)
-        descend = False  # L is the lcm of the least conductors
-        nums = {e: _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den)
-                for e, c in nums.items()}
     if L > 1 and descend:
         N, vecs, D = _descended(L, list(nums.values()), D)
         if N < L:

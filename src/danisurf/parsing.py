@@ -25,7 +25,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import MAX_CONDUCTOR, CycScalar, _descended, _prime_factors
+from .exactnum import CycScalar, _check_conductor, _descended, _prime_factors
 from .multipoly import MultiPoly
 from .surface import SurfaceSpec
 
@@ -121,8 +121,7 @@ class _Parser:
         while self.at_symbol("+") or self.at_symbol("-"):
             sign = 1 if self.next()[1] == "+" else -1
             signed.append((self.term(), sign))
-            if not 0 < (L := lcm(L, first.conductor, signed[-1][0].conductor)) <= MAX_CONDUCTOR:
-                first, signed = first._merged(signed), []  # coefficients may meet outside one field and raise
+            L = _check_conductor(lcm(L, first.conductor, signed[-1][0].conductor))  # raise before reading on
         return first._merged(signed) if signed else first  # one merge: a sum of n terms is linear in n
 
     def term(self) -> MultiPoly:
@@ -235,15 +234,13 @@ def _bounded(p: MultiPoly, pos: int) -> MultiPoly:
     stored values bound the lowest terms, so when they are all short no gcd is taken."""
     N, D = p.conductor, p.den
     composite = N > 1 and len(_prime_factors(N)) > 1
-    if N and not composite and D < _TOO_LONG and max(
+    if not composite and D < _TOO_LONG and max(
             map(abs, p.nums.values() if N == 1 else chain.from_iterable(p.nums.values())), default=0) < _TOO_LONG:
         return p
     if N == 1:
         coeffs = (([(n,)], D) for n in p.nums.values())
-    elif N:
+    else:
         coeffs = (_descended(N, [x], D)[1:] if composite and any(x[1:]) else ([x], D) for x in p.nums.values())
-    else:  # the coefficients are stored as CycScalars
-        coeffs = (([c.nums], c.den) for c in p.nums.values())
     sizes = ((D // (g := gcd(D, *x)), *(v // g for v in x)) for (x,), D in coeffs)
     if any(abs(n) >= _TOO_LONG for size in sizes for n in size):
         raise ParseError(f"coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)

@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .exactnum import MAX_CONDUCTOR, CycScalar
-from .multipoly import _W, MultiPoly, PolyLike, _added, _at, _convolve, _guard, _product, _settled, _times
+from .exactnum import CycScalar, _check_conductor
+from .multipoly import _W, MultiPoly, PolyLike, _added, _at, _guard, _product, _settled, _times
 
 _XY = (1 << 2 * _W) - 1  # the x and y slots of a key over (x, y, z)
 
@@ -132,13 +132,9 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
     divisible = lambda e: ((e | G) - xy) & G == G  # x-degree >= m and y-degree >= 1
     if p.variables[:2] != ("x", "y") or not any(map(divisible, p.nums)):
         return p
-    N, L = S.monic.conductor, lcm(p.conductor, S.monic.conductor)
-    if not 0 < L <= MAX_CONDUCTOR:  # no one field: CycScalar coefficients over den 1
-        L, den, rows, terms = 0, 1, _rows(S.monic._scalars().items(), S.m), p._scalars().items()
-    else:
-        den, rows, terms = S.monic.den, S.rows, _at(p.nums.items(), p.conductor, L)
+    N, L, den = S.monic.conductor, _check_conductor(lcm(p.conductor, S.monic.conductor)), S.monic.den
     buckets = {}  # (y, x)-part -> [t, {key: numerator over p.den * den^t}]
-    for e, c in terms:
+    for e, c in _at(p.nums.items(), p.conductor, L):
         buckets.setdefault(e & _XY, [0, {}])[1][e] = c
     todo = sorted(filter(divisible, buckets))  # the buckets to rewrite, ascending
     while todo:
@@ -146,8 +142,8 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
         t, part = buckets.pop(b)
         t += den != 1  # the power of den under the terms this rewrite emits
         quotient = [(e - xy, c) for e, c in part.items() if (any(c) if type(c) is tuple else c)]
-        for off, row in rows:
-            out = _product(quotient, L, row, N, G3) if L else _convolve(quotient, row, G3)
+        for off, row in S.rows:
+            out = _product(quotient, L, row, N, G3)
             if (target := b + off) not in buckets and divisible(target):
                 insort(todo, target)
             s, acc = buckets.setdefault(target, [t, {}])
@@ -157,7 +153,7 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
     T = max(t for t, _ in buckets.values())
     nums = {e: _times(c, den ** (T - t)) for t, part in buckets.values() for e, c in part.items()
             if (any(c) if type(c) is tuple else c)}
-    return _settled(("x", "y", "z"), L, p.den * den ** T if L else 1, nums)
+    return _settled(("x", "y", "z"), L, p.den * den ** T, nums)
 
 
 class SurfaceElement:

@@ -270,22 +270,22 @@ class TestErrorsAndFiles:
         assert "MAX_DIGITS" in err and f"(at position {position})" in err
         assert time.perf_counter() - start < 1
 
-    # each coefficient of the last input has a denominator of about 400 digits, their lcm about 1200
-    # the bound applies where coefficients meet, not to the lcm of all conductors of a polynomial
-    @pytest.mark.parametrize("surface,expr,expected", [
-        ("free: X,Y", "zeta(997)*X + zeta(991)*Y", "(zeta(997))*X + (zeta(991))*Y"),
-        ("free: X,Y", "(zeta(7)*X + zeta(11)*Y + zeta(13))^2 - (zeta(7)*X + zeta(11)*Y)^2 - zeta(13)^2",
-         "(2*zeta(91)^20)*X + (2*zeta(143)^24)*Y"),
-        (SURFACE, "zeta(7)*x*y + zeta(11)*z + zeta(13)", "(zeta(7))*z^2 + (zeta(11))*z + (zeta(13))")])
-    def test_coefficients_without_one_conductor_accepted(self, capsys, surface, expr, expected):
-        code, out, _ = _run(capsys, "nf", "--surface", surface, "--expr", expr)
-        assert code == EXIT_OK and out == expected
+    # a polynomial's coefficients share one field Q(zeta_N), N <= MAX_CONDUCTOR, as a scalar's
+    # coordinates do: 997 * 991 and 7 * 11 * 13 = 1001 are above the bound, though 7 * 11 and 7 * 13 are not
+    @pytest.mark.parametrize("surface,expr", [
+        ("free: X,Y", "zeta(997)*X + zeta(991)*Y"),
+        ("free: X,Y", "(zeta(7)*X + zeta(11)*Y + zeta(13))^2 - (zeta(7)*X + zeta(11)*Y)^2 - zeta(13)^2"),
+        (SURFACE, "zeta(7)*x*y + zeta(11)*z + zeta(13)")])
+    def test_coefficients_without_one_conductor_rejected(self, capsys, surface, expr):
+        code, out, err = _run(capsys, "nf", "--surface", surface, "--expr", expr)
+        assert code == EXIT_ERROR and not out and "exceeds MAX_CONDUCTOR = 1000" in err
 
     def test_long_coefficient_without_one_conductor_rejected(self, capsys):
+        """The parenthesised sum meets the conductor bound before the product meets the digit bound."""
         expr = f"(zeta(997)*X + zeta(991)*Y)*{10 ** (MAX_DIGITS - 1)}*10"
         code, out, err = _run(capsys, "nf", "--surface", "free: X,Y", "--expr", expr)
         assert code == EXIT_ERROR and not out
-        assert "MAX_DIGITS" in err and f"(at position {MAX_DIGITS + 28})" in err
+        assert "conductor 988027 exceeds MAX_CONDUCTOR" in err and "MAX_DIGITS" not in err
 
     def test_coefficient_bounded_at_its_own_conductor(self, capsys):
         """A*(2*zeta(7)^5 + zeta(7)^6) has coordinates of size A at conductor 7 but 2*A at 21."""

@@ -338,6 +338,30 @@ def test_integer_kernel_matches_dense_oracle(a, b, doubled):
             inverse.conductor, list(inverse.coeffs))
 
 
+@st.composite
+def _scalars_at(draw, N):
+    """A scalar from phi(N) coordinates at conductor N, dense (none zero) or sparse (about one in
+    four nonzero), with numerators small or beyond 2^64, of both signs, over a denominator up to 6."""
+    numerator = st.one_of(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(2 ** 64, 2 ** 66),
+                          st.integers(-2 ** 66, -2 ** 64))
+    dense, den = draw(st.booleans()), draw(st.integers(1, 6))
+    coords = [Fraction(draw(numerator), den) if dense or draw(st.integers(0, 3)) == 0 else Fraction(0)
+              for _ in range(euler_phi(N))]
+    return _minimized_fractions(N, coords)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(12, 20), (20, 12), (105, 140), (140, 105), (7, 5), (4, 3), (140, 140)]).flatmap(
+    lambda pair: st.tuples(_scalars_at(pair[0]), _scalars_at(pair[1]))))
+def test_product_at_two_conductors_matches_dense_oracle(pair):
+    """a * b multiplies the unlifted coordinates at strides L/Na and L/Nb and reduces mod Phi_L once;
+    against the schoolbook on operands lifted to L = lcm(Na, Nb).  Dense operands at (105, 140) and
+    (140, 140) take the Kronecker branch, sparse ones and the smaller fields the schoolbook."""
+    a, b = pair
+    product = a * b
+    assert (product.conductor, product.coeffs) == dense_product(a, b)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.one_of(_lifted_elements().map(lambda case: _minimized_fractions(*case)),
                  _cyclotomic_scalars()))

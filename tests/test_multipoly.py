@@ -179,11 +179,6 @@ def test_str_matches_fraction_renderer(coeffs, cyclotomic):
     assert str(p) == render_with_fractions(p)
 
 
-def test_str_of_polynomial_beyond_conductor_bound_matches_fraction_renderer():
-    p = MultiPoly(("x", "y"), {(1, 0): zeta(997), (0, 1): zeta(991), (1, 1): Fraction(-3, 4), (0, 0): 1})
-    assert p.conductor == 0 and str(p) == render_with_fractions(p)
-
-
 class TestTrustedConstructors:
     @pytest.mark.parametrize("c", [2, Fraction(-3, 4), CycScalar(5), zeta(3), zeta(12) + 1])
     def test_constant_matches_validating_constructor(self, c):
@@ -472,11 +467,14 @@ def _dense_one_term(N, top):
 @example(((5, 21), _dense_one_term(5, -_BIG), _dense_one_term(21, 3), 1))
 @example(((4, 3), {(1, 0): [Fraction(1, 2), Fraction(-1)]}, {(0, 1): [Fraction(0), Fraction(7)]}, 2))
 @example(((20, 7), _dense_one_term(20, 1), {(2, 1): [Fraction(-3, 4)] + [Fraction(0)] * 4 + [Fraction(_BIG)]}, 1))
+# ... and dense on both sides, 48 * 48 > 10 * phi(420): the Kronecker branch, each side packed at its stride
+@example(((105, 140), _dense_one_term(105, 3), _dense_one_term(140, -_BIG), 1))
+@example(((140, 105), _dense_one_term(140, _BIG), _dense_one_term(105, -2), 2))
 def test_every_product_path_matches_dense_oracle(case):
     """*, ** and substitute against term-by-term Dense arithmetic at L = lcm(Na, Nb): rational sides of
     one, two (scaling) and three terms (packed) times cyclotomic ones, one term by one term with sparse
-    and dense vectors on both sides of the schoolbook/Kronecker crossover or at two conductors, and
-    fields that meet at a larger conductor."""
+    and dense vectors on both sides of the schoolbook/Kronecker crossover, at one conductor and at two,
+    and fields that meet at a larger conductor."""
     (Na, Nb), ma, mb, k = case
     L = lcm(Na, Nb)
     (p, a), (q, b) = _path_poly(ma, Na, L), _path_poly(mb, Nb, L)
@@ -655,73 +653,67 @@ def _apart_maps():
         lambda m: {e: c for e, c in m.items() if c})
 
 
-def _check_apart(p):
-    """Conductor 0, den 1 and CycScalar numerators exactly when no field up to MAX_CONDUCTOR
-    holds every coefficient; otherwise the stored form of one conductor."""
-    _check_representation(p)
-    L = lcm(1, *(c.conductor for c in p.terms.values()))
-    if L > MAX_CONDUCTOR:
-        assert (p.conductor, p.den) == (0, 1) and p.nums == {_key(e): c for e, c in p.terms.items()}
-    else:
-        _check_canonical(p)
-
-
 _APART = {(1, 0, 0): zeta(7), (0, 1, 0): zeta(11), (0, 0, 1): zeta(13)}
+
+
+def _built_or_rejected(m):
+    """MultiPoly(_XYZ, m), canonical with the terms m, when the lcm of their least conductors is at
+    most MAX_CONDUCTOR; else None, after checking that building it raises the scalar layer's error."""
+    L = lcm(1, *(c.conductor for c in m.values()))
+    if L > MAX_CONDUCTOR:
+        with pytest.raises(ValueError, match=f"conductor {L} exceeds MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
+            MultiPoly(_XYZ, m)
+        return None
+    p = MultiPoly(_XYZ, m)
+    _check_canonical(p)
+    assert term_map(p) == m
+    return p
 
 
 @settings(deadline=None, max_examples=100)
 @given(_apart_maps(), _apart_maps())
 @example(_APART, {(1, 0, 0): zeta(13), (0, 0, 0): CycScalar(1)})
-@example(_APART, {(1, 0, 0): zeta(143), (0, 1, 1): CycScalar(1)})
-def test_coefficients_apart_meet_only_at_common_monomials(a, b):
-    """A sum bounds the conductor of each common monomial's pair, not that of the whole
-    polynomial; every other operation keeps the coefficients as they are."""
-    p, q = MultiPoly(_XYZ, a), MultiPoly(_XYZ, b)
-    _check_apart(p)
-    assert term_map(p) == a
-    for op, expected in ((operator.add, lambda: map_add(a, b)), (operator.sub, lambda: map_add(a, map_neg(b)))):
-        try:
-            want = expected()
-        except ValueError:  # one common monomial's pair needs a conductor above the bound
-            with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+@example({(1, 0, 0): zeta(7), (0, 1, 0): zeta(11)}, {(1, 0, 0): zeta(13), (0, 1, 1): CycScalar(1)})
+@example({(1, 0, 0): zeta(997), (0, 1, 0): zeta(991), (1, 1, 0): CycScalar(Fraction(-3, 4)), (0, 0, 0): CycScalar(1)},
+         {(1, 0, 0): zeta(143)})
+def test_coefficients_apart_raise_beyond_conductor_bound(a, b):
+    """One stored form: a polynomial, sum or product whose coefficients need a conductor above
+    MAX_CONDUCTOR raises, as a scalar product of those coefficients does, whether or not any two of
+    them meet; otherwise the result is canonical."""
+    p, q = _built_or_rejected(a), _built_or_rejected(b)
+    if p is None or q is None:
+        return
+    L = lcm(p.conductor, q.conductor)
+    for op, expected in ((operator.add, lambda: map_add(a, b)), (operator.sub, lambda: map_add(a, map_neg(b))),
+                         (operator.mul, lambda: map_mul(a, b))):
+        if L > MAX_CONDUCTOR:
+            with pytest.raises(ValueError, match=f"conductor {L} exceeds MAX_CONDUCTOR"):
                 op(p, q)
             continue
         got = op(p, q)
-        _check_apart(got)
-        assert term_map(got) == want
-        assert (got + q if op is operator.sub else got - q) == p
-    for got, want in ((-p, map_neg(a)), (p.partial_derivative("x"), map_derivative(a, 0)),
-                      (p * x, map_mul(a, {(1, 0, 0): 1})),
-                      (p.coefficient_of("y", 1), {(i, 0, k): c for (i, j, k), c in a.items() if j == 1})):
-        _check_apart(got)
-        assert term_map(got) == want
-    assert hash((p + x) - x) == hash(p) and (p + x) - x == p
+        _check_canonical(got)
+        assert term_map(got) == expected()
 
 
 class TestCoefficientsApart:
-    q = zeta(7) * x + zeta(11) * y + zeta(13) * z
+    q = zeta(7) * x + zeta(11) * y  # conductor 77; with zeta(13) the lcm is 1001
 
-    def test_products_bound_each_pair(self):
-        assert self.q.conductor == 0
-        square = self.q ** 2
-        _check_apart(square)
-        assert term_map(square) == map_mul(term_map(self.q), term_map(self.q))
+    def test_products_bound_the_lcm(self):
+        """Each pair zeta(13)*zeta(7), zeta(13)*zeta(11) lies in a field below the bound, their lcm not."""
+        assert self.q.conductor == 77 and (self.q ** 2).conductor == 77
+        for other in (MultiPoly.constant(zeta(13)), zeta(13) * z + 1, zeta(13) * x):
+            with pytest.raises(ValueError, match="conductor 1001"):
+                self.q * other
         with pytest.raises(ValueError, match="conductor 1001"):
-            self.q ** 3
+            self.q + zeta(13) * z
         assert term_map(zeta(3) * self.q) == {e: zeta(3) * c for e, c in term_map(self.q).items()}
-        with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
-            MultiPoly.constant(zeta(997)) * self.q
-
-    def test_leaving_the_form_restores_one_conductor(self):
-        r = self.q - zeta(13) * z
-        _check_apart(r)
-        assert r.conductor == 77 and r == zeta(7) * x + zeta(11) * y
-        assert self.q.coefficient_of("z", 0) == r and self.q != r
 
     def test_substitute_and_str(self):
         got = self.q.substitute({"x": y, "z": Fraction(1, 2)})
-        assert got == (zeta(7) + zeta(11)) * y + zeta(13) / 2
-        assert str(self.q + 5 - 2 * x * y) == "-2*x*y + (zeta(7))*x + (zeta(11))*y + (zeta(13))*z + 5"
+        assert got == (zeta(7) + zeta(11)) * y
+        with pytest.raises(ValueError, match="conductor 1001"):
+            self.q.substitute({"x": zeta(13) * y})
+        assert str(self.q + 5 - 2 * x * y) == "-2*x*y + (zeta(7))*x + (zeta(11))*y + 5"
         assert (x * self.q).divide_by_variable("x") == self.q
 
 
@@ -826,7 +818,7 @@ class TestExponentGuard:
         lambda: (x * y ** _HALF * z) ** 2,  # a middle slot
         lambda: x ** (_TOP + 1),
         lambda: (zeta(7) * x ** _HALF + 1) * (x ** _HALF * y),  # a cyclotomic product
-        lambda: (zeta(7) * x + zeta(11) * y + zeta(13) * z ** _HALF) * z ** _HALF,  # no one conductor
+        lambda: (zeta(7) * x + zeta(3) * z ** _HALF) * (zeta(5) * z ** _HALF + y),  # two conductors, packed
         lambda: (x ** _HALF + y).substitute({"x": x ** 2}),
         lambda: (z ** 2 + 1).substitute({"z": x ** _HALF * z}),
         lambda: MultiPoly(("x", "y"), {(1, _TOP + 1): 1}),
