@@ -73,8 +73,10 @@ def _build_session(args: argparse.Namespace) -> Session:
         if phi_text is not None and (f_text is not None or n is not None):
             if f_text is not None:
                 f = parse_expression(f_text, ("x",))
-            else:
+            elif 1 <= n <= MAX_EXPONENT:  # the bound --f's degree meets in the parser
                 f = MultiPoly.variable("x") ** n
+            else:
+                raise ValueError(f"--n outside 1..MAX_EXPONENT = {MAX_EXPONENT}")
             session.surface = SurfaceSpec.danielewski(f, parse_expression(phi_text, ("z",)))
     der_text = _argvalue(getattr(args, "derivation", None))
     if der_text is not None:

@@ -16,8 +16,9 @@ prime p | L, while some such subfield contains it.  This reaches the least
 conductor: Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the conductors
 d | L whose fields hold the value are closed under gcd, and the least one
 divides the others and is reached from any of them by prime steps.  Each
-membership test is exact: with a cached sparse integer left inverse P / s of
-the embedding E of the subfield, x lies in it exactly when E P x = s x.
+membership test is exact, on integers, from the tower Q(zeta_M) in Q(zeta_pM):
+x's coordinates at the multiples of p if p | M, else a shifted difference of
+two strided slices of x that must lift back to x (``_in_subfield``).
 ``zeta(n, k)`` needs no descent: its least conductor follows from n and k.
 Fractions are built only on request: ``coeffs``, ``as_rational`` and ``str``.
 Conductors above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands,
@@ -37,10 +38,6 @@ Rational = Fraction
 ScalarLike = Union["CycScalar", Fraction, int]
 
 MAX_CONDUCTOR = 1000
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -128,67 +125,24 @@ def _mod_phi(coeffs: list, n: int) -> list:
     return coeffs
 
 
-def _axpy(dst: dict[int, Fraction], a: Fraction, src: dict[int, Fraction]) -> None:
-    """dst += a * src, for nonzero a and sparse vectors stored as {index: value}."""
-    for i, v in src.items():
-        w = dst.get(i, _ZERO) + a * v
-        if w:
-            dst[i] = w
-        else:
-            del dst[i]
-
-
-@lru_cache(maxsize=None)
-def _projector(L: int, d: int) -> tuple[int, tuple, tuple]:
-    """The embedding E of Q(zeta_d) in Q(zeta_L) and a left inverse P / s of it, in integers.
-
-    Column k of E is zeta_L^(k*L/d) mod Phi_L, the image of zeta_d^k.  Gauss-Jordan
-    elimination on the rows of E^T, recording the row operations U, leaves unit
-    vectors at pivot coordinates R; then U = (E_R^-1)^T, so P x / s = U^T x_R.  Returns
-    s = lcm of U's denominators, P as pairs (R_i, ((k, s U[i][k]), ...)), E as its columns' nonzeros.
-    """
-    step = L // d
-    cols = [{r: c for r, c in enumerate(_mod_phi([0] * (k * step) + [1], L)) if c}
-            for k in range(euler_phi(d))]
-    # row k of E^T; U[k] is kept in the same dict under the keys -1 - k
-    rows = [{**col, -1 - k: _ONE} for k, col in enumerate(cols)]
-    pivots: list[int] = []
-    for i, row in enumerate(rows):
-        for j, r in enumerate(pivots):
-            if r in row:
-                _axpy(row, -row[r], rows[j])
-        r = max(row)  # a coordinate, since E has full column rank
-        inv = _ONE / row[r]
-        for c in row:
-            row[c] *= inv
-        for other in rows[:i]:
-            if r in other:
-                _axpy(other, -other[r], row)
-        pivots.append(r)
-    s = lcm(*(u.denominator for row in rows for k, u in row.items() if k < 0))
-    P = tuple((r, tuple((-1 - k, int(u * s)) for k, u in row.items() if k < 0))
-              for r, row in zip(pivots, rows))
-    return s, P, tuple(tuple(col.items()) for col in cols)
-
-
-def _in_subfield(L: int, d: int, x: list[int]) -> Optional[tuple[list[int], int]]:
-    """(y, s) with y / s the coordinates in Q(zeta_d) of the integer vector x of
-    Q(zeta_L), or None if x is not there; x = E y / s exactly when E P x = s x."""
-    s, P, E = _projector(L, d)
-    if not any(x[1:]):  # a rational x is s*x[0] times the first basis vector
-        return [s * x[0]] + [0] * (len(E) - 1), s
-    y = [0] * len(E)
-    for r, op in P:
-        c = x[r]
-        if c:
-            for k, u in op:
-                y[k] += u * c
-    z = [0] * len(x)
-    for col, c in zip(E, y):
-        if c:
-            for r, e in col:
-                z[r] += e * c
-    return (y, s) if z == (list(x) if s == 1 else [s * v for v in x]) else None
+def _in_subfield(L: int, p: int, x: Sequence[int]) -> Optional[list[int]]:
+    """The coordinates in Q(zeta_M), M = L/p for a prime p | L, of the integer vector x of Q(zeta_L), or
+    None if x is not there.  If p | M, Phi_L(t) = Phi_M(t^p): x is there exactly when its coordinates
+    off the multiples of p are zero.  Else zeta_L^i = zeta_p^(i/M) * zeta_M^(i/p) (inverses mod p and M),
+    so x = sum zeta_p^s * W_s, W_s in Q(zeta_M) from the coordinates x[r::p], r = s*M mod p.  As zeta_p,
+    ..., zeta_p^(p-1) is a basis over Q(zeta_M) with sum -1, x is there exactly when W_1 = ... = W_(p-1),
+    and then x = W_0 - W_(1/M): y = x[::p] - t^c * x[1::p] mod Phi_M, c = 1/p mod M, must lift back to x."""
+    M = L // p
+    if not any(x[1:]):
+        return [x[0]] + [0] * (euler_phi(M) - 1)
+    if M % p == 0 or M == 1:  # at M = 1 (L = p) an irrational x has a coordinate off the multiples of p
+        return None if any(any(x[r::p]) for r in range(1, p)) else list(x[::p])
+    c, head, tail = pow(p, -1, M), x[::p], x[1::p]
+    y = list(head) + [0] * (c + len(tail) - len(head))
+    for k, v in enumerate(tail, c):
+        y[k] -= v
+    y = _mod_phi(y, M)
+    return y if _lifted(y, M, L) == tuple(x) else None
 
 
 def _canonical(L: int, nums: Sequence[int], D: int) -> "CycScalar":
@@ -202,23 +156,23 @@ def _canonical(L: int, nums: Sequence[int], D: int) -> "CycScalar":
     return self
 
 
-def _descended(L: int, vecs: list, D: int = 1) -> tuple[int, list, int]:
-    """(N, ys, D * s) with ys[i] / (D * s) = vecs[i] / D in Q(zeta_L), N the least conductor whose
-    field holds all vecs: prime steps while one subfield holds all, as for a single value."""
+def _descended(L: int, vecs: list) -> tuple[int, list]:
+    """(N, ys): N the least conductor whose field holds every vector of vecs in Q(zeta_L), and ys
+    their coordinates there; prime steps while one subfield holds all, as for a single value."""
     while L > 1 and any(any(x[1:]) for x in vecs):
         for p in _prime_factors(L):
-            subs = list(takewhile(bool, (_in_subfield(L, L // p, x) for x in vecs)))
-            if len(subs) == len(vecs):
-                L, vecs, D = L // p, [y for y, _ in subs], D * subs[0][1]
+            ys = list(takewhile(lambda y: y is not None, (_in_subfield(L, p, x) for x in vecs)))
+            if len(ys) == len(vecs):
+                L, vecs = L // p, ys
                 break
         else:
-            return L, vecs, D
-    return 1, [x[:1] for x in vecs], D
+            return L, vecs
+    return 1, [x[:1] for x in vecs]
 
 
 def _minimized(L: int, nums: list[int], D: int = 1) -> "CycScalar":
     """The canonical scalar of the residue nums / D of Q(zeta_L), by prime descent."""
-    L, (nums,), D = _descended(L, [nums], D)
+    L, (nums,) = _descended(L, [nums])
     return _canonical(L, nums, D)
 
 

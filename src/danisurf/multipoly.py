@@ -231,7 +231,7 @@ class MultiPoly:
             return MultiPoly.zero()
         s = _W * self.variables.index(var)
         out = {e - (1 << s): _times(c, k) for e, c in self.nums.items() if (k := e >> s & _MASK)}
-        return _settled(self.variables, self.conductor, self.den, out)
+        return _settled(self.variables, self.conductor, self.den, out, len(out) < len(self.nums))
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "MultiPoly":
         """Ring-homomorphism evaluation; variables without an image map to themselves.
@@ -433,10 +433,11 @@ def _settled(variables: tuple[str, ...], L: int, D: int, nums: dict, descend: bo
     """The polynomial of nonzero numerators ``nums`` over D > 0 at conductor L, descended to its
     least conductor unless L is known least, and with the gcd divided out.  L is least for a
     sum or product of a and b with coprime least conductors (were it in a smaller cyclotomic
-    field, an automorphism fixing that field and b but not a would fix a + b or a*b), and for a
-    sum without a common monomial, whose coefficients are those of a and b."""
+    field, an automorphism fixing that field and b but not a would fix a + b or a*b), for a
+    sum without a common monomial, whose coefficients are those of a and b, and for a derivative
+    that drops no term, whose coefficients k*c have the least conductors of the c."""
     if L > 1 and descend:
-        N, vecs, D = _descended(L, list(nums.values()), D)
+        N, vecs = _descended(L, list(nums.values()))
         if N < L:
             L, nums = N, dict(zip(nums, (tuple(v) for v in vecs) if N > 1 else (v[0] for v in vecs)))
     g = gcd(D, *(nums.values() if L == 1 else chain.from_iterable(nums.values()))) if D > 1 else 1

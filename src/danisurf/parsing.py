@@ -237,11 +237,9 @@ def _bounded(p: MultiPoly, pos: int) -> MultiPoly:
     if not composite and D < _TOO_LONG and max(
             map(abs, p.nums.values() if N == 1 else chain.from_iterable(p.nums.values())), default=0) < _TOO_LONG:
         return p
-    if N == 1:
-        coeffs = (([(n,)], D) for n in p.nums.values())
-    else:
-        coeffs = (_descended(N, [x], D)[1:] if composite and any(x[1:]) else ([x], D) for x in p.nums.values())
-    sizes = ((D // (g := gcd(D, *x)), *(v // g for v in x)) for (x,), D in coeffs)
+    coeffs = ((n,) for n in p.nums.values()) if N == 1 else (
+        _descended(N, [x])[1][0] if composite and any(x[1:]) else x for x in p.nums.values())
+    sizes = ((D // (g := gcd(D, *x)), *(v // g for v in x)) for x in coeffs)
     if any(abs(n) >= _TOO_LONG for size in sizes for n in size):
         raise ParseError(f"coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
     return p

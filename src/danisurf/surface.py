@@ -85,6 +85,7 @@ class SurfaceSpec:
         self.check_variables(p)
         if self.is_free:
             return p
+        _check_conductor(lcm(p.conductor, self.monic.conductor))  # whether or not p needs a rewrite
         return _reduce_relation(p, self)
 
     def element(self, p: PolyLike) -> "SurfaceElement":
@@ -132,7 +133,7 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
     divisible = lambda e: ((e | G) - xy) & G == G  # x-degree >= m and y-degree >= 1
     if p.variables[:2] != ("x", "y") or not any(map(divisible, p.nums)):
         return p
-    N, L, den = S.monic.conductor, _check_conductor(lcm(p.conductor, S.monic.conductor)), S.monic.den
+    N, L, den = S.monic.conductor, lcm(p.conductor, S.monic.conductor), S.monic.den
     buckets = {}  # (y, x)-part -> [t, {key: numerator over p.den * den^t}]
     for e, c in _at(p.nums.items(), p.conductor, L):
         buckets.setdefault(e & _XY, [0, {}])[1][e] = c

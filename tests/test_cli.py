@@ -179,6 +179,17 @@ class TestSuiteCommands:
         code, out, _ = _run(capsys, *argv, "--hdeg", "6")
         assert code == EXIT_OK and out.endswith("PASS")
 
+    @pytest.mark.parametrize("argv", [
+        ["nf", "--n", str(MAX_EXPONENT + 1), "--phi", "z^2", "--expr", "x*y"],
+        ["nf", "--n", "0", "--phi", "z^2", "--expr", "x*y"],
+        ["verify", "--n", "5000", "--phi", "z^2+1", "--hdeg", "1"]])
+    def test_n_bound(self, capsys, argv):
+        """--n is bounded as --f's degree is: x^65 is refused by the parser."""
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR and not out and err == f"error: --n outside 1..MAX_EXPONENT = {MAX_EXPONENT}"
+        code, out, _ = _run(capsys, "nf", "--n", str(MAX_EXPONENT), "--phi", "z^2", "--expr", "x*y")
+        assert code == EXIT_OK and out == "x*y"
+
     def test_seed_determinism(self, capsys):
         args = ("verify", "--n", "2", "--phi", "z^2", "--g", "x+1",
                 "--seed", "11", "--format", "json")
@@ -279,6 +290,17 @@ class TestErrorsAndFiles:
     def test_coefficients_without_one_conductor_rejected(self, capsys, surface, expr):
         code, out, err = _run(capsys, "nf", "--surface", surface, "--expr", expr)
         assert code == EXIT_ERROR and not out and "exceeds MAX_CONDUCTOR = 1000" in err
+
+    # on a relation surface every element's coefficients share one field with the relation's,
+    # whether or not the element needs a rewrite: zeta(997)*z and zeta(997)*x are normal forms
+    @pytest.mark.parametrize("argv", [
+        ["nf", "--surface", "f=x^2+x; phi=z^2+zeta(991)", "--expr", "zeta(997)*z"],
+        ["nf", "--surface", "f=x^2+x; phi=z^2+zeta(991)", "--expr", "zeta(997)*x^2*y"],
+        ["apply", "--surface", "f=x; phi=z^2+zeta(991)", "--derivation", CANONICAL_D, "--expr", "zeta(997)*z"]],
+        ids=["normal-form", "rewrite", "apply"])
+    def test_coefficients_outside_the_surface_field_rejected(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR and not out and "conductor 988027 exceeds MAX_CONDUCTOR = 1000" in err
 
     def test_long_coefficient_without_one_conductor_rejected(self, capsys):
         """The parenthesised sum meets the conductor bound before the product meets the digit bound."""

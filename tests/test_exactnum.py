@@ -2,13 +2,12 @@
 
 import math
 import operator
-import time
 from fractions import Fraction
-from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from danisurf import exactnum
 from danisurf.exactnum import (MAX_CONDUCTOR, CycScalar, _minimized,
@@ -16,7 +15,7 @@ from danisurf.exactnum import (MAX_CONDUCTOR, CycScalar, _minimized,
                                divisors, euler_phi, root_of_unity_order, zeta)
 from danisurf.multipoly import MultiPoly
 
-from oracles import (brute_root_of_unity_order, dense_product, dense_sum,
+from oracles import (_solve_in_subfield, brute_root_of_unity_order, dense_at, dense_product, dense_sum,
                      minimized_by_elimination, naive_dense_div, reduce_mod_cyclotomic)
 
 t = MultiPoly.variable("t")
@@ -281,19 +280,46 @@ def test_zeta_closed_form_matches_descent(n):
         assert zeta(n, k - n) == got
 
 
-def test_zeta_builds_no_projector():
-    built, start = exactnum._projector.cache_info().misses, time.perf_counter()
-    # 770 = 2 * 385 and 990 = 2 * 495: zeta_2d = -zeta_d^((d+1)/2) stores them at d
-    assert [zeta(n).conductor for n in (770, 969, 990)] == [385, 969, 495]
-    assert time.perf_counter() - start < 1
-    assert exactnum._projector.cache_info().misses == built
+def test_zeta_runs_no_descent():
+    """zeta(n, k) finds its least conductor from n and k, with no membership test."""
+    with mock.patch.object(exactnum, "_descended", side_effect=AssertionError("zeta descended")):
+        # 770 = 2 * 385 and 990 = 2 * 495: zeta_2d = -zeta_d^((d+1)/2) stores them at d
+        assert [zeta(n).conductor for n in (770, 969, 990)] == [385, 969, 495]
+        assert [zeta(n, k).conductor for n, k in ((12, 3), (60, 10), (45, 9), (8, 4))] == [4, 3, 5, 1]
+
+
+# every prime step (L, p) of these L: p | L/p at (8, 2), (12, 2), (45, 3), (63, 3), (140, 2);
+# p not dividing L/p at (12, 3), (15, 3), (15, 5), (45, 5), (63, 7), (105, p) and (140, 5), (140, 7)
+_PRIME_STEPS = [(L, p) for L in (8, 12, 15, 45, 63, 105, 140) for p in exactnum._prime_factors(L)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(_PRIME_STEPS), st.data())
+@example((15, 3), None)
+@example((12, 2), None)
+def test_subfield_membership_matches_elimination_oracle(step, data):
+    """_in_subfield(L, p, x) against Gaussian elimination over Q, on a member of Q(zeta_(L/p)) lifted by
+    the oracle's dense_at and on that member with one coordinate moved, mostly a non-member."""
+    L, p = step
+    M = L // p
+    if data is None:  # zeta_M + 2, and it plus zeta_L
+        coords, i, delta = [2, 1] + [0] * (euler_phi(M) - 2), 1, 1
+    else:
+        coords = data.draw(st.lists(st.integers(-3, 3), min_size=euler_phi(M), max_size=euler_phi(M)))
+        i, delta = data.draw(st.integers(0, euler_phi(L) - 1)), data.draw(st.sampled_from((-1, 1, 5)))
+    member = dense_at(SimpleNamespace(conductor=M, coeffs=coords), L)
+    moved = member[:i] + [member[i] + delta] + member[i + 1:]
+    assert exactnum._in_subfield(L, p, [int(v) for v in member]) == _solve_in_subfield(L, M, member) == coords
+    assert exactnum._in_subfield(L, p, [int(v) for v in moved]) == _solve_in_subfield(L, M, moved)
+    if data is None:
+        assert exactnum._in_subfield(L, p, [int(v) for v in moved]) is None
 
 
 @st.composite
 def _cyclotomic_scalars(draw):
     """A scalar of Q(zeta_c) with denominators up to 5, minimised from a lift to Q(zeta_L),
     L = c, 2c or 3c; c = 15, 21, 35 and 105 have primes p with p not dividing c/p, where
-    the descent's projectors are not coordinate selections."""
+    a descent step is not a coordinate selection."""
     c = draw(st.sampled_from([15, 21, 35, 60, 105, 140]))
     step = draw(st.sampled_from(divisors(c)))
     L = c * draw(st.integers(1, 3))
@@ -306,29 +332,14 @@ def _cyclotomic_scalars(draw):
     return _minimized_fractions(L, reduce_mod_cyclotomic(vec, L))
 
 
-_projector = exactnum._projector
-
-
-@lru_cache(maxsize=None)
-def _doubled_projector(L, d):
-    """The projector of (L, d) with its integer numerators and denominator both doubled."""
-    s, P, E = _projector(L, d)
-    return 2 * s, tuple((r, tuple((k, 2 * u) for k, u in op)) for r, op in P), E
-
-
 @settings(deadline=None, max_examples=40)
-@given(_cyclotomic_scalars(), _cyclotomic_scalars(), st.booleans())
-def test_integer_kernel_matches_dense_oracle(a, b, doubled):
-    """Sum, product and inverse against dense Fraction arithmetic at the lcm conductor.
-
-    (a + b) - b descends from the lcm conductor back to a's.  Every projector up to
-    MAX_CONDUCTOR has denominator 1, so a doubled copy stands in for one whose
-    denominator the descent must carry."""
-    projector = _doubled_projector if doubled else _projector
-    with mock.patch.object(exactnum, "_projector", projector):
-        total, product = a + b, a * b
-        back = total - b
-        inverse = a.inverse() if a else None
+@given(_cyclotomic_scalars(), _cyclotomic_scalars())
+def test_integer_kernel_matches_dense_oracle(a, b):
+    """Sum, product and inverse against dense Fraction arithmetic at the lcm conductor;
+    (a + b) - b descends from the lcm conductor back to a's."""
+    total, product = a + b, a * b
+    back = total - b
+    inverse = a.inverse() if a else None
     assert (total.conductor, total.coeffs) == dense_sum(a, b)
     assert (product.conductor, product.coeffs) == dense_product(a, b)
     assert (back.conductor, back.coeffs) == (a.conductor, a.coeffs)

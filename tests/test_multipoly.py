@@ -4,6 +4,7 @@ import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,6 +92,15 @@ class TestPartialDerivative:
     def test_constant(self):
         assert MultiPoly.constant(Fraction(7, 3)).partial_derivative("x").is_zero()
         assert (z ** 4).partial_derivative("x").is_zero()
+
+    def test_conductor_stays_least_unless_a_term_drops(self):
+        """k*c has c's least conductor, so the conductor only falls when a term drops."""
+        p = zeta(3) * x ** 2 + zeta(5) * x
+        with mock.patch("danisurf.multipoly._descended", side_effect=AssertionError("descended")):
+            kept = p.partial_derivative("x")
+        assert (kept.conductor, kept) == (15, 2 * zeta(3) * x + zeta(5))
+        dropped = (zeta(3) * x + zeta(5)).partial_derivative("x")
+        assert (dropped.conductor, dropped) == (3, MultiPoly.constant(zeta(3)))
 
 
 class TestExponentSupport:
