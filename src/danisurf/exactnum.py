@@ -19,7 +19,8 @@ divides the others and is reached from any of them by prime steps.  Each
 membership test is exact, on integers, from the tower Q(zeta_M) in Q(zeta_pM):
 x's coordinates at the multiples of p if p | M, else a shifted difference of
 two strided slices of x that must lift back to x (``_in_subfield``).
-``zeta(n, k)`` needs no descent: its least conductor follows from n and k.
+``zeta(n, k)`` needs no descent: its least conductor follows from n and k, nor does
+a sum or product of operands with coprime least conductors, whose lcm L is least.
 Fractions are built only on request: ``coeffs``, ``as_rational`` and ``str``.
 Conductors above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands,
 raise ValueError.
@@ -316,7 +317,8 @@ class CycScalar:
         D = lcm(self.den, other.den)
         ma, mb = D // self.den, D // other.den
         a, b = _lifted(self.nums, self.conductor, L), _lifted(other.nums, other.conductor, L)
-        return _minimized(L, [x * ma + y * mb for x, y in zip(a, b)], D)
+        least = _canonical if gcd(self.conductor, other.conductor) == 1 else _minimized  # coprime: L is least
+        return least(L, [x * ma + y * mb for x, y in zip(a, b)], D)
 
     __radd__ = __add__
 
@@ -344,7 +346,8 @@ class CycScalar:
             return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den)
         L = _check_conductor(lcm(self.conductor, other.conductor))
         product = _vec_product(self.nums, L // self.conductor, other.nums, L // other.conductor, L)
-        return _minimized(L, product, self.den * other.den)
+        least = _canonical if gcd(self.conductor, other.conductor) == 1 else _minimized  # coprime: L is least
+        return least(L, product, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -401,21 +404,12 @@ class CycScalar:
         if self.conductor == 1:
             return str(self.as_rational())
         parts = []
-        coeffs = self.coeffs
-        for e in range(len(coeffs) - 1, -1, -1):
-            q = coeffs[e]
-            if q == 0:
-                continue
-            if e == 0:
-                body = str(abs(q))
-            else:
+        for e, q in reversed([*enumerate(self.coeffs)]):
+            if q:
                 base = f"zeta({self.conductor})" + (f"^{e}" if e > 1 else "")
-                body = base if abs(q) == 1 else f"{abs(q)}*{base}"
-            if not parts:
-                parts.append(("-" if q < 0 else "") + body)
-            else:
-                parts.append((" - " if q < 0 else " + ") + body)
-        return "".join(parts) if parts else "0"
+                body = str(abs(q)) if e == 0 else base if abs(q) == 1 else f"{abs(q)}*{base}"
+                parts.append(((" - " if q < 0 else " + ") if parts else "-" if q < 0 else "") + body)
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"CycScalar({self})"
@@ -480,7 +474,4 @@ def cyclotomic_polynomial(n: int):
     """The n-th cyclotomic polynomial as a univariate polynomial in ``t``."""
     from .multipoly import MultiPoly
 
-    coeffs = cyclotomic_coeffs(n)
-    return MultiPoly.from_pairs(
-        ("t",), [((e,), Fraction(c)) for e, c in enumerate(coeffs) if c]
-    )
+    return MultiPoly.univariate("t", cyclotomic_coeffs(n))

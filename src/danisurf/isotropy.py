@@ -6,7 +6,7 @@ For a surface f(x)y = phi(z) the relevant generator families are
     f(x) = x^j*h(x^s) is not a monomial (j minimal exponent, s maximal),
   * the involution        I = (y, x, z), only when f = c*x,
   * triangular maps       T = (x, y + h*psi, z + h*f), psi the exact
-    quotient (phi(z + h*f) - phi(z)) / f,
+    quotient (phi(z + h*f) - phi(z)) / (h*f),
   * rescalings            R = (x, lam^d*y, lam*z + (1-lam)*a), when
     phi = c*(z - a)^d,
   * symmetries            S = (x, mu^i*y, mu*z), when phi = z^i*phi0(z^m)
@@ -163,20 +163,24 @@ def involution(S: SurfaceSpec) -> RingMap:
 
 
 def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
-    """T = (x, y + h*psi(w), z + w), w = h*f: w*psi(w) = phi(z + w) - phi(z), the division exact or raising."""
+    """T = (x, y + h*psi(w), z + w), w = h*f: w*psi(w) = phi(z + w) - phi(z).  With psi(u) =
+    sum_j C_j(z)*u^j, h*psi(w) is sum_j C_j(z)*(h*w^j), each h*w^j = (h*w^(j-1))*w."""
     h = MultiPoly._coerce(h)
     if not h.depends_only_on("x"):
         raise ValueError("h must be a polynomial in x")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    w = h * S.f
-    bump = h * _psi(S.phi).substitute({"u": w})
-    return _trusted(RingMap, S, {"x": x, "y": y + bump, "z": z + w})
+    coeffs, w, hw = _psi(S.phi), h * S.f, [h]
+    for _ in coeffs[1:]:
+        hw.append(hw[-1] * w)
+    bump = [(c * q, 1) for c, q in zip(coeffs, hw)]
+    return _trusted(RingMap, S, {"x": x, "y": y._merged(bump), "z": z + w})
 
 
-@lru_cache(maxsize=64)  # psi(z, u) = (phi(z + u) - phi(z)) / u, one per phi for every h
-def _psi(phi: MultiPoly) -> MultiPoly:
-    z, u = MultiPoly.variable("z"), MultiPoly.variable("u")
-    return (phi.substitute({"z": z + u}) - phi).divide_by_variable("u")
+@lru_cache(maxsize=64)  # C_0(z), ..., C_(d-1)(z), one tuple per phi for every h
+def _psi(phi: MultiPoly) -> tuple[MultiPoly, ...]:
+    """The u-coefficients C_j of psi = (phi(z + u) - phi(z)) / u: those of u^(j+1) in phi(z + u)."""
+    shifted = phi.substitute({"z": MultiPoly.variable("z") + MultiPoly.variable("u")})
+    return tuple(shifted.coefficient_of("u", j) for j in range(1, shifted.degree_in("u") + 1))
 
 
 def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:

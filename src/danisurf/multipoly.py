@@ -14,7 +14,9 @@ Phi_L: one or two terms scale the other side's vectors, more multiply them packe
 slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product of the unlifted
 coordinates (``exactnum``'s kernel); other cyclotomic sides are both packed, each product term
 unpacked and reduced mod Phi_L once.
-Each result descends and divides out its gcd once.  ``**`` and ``substitute`` raise a
+Each result descends and divides out its gcd once.  ``substitute`` moves only the variables
+whose image is not the variable itself: it groups the terms by their exponents of those and
+multiplies each group once by each image's cached power.  Those powers and ``**`` raise a
 polynomial whose terms split into parts A and B over disjoint variables by the binomial rule,
 so no two keys of a product meet, one term by squaring, any other as P^(k-1)*P; ``**``
 settles once, over den^k.
@@ -234,26 +236,32 @@ class MultiPoly:
         return _settled(self.variables, self.conductor, self.den, out, len(out) < len(self.nums))
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "MultiPoly":
-        """Ring-homomorphism evaluation; variables without an image map to themselves.
-        With self = N / D and image v = N_v / D_v, the term c*prod(v^k) lands on the common
-        denominator D*prod(D_v^K_v), K_v = deg_v self, so every sum is on integers."""
-        table = [MultiPoly._coerce(images[v]) if v in images else MultiPoly.variable(v)
-                 for v in self.variables]
-        names = tuple(sorted({n for p in table for n in p.variables}))
-        L = _check_conductor(lcm(self.conductor, *(p.conductor for p in table)))
-        G, slots = _guard(len(names)), range(0, _W * len(table), _W)
-        top = [max(e >> s & _MASK for e in self.nums) for s in slots]
-        powers = [{1: list(p._widened(names))} for p in table]  # powers[i][k]: image i to the k
-        acc = {}
-        for e, c in self.nums.items():
-            ks = [e >> s & _MASK for s in slots]
-            part, N = [(0, _times(c, prod(p.den ** (t - k) for p, t, k in zip(table, top, ks))))], self.conductor
-            for cache, p, k in zip(powers, table, ks):
-                if k:
-                    power = _power_of(cache, k, p.conductor, G)
-                    part, N = _product(part, N, power, p.conductor, G), lcm(N, p.conductor)
+        """Ring-homomorphism evaluation; self when no variable has an image other than itself.  The
+        terms are grouped by their exponents k_v of the moved v.  With self = N / D and image v = N_v / D_v,
+        a group is scaled once by prod(D_v^(K_v - k_v)), K_v = deg_v self, and multiplied once by each
+        cached power N_v^k_v, so every sum is on integers over D*prod(D_v^K_v)."""
+        moved = [(_W * i, p) for i, v in enumerate(self.variables) if v in images
+                 if ((p := MultiPoly._coerce(images[v])).variables, p.den, p.nums) != ((v,), 1, {1: 1})]
+        if not moved:
+            return self
+        mask = sum([_MASK << s for s, _ in moved])
+        names = tuple(sorted({v for i, v in enumerate(self.variables) if not mask >> _W * i & 1}
+                             .union(*[p.variables for _, p in moved])))
+        L, G = _check_conductor(lcm(self.conductor, *[p.conductor for _, p in moved])), _guard(len(names))
+        dens = [(s, p.den, max(e >> s & _MASK for e in self.nums)) for s, p in moved if p.den > 1]  # s, D_v, K_v
+        moved = [(s, p.conductor, {1: list(p._widened(names))}) for s, p in moved]  # cache[k]: the image to the k
+        groups, acc = {}, {}
+        for e, t in zip(self.nums, _rekeyed([(e & ~mask, c) for e, c in self.nums.items()], self.variables, names)):
+            groups.setdefault(e & mask, []).append(t)
+        for g, part in groups.items():
+            if dens and (scale := prod([d ** (t - (g >> s & _MASK)) for s, d, t in dens])) > 1:
+                part = [(e, _times(c, scale)) for e, c in part]
+            N = self.conductor
+            for s, Nv, cache in moved:
+                if k := g >> s & _MASK:
+                    part, N = _product(part, N, _power_of(cache, k, Nv, G), Nv, G), lcm(N, Nv)
             _added(acc, _at(part, N, L))
-        den = self.den * prod(p.den ** t for p, t in zip(table, top))
+        den = self.den * prod([d ** t for _, d, t in dens])
         return _settled(names, L, den, {e: c for e, c in acc.items() if (c if L == 1 else any(c))})
 
     def divide_by_variable(self, var: str) -> "MultiPoly":

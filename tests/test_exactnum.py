@@ -374,6 +374,23 @@ def test_product_at_two_conductors_matches_dense_oracle(pair):
 
 
 @settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(15, 7), (7, 15), (4, 3), (8, 5), (1, 12), (12, 1)]).flatmap(
+    lambda pair: st.tuples(_scalars_at(pair[0]), _scalars_at(pair[1]))))
+@example((zeta(15) + Fraction(1, 3) * zeta(15, 4) + 2, zeta(7, 2) - Fraction(5, 2) * zeta(7)))
+def test_coprime_conductors_need_no_descent(pair):
+    """With coprime least conductors Na and Nb, lcm(Na, Nb) is the least conductor of a + b and
+    of a * b (an automorphism fixing b and a smaller field would fix a), so neither descends;
+    both against the dense oracle, which minimises."""
+    a, b = pair
+    with mock.patch.object(exactnum, "_minimized", side_effect=AssertionError("descended")):
+        total, product = a + b, a * b
+    assert (total.conductor, total.coeffs) == dense_sum(a, b)
+    assert (product.conductor, product.coeffs) == dense_product(a, b)
+    assert total.conductor == a.conductor * b.conductor
+    assert product.conductor == (a.conductor * b.conductor if a and b else 1)
+
+
+@settings(deadline=None, max_examples=60)
 @given(st.one_of(_lifted_elements().map(lambda case: _minimized_fractions(*case)),
                  _cyclotomic_scalars()))
 def test_inverse_stays_at_the_least_conductor(a):

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from danisurf.diffmaps import (Derivation, RingMap, check_derivation_well_defined,
                                check_map_well_defined, commutes, exp_derivation)
@@ -23,7 +23,7 @@ from danisurf.isotropy import (CanonicalLND, CheckRecord, GeneratorRequest,
                                symmetry, triangular, verify_isotropy_theorem)
 from danisurf.isotropy import _psi, _shape
 
-from oracles import random_univariate
+from oracles import Dense, dense_map, map_add, map_neg, map_substitute, random_univariate
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -294,6 +294,50 @@ def test_exponentials_are_well_defined(case):
     for delta in (D, D.scaled_by(x + 1), D.scaled_by(h * x - 2)):
         rho = exp_derivation(delta)
         assert check_map_well_defined(rho.images, S), (delta, rho)
+
+
+_FRAC = st.fractions(-3, 3, max_denominator=4).filter(bool)
+_FRAC_OR_Z12 = st.one_of(_FRAC, st.builds(lambda k, r: zeta(12, k) + r, st.integers(0, 11), st.integers(-1, 1)))
+_ONE_12 = Dense(12, [1, 0, 0, 0])
+
+
+@st.composite
+def _triangular_cases(draw):
+    """(S, h, g): f a monomial c*x^j or not; phi sparse (one or two terms) or dense (no zero
+    coefficient) of degree 1-4, with fractional and zeta_12 coefficients; h zero, a constant or
+    a fractional polynomial of degree up to 6; g a nonzero polynomial in x."""
+    f = draw(st.one_of(st.builds(lambda c, j: c * x ** j, _FRAC, st.integers(1, 3)),
+                       st.builds(lambda cs, c: MultiPoly.univariate("x", cs + [c]),
+                                 st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3), _FRAC)
+                       .filter(lambda f: len(f.nums) > 1)))
+    sparse = st.dictionaries(st.integers(0, 4), _FRAC_OR_Z12, min_size=1, max_size=2).filter(lambda m: max(m) > 0)
+    phi = draw(st.one_of(sparse.map(lambda m: MultiPoly(("z",), {(e,): c for e, c in m.items()})),
+                         st.lists(_FRAC_OR_Z12, min_size=2, max_size=5).map(lambda cs: MultiPoly.univariate("z", cs))))
+    h = draw(st.one_of(st.just(MultiPoly.zero()), _FRAC.map(MultiPoly.constant),
+                       st.lists(st.fractions(-2, 2, max_denominator=3), min_size=2, max_size=7)
+                       .map(lambda cs: MultiPoly.univariate("x", cs))))
+    g = draw(st.sampled_from([MultiPoly.one(), x, x + 1, Fraction(1, 2) * x ** 2 - 3]))
+    return SurfaceSpec.danielewski(f, phi), h, g
+
+
+@settings(deadline=None, max_examples=60)
+@given(_triangular_cases())
+@example((SurfaceSpec.danielewski(2 * x ** 2 - x + 3, z ** 4 + zeta(12) * z ** 3 + Fraction(1, 2) * z ** 2 - z + 2),
+          Fraction(1, 2) * x ** 6 - x ** 3 + Fraction(2, 3) * x + 1, x + 1))
+@example((SurfaceSpec.danielewski(Fraction(-2, 3) * x ** 3, zeta(12, 5) * z ** 4 + Fraction(1, 3)),
+          MultiPoly.constant(Fraction(3, 2)), MultiPoly.one()))
+def test_triangular_maps_solve_the_relation(case):
+    """T = (x, y + h*psi, z + h*f) from the factory, which skips the proof: f*(T(y) - y) is
+    phi(z + h*f) - phi(z), expanded term by term on Dense coefficients of Q(zeta_12); T preserves
+    the relation and commutes with the canonical derivation."""
+    S, h, g = case
+    T = triangular(S, h)
+    lhs = S.f * (T.images["y"].rep - y)  # y + h*psi is a normal form: no term is divisible by x^m*y
+    phi = dense_map(S.phi, 12, ("x", "y", "z"))
+    shift = [{(1, 0, 0): _ONE_12}, {(0, 1, 0): _ONE_12}, dense_map(z + h * S.f, 12, ("x", "y", "z"))]
+    assert dense_map(lhs, 12, ("x", "y", "z")) == map_add(map_substitute(phi, shift), map_neg(phi))
+    assert check_map_well_defined(T.images, S)
+    assert commutes(T, canonical_lnd(S, g).derivation)
 
 
 class TestCanonicalLND:

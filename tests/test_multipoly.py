@@ -532,6 +532,40 @@ def test_packed_substitute_matches_dense_oracle(a, images):
     assert dense_map(got, 12, _XYZ) == map_substitute(dense_map(p, 12, _XYZ), dense)
 
 
+# -- substitution by groups of terms over the moved variables, against the dense oracle at 60 --
+
+_W2 = x ** 2 - Fraction(1, 3) * x + 2
+_GROUP_TABLES = {
+    "identity": {"x": x, "y": y, "z": z},
+    "identity on an absent variable only": {"w": x + 1},
+    "x kept, z -> z + w(x)": {"x": x, "z": z + _W2},
+    "y -> x, x kept": {"y": x},
+    "y -> x, x named": {"x": x, "y": x},
+    "swap x and y": {"x": y, "y": x},
+    "a scale per group": {"x": Fraction(1, 3) * x + Fraction(1, 2), "z": Fraction(2, 5) * y - 1},
+    "zeta_12 and zeta_5": {"x": zeta(12) * y + 1, "z": zeta(5, 2) * x - z},
+    "zero image": {"y": MultiPoly.zero(), "z": z + Fraction(1, 7)},
+}
+
+
+@settings(deadline=None, max_examples=15)
+@given(_term_maps(2, 4, _C12))
+@example({(2, 1, 2): Fraction(1, 2), (2, 0, 1): zeta(12, 5), (1, 1, 0): Fraction(-3), (0, 0, 2): Fraction(2, 3)})
+@pytest.mark.parametrize("case", _GROUP_TABLES)
+def test_grouped_substitute_matches_dense_oracle(case, a):
+    """substitute moves only the variables whose image is not themselves and returns p itself
+    when none moves; each table against term-by-term expansion of Dense coefficients of Q(zeta_60)."""
+    p, table = MultiPoly(_XYZ, a), _GROUP_TABLES[case]
+    unit = [1] + [0] * (euler_phi(60) - 1)
+    dense = [dense_map(MultiPoly._coerce(table[v]), 60, _XYZ) if v in table else {e: Dense(60, unit)}
+             for v, e in zip(_XYZ, _UNITS)]
+    got = p.substitute(table)
+    _check_canonical(got)
+    assert dense_map(got, 60, _XYZ) == map_substitute(dense_map(p, 60, _XYZ), dense)
+    if case.startswith("identity"):
+        assert got is p
+
+
 # -- binomial powers of images whose parts share no variable, against the dense oracle ------
 
 _PART_COEFF = st.one_of(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), _C12)
