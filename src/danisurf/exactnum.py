@@ -303,16 +303,13 @@ class CycScalar:
 
     @staticmethod
     def _coerce(value: ScalarLike) -> "CycScalar":
-        if isinstance(value, CycScalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CycScalar(value)
-        return NotImplemented  # type: ignore[return-value]
+        """value as a scalar, TypeError for a foreign type; operators return NotImplemented for one."""
+        return value if isinstance(value, CycScalar) else CycScalar(value)
 
     def __add__(self, other: ScalarLike) -> "CycScalar":
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = CycScalar._coerce(other)
         L = _check_conductor(lcm(self.conductor, other.conductor))
         D = lcm(self.den, other.den)
         ma, mb = D // self.den, D // other.den
@@ -326,18 +323,15 @@ class CycScalar:
         return _canonical(self.conductor, [-n for n in self.nums], self.den)
 
     def __sub__(self, other: ScalarLike) -> "CycScalar":
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other if isinstance(other, _SCALARS) else NotImplemented
 
     def __rsub__(self, other: ScalarLike) -> "CycScalar":
-        return (-self) + other
+        return -self + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __mul__(self, other: ScalarLike) -> "CycScalar":
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = CycScalar._coerce(other)
         if self.conductor == 1 or other.conductor == 1:
             q, v = (self, other) if self.conductor == 1 else (other, self)
             n = q.nums[0]
@@ -362,16 +356,10 @@ class CycScalar:
         return _canonical(self.conductor, [self.den * v for v in u], c)
 
     def __truediv__(self, other: ScalarLike) -> "CycScalar":
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self * CycScalar._coerce(other).inverse() if isinstance(other, _SCALARS) else NotImplemented
 
     def __rtruediv__(self, other: ScalarLike) -> "CycScalar":
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other if isinstance(other, _SCALARS) else NotImplemented
 
     def __pow__(self, k: int) -> "CycScalar":
         if not isinstance(k, int):
@@ -383,10 +371,9 @@ class CycScalar:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycScalar(other)
-        if not isinstance(other, CycScalar):
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = CycScalar._coerce(other)
         return (self.conductor == other.conductor and self.den == other.den
                 and self.nums == other.nums)
 
@@ -413,6 +400,9 @@ class CycScalar:
 
     def __repr__(self) -> str:
         return f"CycScalar({self})"
+
+
+_SCALARS = (CycScalar, Fraction, int)  # what a scalar is built from
 
 
 def _poly_xgcd_mod(a: list[int], n: int) -> tuple[list[int], int]:

@@ -38,8 +38,8 @@ from math import comb, gcd, lcm, prod
 from operator import add, or_
 from typing import Iterable, Mapping, Union
 
-from .exactnum import (CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _lifted,
-                       _minimized, _mod_phi, _pack, _power, _unpack, _vec_product, euler_phi)
+from .exactnum import (_SCALARS, CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _lifted,
+                       _minimized, _mod_phi, _pack, _unpack, _vec_product, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
 
@@ -80,7 +80,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(value: ScalarLike) -> "MultiPoly":
-        c = value if isinstance(value, CycScalar) else CycScalar(value)  # TypeError if no scalar
+        c = CycScalar._coerce(value)  # TypeError if no scalar
         return _built((), c.conductor, c.den, {0: c.nums[0] if c.conductor == 1 else c.nums} if c else {})
 
     @staticmethod
@@ -108,11 +108,8 @@ class MultiPoly:
 
     @staticmethod
     def _coerce(value: PolyLike) -> "MultiPoly":
-        if isinstance(value, MultiPoly):
-            return value
-        if isinstance(value, (CycScalar, Fraction, int)):
-            return MultiPoly.constant(value)
-        return NotImplemented  # type: ignore[return-value]
+        """value as a polynomial, TypeError for a foreign type; operators return NotImplemented for one."""
+        return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
 
     # -- structure --------------------------------------------------------
 
@@ -188,8 +185,7 @@ class MultiPoly:
         return _settled(names, L, D, acc, overlap and not coprime, prune=overlap)
 
     def __add__(self, other: PolyLike) -> "MultiPoly":
-        other = MultiPoly._coerce(other)
-        return NotImplemented if other is NotImplemented else self._merged([(other, 1)])
+        return self._merged([(MultiPoly._coerce(other), 1)]) if isinstance(other, _POLYS) else NotImplemented
 
     __radd__ = __add__
 
@@ -197,16 +193,15 @@ class MultiPoly:
         return _built(self.variables, self.conductor, self.den, {e: _times(c, -1) for e, c in self.nums.items()})
 
     def __sub__(self, other: PolyLike) -> "MultiPoly":
-        other = MultiPoly._coerce(other)
-        return NotImplemented if other is NotImplemented else self._merged([(other, -1)])
+        return self._merged([(MultiPoly._coerce(other), -1)]) if isinstance(other, _POLYS) else NotImplemented
 
     def __rsub__(self, other: PolyLike) -> "MultiPoly":
-        return (-self) + other
+        return -self + other if isinstance(other, _POLYS) else NotImplemented
 
     def __mul__(self, other: PolyLike) -> "MultiPoly":
-        other = MultiPoly._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _POLYS):
             return NotImplemented
+        other = MultiPoly._coerce(other)
         names = tuple(sorted({*self.variables, *other.variables}))
         L, G = _check_conductor(lcm(self.conductor, other.conductor)), _guard(len(names))
         out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor, G))
@@ -222,7 +217,7 @@ class MultiPoly:
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if not (k and self.nums):
-            return _power(self, k, MultiPoly.one())
+            return self if k else MultiPoly.one()
         terms = _power_of({1: list(self.nums.items())}, k, self.conductor, _guard(len(self.variables)))
         return _settled(self.variables, self.conductor, self.den ** k, dict(terms), prune=False)  # uses every variable
 
@@ -274,10 +269,9 @@ class MultiPoly:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (CycScalar, Fraction, int)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, _POLYS):
             return NotImplemented
+        other = MultiPoly._coerce(other)
         return (self.variables == other.variables and self.conductor == other.conductor
                 and self.den == other.den and self.nums == other.nums)
 
@@ -308,6 +302,9 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+_POLYS = (MultiPoly, *_SCALARS)  # what a polynomial is built from
 
 
 def _times(c, k: int):

@@ -6,8 +6,10 @@ and we reduce with respect to lex y > x > z, whose leading monomial is
 lc * x^m * y (m = deg f).  A polynomial is in normal form exactly when no
 monomial has x-degree >= m together with y-degree >= 1.
 
-One sweep reduces.  Terms go into buckets keyed by (y-degree, x-degree); y's key slot sits above x's,
-so the keys order as plain ints, and the buckets are popped from the top.  A bucket x^i*y^j*c(z) with
+One sweep reduces, over the polynomial's variables and z.  x's and y's key slots are read from those
+variables; y's sits above x's because y sorts after x, and z, sorting after both, moves neither.  Terms
+go into buckets keyed by their x and y slots, which order as plain ints by (y-degree, x-degree), and the
+buckets are popped from the top; every other exponent rides along in its slot.  A bucket x^i*y^j*c(z) with
 i >= m, j >= 1 is rewritten once by x^m*y = -rest/den (rest: the monic relation's other terms, over
 den): a row x^a*y*r(z) of rest, a < m, sends it to x-degree i - m + a < i and the row phi(z) to
 y-degree j - 1, so every bucket is final when popped.  Each keeps its own power of den until one settle.
@@ -20,14 +22,12 @@ from __future__ import annotations
 
 import operator
 from bisect import insort
-from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .exactnum import CycScalar, _check_conductor
-from .multipoly import _W, MultiPoly, PolyLike, _added, _at, _guard, _product, _settled, _times
-
-_XY = (1 << 2 * _W) - 1  # the x and y slots of a key over (x, y, z)
+from .exactnum import _check_conductor
+from .multipoly import (_MASK, _POLYS, _W, MultiPoly, PolyLike, _added, _at, _guard, _product, _rekeyed,
+                        _settled, _times)
 
 
 class SurfaceSpec:
@@ -119,31 +119,37 @@ class SurfaceSpec:
 
 
 def _rows(terms: Iterable, m: int) -> list:
-    """-rest, x^m*y's image times den, as rows (their (x, y)-part minus x^m*y's, their terms)."""
+    """-rest, x^m*y's image times den, as rows ((x, y)-degrees minus x^m*y's, their terms over (x, y, z))."""
     xy, rows = m | 1 << _W, {}
     for e, c in terms:
         if e != xy:
-            rows.setdefault((e & _XY) - xy, []).append((e, _times(c, -1)))
+            rows.setdefault(((e & _MASK) - m, (e >> _W & _MASK) - 1), []).append((e, _times(c, -1)))
     return list(rows.items())
 
 
 def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
-    """The normal form of p: one sweep of its (y-degree, x-degree) buckets, on numerators."""
-    xy, G, G3 = S.m | 1 << _W, _guard(2), _guard(3)
-    divisible = lambda e: ((e | G) - xy) & G == G  # x-degree >= m and y-degree >= 1
-    if p.variables[:2] != ("x", "y") or not any(map(divisible, p.nums)):
+    """The normal form of p: one sweep of its (y-degree, x-degree) buckets, on numerators, over p's
+    variables and z, with x's and y's slots read from p's (z sorts after both, so moves neither)."""
+    if "x" not in p.variables or "y" not in p.variables:
+        return p  # no term is divisible by x^m*y
+    sx, sy, G = _W * p.variables.index("x"), _W * p.variables.index("y"), _guard(len(p.variables))
+    xy = (S.m << sx) + (1 << sy)
+    divisible = lambda e: ((e | G) - xy) & G == G  # x-degree >= m and y-degree >= 1; other slots keep theirs
+    if not any(map(divisible, p.nums)):
         return p
-    N, L, den = S.monic.conductor, lcm(p.conductor, S.monic.conductor), S.monic.den
+    names, XY = tuple(sorted({*p.variables, "z"})), _MASK << sx | _MASK << sy
+    N, L, den, G3 = S.monic.conductor, lcm(p.conductor, S.monic.conductor), S.monic.den, _guard(len(names))
+    rows = [((dx << sx) + (dy << sy), _rekeyed(row, ("x", "y", "z"), names)) for (dx, dy), row in S.rows]
     buckets = {}  # (y, x)-part -> [t, {key: numerator over p.den * den^t}]
-    for e, c in _at(p.nums.items(), p.conductor, L):
-        buckets.setdefault(e & _XY, [0, {}])[1][e] = c
+    for e, c in _at(_rekeyed(p.nums.items(), p.variables, names), p.conductor, L):
+        buckets.setdefault(e & XY, [0, {}])[1][e] = c
     todo = sorted(filter(divisible, buckets))  # the buckets to rewrite, ascending
     while todo:
         b = todo.pop()
         t, part = buckets.pop(b)
         t += den != 1  # the power of den under the terms this rewrite emits
         quotient = [(e - xy, c) for e, c in part.items() if (any(c) if type(c) is tuple else c)]
-        for off, row in S.rows:
+        for off, row in rows:
             out = _product(quotient, L, row, N, G3)
             if (target := b + off) not in buckets and divisible(target):
                 insort(todo, target)
@@ -154,7 +160,7 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
     T = max(t for t, _ in buckets.values())
     nums = {e: _times(c, den ** (T - t)) for t, part in buckets.values() for e, c in part.items()
             if (any(c) if type(c) is tuple else c)}
-    return _settled(("x", "y", "z"), L, p.den * den ** T, nums)
+    return _settled(names, L, p.den * den ** T, nums)
 
 
 class SurfaceElement:
@@ -180,20 +186,17 @@ class SurfaceElement:
 
     @staticmethod
     def _coerce(value, surface: SurfaceSpec) -> "SurfaceElement":
-        if isinstance(value, SurfaceElement):
-            return value
-        if isinstance(value, (MultiPoly, CycScalar, Fraction, int)):
-            return surface.element(MultiPoly._coerce(value))
-        return NotImplemented  # type: ignore[return-value]
+        """value as an element, TypeError for a foreign type; operators return NotImplemented for one."""
+        return value if isinstance(value, SurfaceElement) else surface.element(value)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
     def _combined(self, other, op, build) -> "SurfaceElement":
         """build(surface, op on the representatives of self and other, an element of the same surface)."""
-        other = SurfaceElement._coerce(other, self.surface)
-        if other is NotImplemented:
+        if not isinstance(other, (SurfaceElement, _POLYS)):
             return NotImplemented
+        other = SurfaceElement._coerce(other, self.surface)
         if self.surface != other.surface:
             raise ValueError("elements live on different surfaces")
         return build(self.surface, op(self.rep, other.rep))
@@ -210,7 +213,7 @@ class SurfaceElement:
         return self._combined(other, operator.sub, SurfaceElement._trusted)
 
     def __rsub__(self, other) -> "SurfaceElement":
-        return (-self) + other
+        return -self + other if isinstance(other, _POLYS) else NotImplemented
 
     def __mul__(self, other) -> "SurfaceElement":
         return self._combined(other, operator.mul, SurfaceElement)
@@ -221,7 +224,7 @@ class SurfaceElement:
         return SurfaceElement(self.surface, self.rep ** k)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (MultiPoly, CycScalar, Fraction, int)):
+        if isinstance(other, _POLYS):
             return self.rep == other  # unreduced, so == stays transitive and agrees with hash
         if not isinstance(other, SurfaceElement):
             return NotImplemented
@@ -241,7 +244,7 @@ class SurfaceElement:
 
 
 def normal_form(p: PolyLike, S: SurfaceSpec) -> SurfaceElement:
-    return S.element(MultiPoly._coerce(p))
+    return S.element(p)
 
 
 def elements_equal(p: SurfaceElement, q: SurfaceElement) -> bool:

@@ -72,16 +72,17 @@ def in_relation_ideal(p: MultiPoly, f: MultiPoly, phi: MultiPoly) -> bool:
     and f(x)y - phi(z) generates the full kernel (it is irreducible since
     f and phi are nonzero univariates in different variables).  So p is in
     the ideal iff substituting y = phi/f and clearing denominators by
-    f^deg_y(p) gives the zero polynomial.
+    f^deg_y(p) gives the zero polynomial.  Variables other than x, y and z
+    are further indeterminates over K: the same holds over K[them], so
+    their exponents are carried through unchanged.
     """
     if p.is_zero():
         return True
     deg_y = max(p.degree_in("y"), 0)
-    x, z = MultiPoly.variable("x"), MultiPoly.variable("z")
     acc = MultiPoly.zero()
     for exps, coeff in term_exponents(p):
-        a, b, e = exps.get("x", 0), exps.get("y", 0), exps.get("z", 0)
-        acc = acc + MultiPoly.constant(coeff) * x ** a * z ** e * phi ** b * f ** (deg_y - b)
+        b = exps.pop("y", 0)
+        acc = acc + MultiPoly(tuple(exps), {tuple(exps.values()): coeff}) * phi ** b * f ** (deg_y - b)
     return acc.is_zero()
 
 
@@ -268,7 +269,9 @@ def brute_root_of_unity_order(a: CycScalar) -> int | None:
 
 
 def reduce_with_strategy(p: MultiPoly, S: SurfaceSpec, pick) -> MultiPoly:
-    """One-offender-at-a-time reduction; pick chooses which offender to rewrite."""
+    """One-offender-at-a-time reduction; pick chooses which offender to rewrite.  The cofactor
+    of an offender c*x^a*y^b*(the rest) is c/lc * x^(a-m)*y^(b-1)*(the rest): every exponent
+    other than x's and y's, of z or of any other variable, is carried through unchanged."""
     rel = S.relation
     while True:
         offenders = []
@@ -278,11 +281,8 @@ def reduce_with_strategy(p: MultiPoly, S: SurfaceSpec, pick) -> MultiPoly:
         if not offenders:
             return p
         exps, coeff = pick(offenders)
-        x, y, z = (MultiPoly.variable(v) for v in "xyz")
-        cofactor = (MultiPoly.constant(coeff / S.lc)
-                    * x ** (exps.get("x", 0) - S.m)
-                    * y ** (exps.get("y", 0) - 1)
-                    * z ** exps.get("z", 0))
+        shifted = {**exps, "x": exps["x"] - S.m, "y": exps["y"] - 1}
+        cofactor = MultiPoly(tuple(shifted), {tuple(shifted.values()): coeff / S.lc})
         p = p - cofactor * rel
 
 

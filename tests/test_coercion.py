@@ -1,0 +1,69 @@
+"""One coercion rule per layer: a public entry point given a value of a foreign type raises
+TypeError, and the arithmetic operators return NotImplemented for one, so Python tries the other
+operand's reflected method and, failing that, raises its own "unsupported operand" TypeError."""
+
+import pytest
+
+from danisurf.diffmaps import (Derivation, RingMap, apply_derivation, apply_map, check_derivation_well_defined,
+                               check_map_well_defined, kernel_contains, scale_by_kernel)
+from danisurf.exactnum import root_of_unity_order, zeta
+from danisurf.isotropy import (canonical_lnd, classify_phi, hyperbolic_order_bound, monomial_split, triangular,
+                               verify_isotropy_theorem)
+from danisurf.multipoly import MultiPoly
+from danisurf.surface import SurfaceElement, SurfaceSpec, normal_form
+
+x, y, z = (MultiPoly.variable(v) for v in "xyz")
+S = SurfaceSpec.danielewski(x, z ** 2)
+D = canonical_lnd(S, 1).derivation
+RHO = RingMap.identity(S)
+
+ENTRY_POINTS = {
+    "danielewski f": lambda v: SurfaceSpec.danielewski(v, z ** 2),
+    "danielewski phi": lambda v: SurfaceSpec.danielewski(x, v),
+    "element": S.element,
+    "normal_form": lambda v: normal_form(v, S),
+    "Derivation table": lambda v: Derivation(S, {"x": v, "y": 0, "z": 0}),
+    "RingMap table": lambda v: RingMap(S, {"x": v, "y": y, "z": z}),
+    "derivation table check": lambda v: check_derivation_well_defined({"x": 0, "y": v, "z": 0}, S),
+    "map table check": lambda v: check_map_well_defined({"x": x, "y": y, "z": v}, S),
+    "Derivation.apply": D.apply,
+    "apply_derivation": lambda v: apply_derivation(D, v),
+    "RingMap.apply": RHO.apply,
+    "apply_map": lambda v: apply_map(RHO, v),
+    "scaled_by": D.scaled_by,
+    "scale_by_kernel": lambda v: scale_by_kernel(D, v),
+    "kernel_contains": lambda v: kernel_contains(D, v),
+    "triangular": lambda v: triangular(S, v),
+    "canonical_lnd": lambda v: canonical_lnd(S, v),
+    "classify_phi": classify_phi,
+    "monomial_split": monomial_split,
+    "hyperbolic_order_bound": lambda v: hyperbolic_order_bound(v, 1),
+    "verify_isotropy_theorem g": lambda v: verify_isotropy_theorem(S, v),
+    "root_of_unity_order": root_of_unity_order,
+    "substitute image": lambda v: x.substitute({"x": v}),
+}
+
+
+@pytest.mark.parametrize("value", ["x^2", 1.5])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_foreign_values_raise_type_error(entry, value):
+    with pytest.raises(TypeError, match=repr(value).replace("^", r"\^")):
+        ENTRY_POINTS[entry](value)
+
+
+def test_reflected_operators_reach_the_element():
+    for result in (x + S.element(y), x * S.element(y), 2 - S.element(y), zeta(3) * S.element(y)):
+        assert isinstance(result, SurfaceElement)
+    assert (x + S.element(y)).rep == x + y and (x * S.element(y)).rep == z ** 2
+
+
+@pytest.mark.parametrize("left, type_name", [(x, "MultiPoly"), (S.element(x), "SurfaceElement"),
+                                             (zeta(4), "CycScalar")])
+def test_foreign_operands_are_python_type_errors(left, type_name):
+    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \+: '{type_name}' and 'str'"):
+        left + "a"
+    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for -: 'str' and '{type_name}'"):
+        "a" - left
+    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \*: 'float' and '{type_name}'"):
+        1.5 * left
+    assert (left == "a") is False and left != "a"

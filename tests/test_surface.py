@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from danisurf.exactnum import CycScalar, zeta
 from danisurf.multipoly import MultiPoly
-from danisurf.surface import SurfaceSpec, elements_equal, normal_form
+from danisurf.surface import SurfaceSpec, _reduce_relation, elements_equal, normal_form
 
 from oracles import (in_relation_ideal, pick_max, pick_min, pick_random,
                      random_poly, reduce_with_strategy, term_exponents)
@@ -254,6 +254,50 @@ def test_sweep_without_one_field():
             S.reduce(q + far)
         with pytest.raises(ValueError, match="conductor 988027 exceeds MAX_CONDUCTOR"):
             S.reduce(zeta(997) * q)
+
+
+# -- the sweep reads x's and y's key slots from the polynomial ------------------------------
+
+_EXTRA = ["a", "lam", "xa", "ya", "zz"]  # names sorting before x, between x and y, y and z, after z
+_S_SLOTS = SurfaceSpec.danielewski(x ** 2 + 1, z ** 3 + z)
+_P_SLOTS = [x ** 2 * y, x ** 3 * y ** 2 + x * y * z]  # the coefficients of t^0 and t^1
+
+
+@st.composite
+def _slot_cases(draw):
+    """(S, t, parts): S from the sweep lists, an extra name t, and p's coefficients of t^0, ..., t^k,
+    k <= 3, each of up to three terms over (x, y, z) with y-degree up to 4."""
+    S = SurfaceSpec.danielewski(draw(st.sampled_from(_SWEEP_F)), draw(st.sampled_from(_SWEEP_PHI)))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2))
+    part = st.dictionaries(exps, st.sampled_from(_SWEEP_COEFFS), max_size=3)
+    parts = draw(st.lists(part.map(lambda terms: MultiPoly(("x", "y", "z"), terms)), min_size=1, max_size=4))
+    return S, draw(st.sampled_from(_EXTRA)), parts
+
+
+@settings(deadline=None, max_examples=60)
+@given(_slot_cases())
+@example((_S_SLOTS, "ya", _P_SLOTS))  # a slot between y's and z's, once read as z's
+@example((_S_SLOTS, "zz", _P_SLOTS))  # a slot after z's, once dropped into a key beyond the variables
+def test_sweep_reads_slots_from_the_polynomial(case):
+    """_reduce_relation (S.reduce refuses the extra name) on p = sum t^k * p_k, t an extra variable
+    in any slot relative to x, y and z: the normal form is sum t^k * NF(p_k), as the one-offender
+    oracle carrying t's exponents finds, and every key lies within the result's variables."""
+    S, name, parts = case
+    t = MultiPoly.variable(name)
+    p = sum((t ** k * q for k, q in enumerate(parts)), MultiPoly.zero())
+    r = _reduce_relation(p, S)
+    assert MultiPoly(r.variables, r.terms) == r
+    assert r == sum((t ** k * S.reduce(q) for k, q in enumerate(parts)), MultiPoly.zero())
+    assert r == reduce_with_strategy(p, S, pick_max)
+
+
+@pytest.mark.parametrize("name", _EXTRA)
+def test_sweep_with_an_extra_name(name):
+    """(x^3*y^2 + x*y*z)*t + x^2*y on x^2*y + y = z^3 + z, by hand: x^2*y = z^3 + z - y."""
+    t = MultiPoly.variable(name)
+    p = _P_SLOTS[1] * t + _P_SLOTS[0]
+    expected = t * (x * y * z ** 3 + 2 * x * y * z - x * y ** 2) + z ** 3 + z - y
+    assert _reduce_relation(p, _S_SLOTS) == expected
 
 
 @settings(deadline=None, max_examples=50)
