@@ -4,12 +4,14 @@ A ``MultiPoly`` has one stored form: the least ``conductor`` N with every coeffi
 Q(zeta_N), one positive ``den`` coprime to all numerators, and ``nums``: per monomial key an
 ``int`` numerator when N = 1, else a tuple of phi(N) power-basis coordinates.  Coefficients
 that need N above the scalar bound raise ValueError, as scalars do.  A key is one ``int``
-with the exponent of ``variables[i]`` in bits [20i, 20i + 20); the top bit of each slot is a
-guard kept clear, so exponents stay below 2^19.  Unused variables are pruned, so equal
-polynomials have identical representations; ``terms`` builds exponent tuples and
-``CycScalar`` coefficients on request.  Term order everywhere is graded lexicographic in the
-variable tuple.  Products and substitution run one ``int`` pair loop: keys add with ``+``, a
-set guard bit raising ValueError.  At L > 1 a rational side is never packed nor reduced mod
+with each variable's exponent in that name's 20-bit slot: x, y and z hold slots 0, 1 and 2,
+any other name the next free slot from its first use on, so a monomial's key depends only on
+its exponents.  The top bit of each slot is a guard kept clear, so exponents stay below 2^19.
+``variables`` is the sorted tuple of the names the keys use, so equal polynomials have
+identical representations; ``terms`` builds exponent tuples and ``CycScalar`` coefficients
+on request.  Term order everywhere is graded lexicographic in the variable tuple.
+Products and substitution run one ``int`` pair loop: keys add with ``+``, a set guard bit
+raising ValueError.  At L > 1 a rational side is never packed nor reduced mod
 Phi_L: one or two terms scale the other side's vectors, more multiply them packed into signed
 slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product of the unlifted
 coordinates (``exactnum``'s kernel); other cyclotomic sides are both packed, each product term
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, count
 from math import comb, gcd, lcm, prod
 from operator import add, or_
 from typing import Iterable, Mapping, Union
@@ -48,14 +50,23 @@ _MASK = (1 << _W) - 1
 _OVERFLOW = "exponent above 2^19 - 1"
 
 
+class _Shifts(dict):
+    """name -> the bit offset of its slot in every key.  A name missing takes the next free slot;
+    setdefault keeps two threads from sharing one, and no slot is ever reused."""
+    _free = count(3)
+
+    def __missing__(self, name: str) -> int:
+        return self.setdefault(name, _W * next(self._free))
+
+
+_SHIFT = _Shifts(x=0, y=_W, z=2 * _W)
+
+
 class MultiPoly:
     __slots__ = ("variables", "conductor", "den", "nums")
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], ScalarLike] | None = None):
-        vars_in = tuple(variables)
-        if len(set(vars_in)) < len(vars_in):
-            raise ValueError("duplicate variable names")
-        order = sorted(range(len(vars_in)), key=vars_in.__getitem__)
+        vars_in = _names(variables)
         pairs = [(tuple(e), c) for e, v in (terms or {}).items() if (c := CycScalar(v))]  # TypeError if no scalar
         if any(len(e) != len(vars_in) for e, _ in pairs):
             raise ValueError("exponent tuple does not match variable list")
@@ -65,7 +76,7 @@ class MultiPoly:
             raise ValueError(_OVERFLOW)
         L = _check_conductor(lcm(*(c.conductor for _, c in pairs)))  # least: the lcm of the least conductors
         D = lcm(*(c.den for _, c in pairs))
-        nums = {sum(e[i] << _W * j for j, i in enumerate(order)):
+        nums = {sum([k << _SHIFT[v] for k, v in zip(e, vars_in)]):
                 _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den) for e, c in pairs}
         _settled(tuple(sorted(vars_in)), L, D, nums, descend=False, into=self)
 
@@ -76,7 +87,7 @@ class MultiPoly:
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return _built((name,), 1, 1, {1: 1})
+        return _built(_names((name,)), 1, 1, {1 << _SHIFT[name]: 1})
 
     @staticmethod
     def constant(value: ScalarLike) -> "MultiPoly":
@@ -86,8 +97,8 @@ class MultiPoly:
     @staticmethod
     def _monomial(exponents: Mapping[str, int], num: int, den: int) -> "MultiPoly":
         """Trusted constructor of num/den * prod(v^k), (v, k) in exponents; den > 0, k < 2^19."""
-        names = tuple(sorted(exponents))
-        return _settled(names, 1, den, {sum(exponents[v] << _W * i for i, v in enumerate(names)): num} if num else {})
+        return _settled(tuple(sorted(exponents)), 1, den,
+                        {sum([k << _SHIFT[v] for v, k in exponents.items()]): num} if num else {})
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -116,8 +127,8 @@ class MultiPoly:
     @property
     def terms(self) -> dict[tuple[int, ...], CycScalar]:
         """The coefficients as CycScalars, each at its own least conductor, in a new dict."""
-        N, D, n = self.conductor, self.den, len(self.variables)
-        return {_unpacked(e, n): _canonical(1, (c,), D) if N == 1 else _minimized(N, list(c), D)
+        N, D = self.conductor, self.den
+        return {_unpacked(e, self.variables): _canonical(1, (c,), D) if N == 1 else _minimized(N, list(c), D)
                 for e, c in self.nums.items()}
 
     def is_zero(self) -> bool:
@@ -131,23 +142,23 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        slots = range(0, _W * len(self.variables), _W)
-        return max((sum([e >> s & _MASK for s in slots]) for e in self.nums), default=-1)
+        return max((sum(_unpacked(e, self.variables)) for e in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
             return 0 if self.nums else -1
-        s = _W * self.variables.index(var)
+        s = _SHIFT[var]
         return max((e >> s & _MASK for e in self.nums), default=-1)
 
     def coefficient_of(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of var**power, a polynomial in the other variables."""
+        if not isinstance(power, int):
+            raise TypeError(f"power must be an int, not {power!r}")
         if var not in self.variables:
             return self if power == 0 else MultiPoly.zero()
-        i = self.variables.index(var)
-        s, names = _W * i, self.variables[:i] + self.variables[i + 1:]
-        picked = [(e - (power << s), c) for e, c in self.nums.items() if e >> s & _MASK == power]
-        return _settled(names, self.conductor, self.den, dict(_rekeyed(picked, self.variables, names)))
+        s = _SHIFT[var]
+        picked = {e - (power << s): c for e, c in self.nums.items() if e >> s & _MASK == power}
+        return _settled(self.variables, self.conductor, self.den, picked)  # var pruned
 
     def leading_coefficient(self, var: str) -> CycScalar:
         return self.coefficient_of(var, self.degree_in(var)).as_scalar()
@@ -158,17 +169,12 @@ class MultiPoly:
             raise ValueError("zero polynomial has no exponent support")
         if any(v != var for v in self.variables):
             raise ValueError(f"polynomial depends on more than {var!r}")
-        return tuple(sorted(self.nums))  # the key of var^k is k, of a constant 0
+        return tuple(sorted([sum(_unpacked(e, self.variables)) for e in self.nums]))  # var's exponent, or 0
 
     def depends_only_on(self, var: str) -> bool:
         return all(v == var for v in self.variables)
 
     # -- arithmetic -------------------------------------------------------
-
-    def _widened(self, names: tuple[str, ...], scale: int = 1) -> Iterable:
-        """The terms keyed over ``names``, a sorted superset of the variables, numerators times ``scale``."""
-        terms = _rekeyed(self.nums.items(), self.variables, names)
-        return terms if scale == 1 else [(e, _times(c, scale)) for e, c in terms]
 
     def _merged(self, signed: list) -> "MultiPoly":
         """self + sum(sign*q) over the pairs (q, sign) of polynomials, one signed merge of all
@@ -176,9 +182,9 @@ class MultiPoly:
         names = tuple(sorted(set(self.variables).union(*[q.variables for q, _ in signed])))
         L = _check_conductor(lcm(self.conductor, *[q.conductor for q, _ in signed]))
         D = lcm(self.den, *[q.den for q, _ in signed])
-        acc = dict(_at(self._widened(names, D // self.den), self.conductor, L))
+        acc = _added({}, _at(self.nums.items(), self.conductor, L), D // self.den)
         for q, sign in signed:
-            _added(acc, _at(q._widened(names), q.conductor, L), sign * (D // q.den))
+            _added(acc, _at(q.nums.items(), q.conductor, L), sign * (D // q.den))
         if overlap := len(acc) < len(self.nums) + sum([len(q.nums) for q, _ in signed]):  # drop what cancelled
             acc = {e: c for e, c in acc.items() if (c if L == 1 else any(c))}
         coprime = prod([q.conductor for q, _ in signed], start=self.conductor) == L  # pairwise: L is least
@@ -203,8 +209,8 @@ class MultiPoly:
             return NotImplemented
         other = MultiPoly._coerce(other)
         names = tuple(sorted({*self.variables, *other.variables}))
-        L, G = _check_conductor(lcm(self.conductor, other.conductor)), _guard(len(names))
-        out = dict(_product(self._widened(names), self.conductor, other._widened(names), other.conductor, G))
+        L, G = _check_conductor(lcm(self.conductor, other.conductor)), _guard(names)
+        out = dict(_product(self.nums.items(), self.conductor, other.nums.items(), other.conductor, G))
         # a nonzero product uses every variable of its factors
         return _settled(names, L, self.den * other.den, out, gcd(self.conductor, other.conductor) > 1,
                         prune=not out)
@@ -218,7 +224,7 @@ class MultiPoly:
             raise ValueError("negative power of a polynomial")
         if not (k and self.nums):
             return self if k else MultiPoly.one()
-        terms = _power_of({1: list(self.nums.items())}, k, self.conductor, _guard(len(self.variables)))
+        terms = _power_of({1: list(self.nums.items())}, k, self.conductor, _guard(self.variables))
         return _settled(self.variables, self.conductor, self.den ** k, dict(terms), prune=False)  # uses every variable
 
     # -- calculus and substitution ----------------------------------------
@@ -226,7 +232,7 @@ class MultiPoly:
     def partial_derivative(self, var: str) -> "MultiPoly":
         if var not in self.variables:
             return MultiPoly.zero()
-        s = _W * self.variables.index(var)
+        s = _SHIFT[var]
         out = {e - (1 << s): _times(c, k) for e, c in self.nums.items() if (k := e >> s & _MASK)}
         return _settled(self.variables, self.conductor, self.den, out, len(out) < len(self.nums))
 
@@ -235,19 +241,18 @@ class MultiPoly:
         terms are grouped by their exponents k_v of the moved v.  With self = N / D and image v = N_v / D_v,
         a group is scaled once by prod(D_v^(K_v - k_v)), K_v = deg_v self, and multiplied once by each
         cached power N_v^k_v, so every sum is on integers over D*prod(D_v^K_v)."""
-        moved = [(_W * i, p) for i, v in enumerate(self.variables) if v in images
-                 if ((p := MultiPoly._coerce(images[v])).variables, p.den, p.nums) != ((v,), 1, {1: 1})]
+        moved = [(s, p) for v in self.variables if v in images
+                 if ((p := MultiPoly._coerce(images[v])).den, p.nums) != (1, {1 << (s := _SHIFT[v]): 1})]
         if not moved:
             return self
         mask = sum([_MASK << s for s, _ in moved])
-        names = tuple(sorted({v for i, v in enumerate(self.variables) if not mask >> _W * i & 1}
-                             .union(*[p.variables for _, p in moved])))
-        L, G = _check_conductor(lcm(self.conductor, *[p.conductor for _, p in moved])), _guard(len(names))
+        names = tuple(sorted(set(self.variables).union(*[p.variables for _, p in moved])))  # pruned at the end
+        L, G = _check_conductor(lcm(self.conductor, *[p.conductor for _, p in moved])), _guard(names)
         dens = [(s, p.den, max(e >> s & _MASK for e in self.nums)) for s, p in moved if p.den > 1]  # s, D_v, K_v
-        moved = [(s, p.conductor, {1: list(p._widened(names))}) for s, p in moved]  # cache[k]: the image to the k
-        groups, acc = {}, {}
-        for e, t in zip(self.nums, _rekeyed([(e & ~mask, c) for e, c in self.nums.items()], self.variables, names)):
-            groups.setdefault(e & mask, []).append(t)
+        moved = [(s, p.conductor, {1: list(p.nums.items())}) for s, p in moved]  # cache[k]: the image to the k
+        groups, acc, kept = {}, {}, ~mask
+        for e, c in self.nums.items():
+            groups.setdefault(e & mask, []).append((e & kept, c))
         for g, part in groups.items():
             if dens and (scale := prod([d ** (t - (g >> s & _MASK)) for s, d, t in dens])) > 1:
                 part = [(e, _times(c, scale)) for e, c in part]
@@ -261,7 +266,7 @@ class MultiPoly:
 
     def divide_by_variable(self, var: str) -> "MultiPoly":
         """Exact division by ``var``; every term must contain it."""
-        s = 1 << _W * self.variables.index(var) if var in self.variables else 0
+        s = 1 << _SHIFT[var] if var in self.variables else 0
         if not all(e & _MASK * s for e in self.nums):
             raise ValueError(f"{self} is not divisible by {var}")
         return _built(self.variables, self.conductor, self.den, {e - s: c for e, c in self.nums.items()}, prune=True)
@@ -272,13 +277,12 @@ class MultiPoly:
         if not isinstance(other, _POLYS):
             return NotImplemented
         other = MultiPoly._coerce(other)
-        return (self.variables == other.variables and self.conductor == other.conductor
-                and self.den == other.den and self.nums == other.nums)
+        return self.conductor == other.conductor and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         if not self.variables:  # a constant hashes as its scalar, which it equals
             return hash(self.as_scalar())
-        return hash((self.variables, self.conductor, self.den, frozenset(self.nums.items())))
+        return hash((self.conductor, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -286,8 +290,8 @@ class MultiPoly:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        out, count, N, D = [], len(self.variables), self.conductor, self.den
-        for exps, c in sorted(((_unpacked(e, count), c) for e, c in self.nums.items()),
+        out, N, D = [], self.conductor, self.den
+        for exps, c in sorted(((_unpacked(e, self.variables), c) for e, c in self.nums.items()),
                               key=lambda t: (sum(t[0]), t[0]), reverse=True):
             mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, exps) if k)
             if N > 1 and any(c[1:]):
@@ -328,38 +332,29 @@ def _top(terms: Iterable) -> int:  # the largest absolute numerator
     return max(abs(c) if type(c) is int else max(map(abs, c)) for _, c in terms)
 
 
-def _unpacked(e: int, n: int) -> tuple[int, ...]:
-    return tuple([e >> s & _MASK for s in range(0, _W * n, _W)])
+def _names(variables: Iterable[str]) -> tuple[str, ...]:
+    """The names as a tuple, checked before any takes a slot: TypeError naming the first that is not
+    a str, ValueError for a repeated one."""
+    names = tuple(variables)
+    if bad := [v for v in names if not isinstance(v, str)]:
+        raise TypeError(f"a variable name must be a str, not {bad[0]!r}")
+    if len(set(names)) < len(names):
+        raise ValueError("duplicate variable names")
+    return names
 
 
-@lru_cache(maxsize=64)
-def _guard(n: int) -> int:  # the top bit of each of n slots
-    return sum(1 << _W * i + _W - 1 for i in range(n))
+def _unpacked(e: int, variables: tuple[str, ...]) -> tuple[int, ...]:
+    return tuple([e >> _SHIFT[v] & _MASK for v in variables])
 
 
 @lru_cache(maxsize=256)
-def _moves(src: tuple[str, ...], dst: tuple[str, ...]) -> tuple:
-    """(shift in src, shift in dst) of each slot of ``src`` whose variable is in ``dst``, or ()
-    when no key changes."""
-    moves = tuple((_W * i, _W * dst.index(v)) for i, v in enumerate(src) if v in dst)
-    return () if all(a == b for a, b in moves) else moves
-
-
-def _rekeyed(terms: Iterable, src: tuple[str, ...], dst: tuple[str, ...]) -> Iterable:
-    """The (key, value) pairs ``terms`` with keys over the variables ``src`` moved onto ``dst``,
-    one a subsequence of the other; the slots of variables missing from dst must be zero."""
-    if not (moves := _moves(src, dst)):
-        return terms
-    (a, b), *rest = moves
-    out = [((e >> a & _MASK) << b, c) for e, c in terms]
-    for a, b in rest:
-        out = [(k | (e >> a & _MASK) << b, c) for (k, c), (e, _) in zip(out, terms)]
-    return out
+def _guard(variables: tuple[str, ...]) -> int:  # the top bit of each of the variables' slots
+    return sum(1 << _SHIFT[v] + _W - 1 for v in variables)
 
 
 def _convolve(a: Iterable, b: Iterable, guard: int) -> list:
-    """The nonzero terms of the product of two term lists over one variable tuple, with ``guard``
-    the guard bits of its keys: the one pair loop of products and substitution.  A key sum's slots
+    """The nonzero terms of the product of two term lists, with ``guard`` the guard bits of the
+    slots their keys use: the one pair loop of products and substitution.  A key sum's slots
     are below 2^20, so none carries; a slot's largest sum is a leading term's, which never cancels."""
     acc = {}
     for ea, ca in a:
@@ -458,9 +453,7 @@ def _built(variables: tuple[str, ...], N: int, D: int, nums: dict, prune: bool =
     variables that no term uses."""
     if prune:
         used = reduce(or_, nums, 0)
-        kept = tuple(v for i, v in enumerate(variables) if used >> _W * i & _MASK)
-        if len(kept) < len(variables):
-            variables, nums = kept, dict(_rekeyed(nums.items(), variables, kept))
+        variables = tuple([v for v in variables if used >> _SHIFT[v] & _MASK])
     p = object.__new__(MultiPoly) if into is None else into
     object.__setattr__(p, "variables", variables)
     object.__setattr__(p, "conductor", N)

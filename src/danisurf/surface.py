@@ -6,10 +6,10 @@ and we reduce with respect to lex y > x > z, whose leading monomial is
 lc * x^m * y (m = deg f).  A polynomial is in normal form exactly when no
 monomial has x-degree >= m together with y-degree >= 1.
 
-One sweep reduces, over the polynomial's variables and z.  x's and y's key slots are read from those
-variables; y's sits above x's because y sorts after x, and z, sorting after both, moves neither.  Terms
-go into buckets keyed by their x and y slots, which order as plain ints by (y-degree, x-degree), and the
-buckets are popped from the top; every other exponent rides along in its slot.  A bucket x^i*y^j*c(z) with
+One sweep reduces, over the polynomial's variables and z.  Every key holds x's exponent in slot 0 and
+y's in slot 1, so terms go into buckets keyed by those two slots, which order as plain ints by
+(y-degree, x-degree), and the buckets are popped from the top; every other exponent rides along in its
+slot.  A bucket x^i*y^j*c(z) with
 i >= m, j >= 1 is rewritten once by x^m*y = -rest/den (rest: the monic relation's other terms, over
 den): a row x^a*y*r(z) of rest, a < m, sends it to x-degree i - m + a < i and the row phi(z) to
 y-degree j - 1, so every bucket is final when popped.  Each keeps its own power of den until one settle.
@@ -26,8 +26,10 @@ from math import lcm
 from typing import Iterable
 
 from .exactnum import _check_conductor
-from .multipoly import (_MASK, _POLYS, _W, MultiPoly, PolyLike, _added, _at, _guard, _product, _rekeyed,
+from .multipoly import (_MASK, _POLYS, _W, MultiPoly, PolyLike, _added, _at, _guard, _names, _product,
                         _settled, _times)
+
+_XY, _G = _MASK | _MASK << _W, _guard(("x", "y"))  # x's and y's slots, and their guard bits
 
 
 class SurfaceSpec:
@@ -50,12 +52,11 @@ class SurfaceSpec:
             monic = relation if lc.is_one() else relation * lc.inverse()  # leading coefficient 1
             rows = _rows(monic.nums.items(), m)
         else:
+            variables = _names(variables)
             if not variables:
                 raise ValueError("free surface needs at least one variable")
-            if len(set(variables)) != len(variables):
-                raise ValueError("duplicate variable names")
             m = lc = d = relation = monic = rows = None
-        values = (kind, f, phi, tuple(variables), m, lc, d, relation, monic, rows)
+        values = (kind, f, phi, variables, m, lc, d, relation, monic, rows)
         for name, value in zip(SurfaceSpec.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -119,37 +120,34 @@ class SurfaceSpec:
 
 
 def _rows(terms: Iterable, m: int) -> list:
-    """-rest, x^m*y's image times den, as rows ((x, y)-degrees minus x^m*y's, their terms over (x, y, z))."""
+    """-rest, x^m*y's image times den, as rows (the key offset of their (x, y)-part from x^m*y, their terms)."""
     xy, rows = m | 1 << _W, {}
     for e, c in terms:
         if e != xy:
-            rows.setdefault(((e & _MASK) - m, (e >> _W & _MASK) - 1), []).append((e, _times(c, -1)))
+            rows.setdefault((e & _XY) - xy, []).append((e, _times(c, -1)))
     return list(rows.items())
 
 
 def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
-    """The normal form of p: one sweep of its (y-degree, x-degree) buckets, on numerators, over p's
-    variables and z, with x's and y's slots read from p's (z sorts after both, so moves neither)."""
+    """The normal form of p: one sweep of its (y-degree, x-degree) buckets, on numerators, over p's variables and z."""
     if "x" not in p.variables or "y" not in p.variables:
         return p  # no term is divisible by x^m*y
-    sx, sy, G = _W * p.variables.index("x"), _W * p.variables.index("y"), _guard(len(p.variables))
-    xy = (S.m << sx) + (1 << sy)
-    divisible = lambda e: ((e | G) - xy) & G == G  # x-degree >= m and y-degree >= 1; other slots keep theirs
+    xy = S.m | 1 << _W
+    divisible = lambda e: ((e | _G) - xy) & _G == _G  # x-degree >= m and y-degree >= 1; no other slot changes
     if not any(map(divisible, p.nums)):
         return p
-    names, XY = tuple(sorted({*p.variables, "z"})), _MASK << sx | _MASK << sy
-    N, L, den, G3 = S.monic.conductor, lcm(p.conductor, S.monic.conductor), S.monic.den, _guard(len(names))
-    rows = [((dx << sx) + (dy << sy), _rekeyed(row, ("x", "y", "z"), names)) for (dx, dy), row in S.rows]
+    names = tuple(sorted({*p.variables, "z"}))
+    N, L, den, G3 = S.monic.conductor, lcm(p.conductor, S.monic.conductor), S.monic.den, _guard(names)
     buckets = {}  # (y, x)-part -> [t, {key: numerator over p.den * den^t}]
-    for e, c in _at(_rekeyed(p.nums.items(), p.variables, names), p.conductor, L):
-        buckets.setdefault(e & XY, [0, {}])[1][e] = c
+    for e, c in _at(p.nums.items(), p.conductor, L):
+        buckets.setdefault(e & _XY, [0, {}])[1][e] = c
     todo = sorted(filter(divisible, buckets))  # the buckets to rewrite, ascending
     while todo:
         b = todo.pop()
         t, part = buckets.pop(b)
         t += den != 1  # the power of den under the terms this rewrite emits
         quotient = [(e - xy, c) for e, c in part.items() if (any(c) if type(c) is tuple else c)]
-        for off, row in rows:
+        for off, row in S.rows:
             out = _product(quotient, L, row, N, G3)
             if (target := b + off) not in buckets and divisible(target):
                 insort(todo, target)

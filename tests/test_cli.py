@@ -496,6 +496,34 @@ class TestModuleEntryPoint:
         assert done.stdout.strip() == out
         assert done.stderr.startswith("error: ") == (code == EXIT_ERROR)
 
+    def test_output_does_not_depend_on_which_names_took_slots_first(self):
+        """Each variable name takes the next free key slot on its first use, so a fresh interpreter
+        that registers other names first keys the same monomials differently; its output must match
+        byte for byte."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        commands = [
+            ["nf", "--surface", "f=2*x^2+1; phi=z^3+z", "--expr", "(x*y+z-1)^6"],
+            ["plane-example", "--s", "7", "--p", "zeta(7)"],
+            ["verify", "--suite", "xn", "--n", "2", "--phi", "z^3+z+1", "--g", "x", "--hdeg", "2"],
+            ["apply", "--surface", "free: X,Y,t,a", "--derivation", "X -> Y; Y -> t; t -> a; a -> 0",
+             "--expr", "(X + a*t)^3*Y"],
+        ]
+        probe = ("import json, sys; sys.path.insert(0, sys.argv[1])\n"
+                 "from danisurf.multipoly import _SHIFT, MultiPoly\n"
+                 "for name in json.loads(sys.argv[2]): MultiPoly.variable(name)\n"
+                 "print(sorted(_SHIFT, key=_SHIFT.get)[3:], file=sys.stderr)\n"
+                 "from danisurf import cli\n"
+                 "for argv in json.loads(sys.argv[3]): print('exit', cli.run(argv))")
+        outs = []
+        for first in ([], ["zz", "lam", "a", "Y", "X", "u", "t"]):
+            done = subprocess.run([sys.executable, "-E", "-s", "-c", probe, str(src), json.dumps(first),
+                                   json.dumps(commands)], capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr.decode().strip() == str(first)  # registered first, in this order
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"exit 0") == len(commands)
+
     def test_import_loads_no_dataclasses_or_inspect(self):
         """Every CLI call pays for the import; the records are NamedTuples, so it skips both."""
         src = Path(__file__).resolve().parent.parent / "src"

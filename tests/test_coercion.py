@@ -9,7 +9,7 @@ from danisurf.diffmaps import (Derivation, RingMap, apply_derivation, apply_map,
 from danisurf.exactnum import root_of_unity_order, zeta
 from danisurf.isotropy import (canonical_lnd, classify_phi, hyperbolic_order_bound, monomial_split, triangular,
                                verify_isotropy_theorem)
-from danisurf.multipoly import MultiPoly
+from danisurf.multipoly import _SHIFT, MultiPoly
 from danisurf.surface import SurfaceElement, SurfaceSpec, normal_form
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
@@ -41,6 +41,7 @@ ENTRY_POINTS = {
     "verify_isotropy_theorem g": lambda v: verify_isotropy_theorem(S, v),
     "root_of_unity_order": root_of_unity_order,
     "substitute image": lambda v: x.substitute({"x": v}),
+    "coefficient_of power": lambda v: x.coefficient_of("x", v),
 }
 
 
@@ -49,6 +50,21 @@ ENTRY_POINTS = {
 def test_foreign_values_raise_type_error(entry, value):
     with pytest.raises(TypeError, match=repr(value).replace("^", r"\^")):
         ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: MultiPoly.variable(3), 3),
+    (lambda: MultiPoly((1,), {(1,): 1}), 1),
+    (lambda: SurfaceSpec.free_ring(["X", 1]), 1),
+    (lambda: MultiPoly(("name_never_used", None), {(1, 1): 1}), None),
+], ids=["variable", "MultiPoly", "free_ring", "second name"])
+def test_foreign_names_raise_type_error_before_any_takes_a_slot(build, value):
+    """A variable name takes a key slot for the life of the process, so a name that is not a str
+    is refused before any name of the call is registered."""
+    before = dict(_SHIFT)
+    with pytest.raises(TypeError, match=f"not {value!r}$"):
+        build()
+    assert _SHIFT == before
 
 
 def test_reflected_operators_reach_the_element():

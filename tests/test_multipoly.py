@@ -2,6 +2,9 @@
 
 import operator
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from danisurf.exactnum import MAX_CONDUCTOR, CycScalar, euler_phi, zeta
-from danisurf.multipoly import MultiPoly, _guard, _parts
+from danisurf.multipoly import MultiPoly, _guard, _parts, _unpacked
 from danisurf.surface import SurfaceSpec
 
 from oracles import (Dense, dense_map, map_add, map_derivative, map_mul, map_neg, map_substitute, pick_max,
@@ -359,7 +362,7 @@ _XY = ("x", "y")
 
 
 def _key(e):
-    """The stored key of the exponent tuple e: the exponent of variables[i] in bits [20i, 20i + 20)."""
+    """The stored key of the exponent tuple e over (x, y, z), which hold bits [0, 20), [20, 40) and [40, 60)."""
     return sum(k << 20 * i for i, k in enumerate(e))
 
 
@@ -593,14 +596,13 @@ def _leaves(terms, guard):
 def _check_split(p):
     """p's terms fall into one part per connected component of its non-constant terms, joined
     where two share a variable, with the constant in one of them; no split for one component."""
-    n = len(p.variables)
     def support(e):
-        return frozenset(i for i in range(n) if e >> 20 * i & (2 ** 20 - 1))
+        return frozenset(v for v, k in zip(p.variables, _unpacked(e, p.variables)) if k)
     components = []
     for s in (support(e) for e in p.nums if e):
         joined = [c for c in components if c & s]
         components = [c for c in components if not c & s] + [s.union(*joined)]
-    leaves = _leaves(list(p.nums.items()), _guard(n))
+    leaves = _leaves(list(p.nums.items()), _guard(p.variables))
     assert sorted(t for leaf in leaves for t in leaf) == sorted(p.nums.items())
     if len(components) < 2:
         assert len(leaves) == 1
@@ -763,7 +765,7 @@ class TestCoefficientsApart:
 
 # -- the packed store over different variable subsets, against the term-map oracles -----------
 
-_ALL = ("X", "Y", "u", "x", "y", "z")  # sorted; a subset puts each variable in its own slot
+_ALL = ("X", "Y", "u", "x", "y", "z")  # sorted
 _SUBSET_COEFF = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
                           st.builds(lambda q, k: q * zeta(12, k), st.fractions(-2, 2, max_denominator=3),
                                     st.integers(0, 11)))
@@ -796,9 +798,9 @@ def _check_stored(result, expected):
          {"u": (MultiPoly(("X", "y"), {(1, 0): 1, (0, 1): 3}), {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0): 3})},
          "u", 1)
 def test_packed_store_matches_oracle_across_variable_subsets(pa, qb, images, v, k):
-    """Every operation whose keys change variable set: operands over different subsets (so
-    different slot layouts), substitution into and out of other subsets, and the queries that
-    read one slot, against term-by-term arithmetic on exponent tuples over _ALL."""
+    """Every operation whose result changes variable set: operands over different subsets,
+    substitution into and out of other subsets, and the queries that read one slot, against
+    term-by-term arithmetic on exponent tuples over _ALL."""
     (p, a), (q, b), i = pa, qb, _ALL.index(v)
     identity = [{tuple(int(j == n) for j in range(len(_ALL))): Fraction(1)} for n in range(len(_ALL))]
     table = [images[w][1] if w in images else identity[n] for n, w in enumerate(_ALL)]
@@ -880,6 +882,7 @@ class TestExponentGuard:
         lambda: SurfaceSpec.danielewski(x, z ** 4 + 1).reduce(x * y * z ** (_TOP - 1)),  # the normal form's sweep ...
         lambda: SurfaceSpec.danielewski(x ** 2 + zeta(3) * x, z ** 4 + zeta(7)).reduce(  # ... at a cyclotomic relation
             zeta(5) * x ** 3 * y + x ** 2 * y * z ** (_TOP - 1)),
+        lambda: (MultiPoly.variable("w") ** _HALF + x) * (x * MultiPoly.variable("w") ** _HALF),  # a slot past z's
     ])
     def test_crossing_the_largest_exponent_raises(self, build):
         with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):
@@ -889,3 +892,27 @@ class TestExponentGuard:
         S = SurfaceSpec.danielewski(x ** _TOP, z ** 2)
         assert S.reduce(x ** _TOP * y * z) == z ** 3
         assert S.reduce(x ** (_TOP - 1) * y ** 3) == x ** (_TOP - 1) * y ** 3
+
+
+def test_threads_registering_names_at_once_get_one_unshared_slot_each():
+    """A name takes its key slot on first use, for the whole process: four threads registering the
+    same new names in different orders, switching often, must all see one slot per name, and no
+    two names may share a slot."""
+    names = [f"threaded_{i}" for i in range(200)]
+    orders = [random.Random(seed).sample(names, len(names)) for seed in range(4)]
+    start = threading.Barrier(4, timeout=60)
+
+    def register(order):
+        start.wait()
+        return {v: tuple(MultiPoly.variable(v).nums) for v in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            seen = [f.result(timeout=60) for f in [pool.submit(register, o) for o in orders]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(keys == seen[0] for keys in seen)
+    assert len(set(seen[0].values())) == len(names)
+    assert all(MultiPoly.variable(v) ** 2 * x == MultiPoly((v, "x"), {(2, 1): 1}) for v in names)

@@ -256,7 +256,7 @@ def test_sweep_without_one_field():
             S.reduce(zeta(997) * q)
 
 
-# -- the sweep reads x's and y's key slots from the polynomial ------------------------------
+# -- the sweep on a polynomial with a name other than x, y and z ---------------------------
 
 _EXTRA = ["a", "lam", "xa", "ya", "zz"]  # names sorting before x, between x and y, y and z, after z
 _S_SLOTS = SurfaceSpec.danielewski(x ** 2 + 1, z ** 3 + z)
@@ -276,11 +276,11 @@ def _slot_cases(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(_slot_cases())
-@example((_S_SLOTS, "ya", _P_SLOTS))  # a slot between y's and z's, once read as z's
-@example((_S_SLOTS, "zz", _P_SLOTS))  # a slot after z's, once dropped into a key beyond the variables
+@example((_S_SLOTS, "ya", _P_SLOTS))  # sorting between y and z: its exponent was once read as z's
+@example((_S_SLOTS, "zz", _P_SLOTS))  # sorting after z: once dropped into a key beyond the variables
 def test_sweep_reads_slots_from_the_polynomial(case):
     """_reduce_relation (S.reduce refuses the extra name) on p = sum t^k * p_k, t an extra variable
-    in any slot relative to x, y and z: the normal form is sum t^k * NF(p_k), as the one-offender
+    sorting anywhere relative to x, y and z: the normal form is sum t^k * NF(p_k), as the one-offender
     oracle carrying t's exponents finds, and every key lies within the result's variables."""
     S, name, parts = case
     t = MultiPoly.variable(name)
