@@ -1,14 +1,14 @@
 """Derivations and ring endomorphisms of a surface, given by generator images.
 
-A derivation or map is a table generator -> SurfaceElement.  On a relation
-surface the images must be compatible with the defining relation.  The public
-constructors, which build user tables, prove this and refuse ill-defined ones;
-tables whose construction proves it (factories, identity, composition, exponentials)
-go through ``_trusted``, which skips the re-proof; each caller states its proof.
-Commutation with a derivation is decided on generators alone: the defect rho∘D - D∘rho
-obeys a twisted Leibniz rule, so vanishing on generators forces it to vanish
-everywhere.  Normal forms are unique, so the two sides are compared as they are.
-The result records (``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
+A derivation or map is a table generator -> SurfaceElement.  On a relation surface a table is well
+defined iff the normal form of its image of the relation f(x)*y - phi(z) is 0, computed by the same rule
+as ``apply``: Leibniz for a derivation, substitution for a map.  The public constructors, which build
+user tables, prove this and refuse ill-defined ones; tables whose construction proves it (factories,
+identity, composition, exponentials) go through ``_trusted``, which skips the re-proof; each caller
+states its proof.  Commutation with a derivation is decided on generators alone: the defect
+rho∘D - D∘rho obeys a twisted Leibniz rule, so vanishing on generators forces it to vanish everywhere.
+Normal forms are unique, so the two sides are compared as they are.  The result records
+(``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -38,16 +38,18 @@ def _image_table(images: Mapping[str, object], S: SurfaceSpec) -> dict[str, Surf
     extra = set(images) - set(S.variables)
     if extra:
         raise ValueError(f"images given for unknown generators {sorted(extra)}")
-    for el in table.values():
-        if el.surface != S:
-            raise ValueError("image lives on a different surface")
     return table
 
 
-def _derivation_residue(table: Mapping[str, SurfaceElement], S: SurfaceSpec) -> SurfaceElement:
-    # D applied to the defining polynomial f(x)y - phi(z)
-    fx_y, phiz = S.f.partial_derivative("x") * MultiPoly.variable("y"), S.phi.partial_derivative("z")
-    return S.element(fx_y) * table["x"] + S.element(S.f) * table["y"] - S.element(phiz) * table["z"]
+def _leibniz(table: Mapping[str, SurfaceElement], p: MultiPoly) -> MultiPoly:
+    """sum dp/dv * D(v) over the generators, on representatives, in one merge of the products."""
+    return MultiPoly.zero()._merged([(part * dv.rep, 1) for v, dv in table.items()
+                                     if dv and (part := p.partial_derivative(v))])
+
+
+def _substituted(table: Mapping[str, SurfaceElement], p: MultiPoly) -> MultiPoly:
+    """p at the images of the generators, on representatives."""
+    return p.substitute({v: el.rep for v, el in table.items()})
 
 
 def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object]):
@@ -59,19 +61,15 @@ def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object]):
 
 
 def check_derivation_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
-    """True iff the image table extends to a derivation of the quotient ring."""
-    table = _image_table(images, S)
-    return S.is_free or _derivation_residue(table, S).is_zero()
+    """True iff the image table extends to a derivation of the quotient ring: D(relation) reduces to 0."""
+    table = _image_table(images, S)  # checked on a free surface too
+    return S.is_free or S.reduce(_leibniz(table, S.relation)).is_zero()
 
 
 def check_map_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
-    """True iff the image table preserves the relation ideal."""
-    table = _image_table(images, S)
-    if S.is_free:
-        return True
-    fx = S.f.substitute({"x": table["x"].rep})
-    phiz = S.phi.substitute({"z": table["z"].rep})
-    return S.element(fx * table["y"].rep - phiz).is_zero()
+    """True iff the image table preserves the relation ideal: the relation's image reduces to 0."""
+    table = _image_table(images, S)  # checked on a free surface too
+    return S.is_free or S.reduce(_substituted(table, S.relation)).is_zero()
 
 
 class _ImageTable:
@@ -111,7 +109,7 @@ class Derivation(_ImageTable):
 
     def __init__(self, surface: SurfaceSpec, images: Mapping[str, object]):
         table = _image_table(images, surface)
-        if not surface.is_free and not _derivation_residue(table, surface).is_zero():
+        if not check_derivation_well_defined(table, surface):
             raise ValueError("images do not define a derivation of the quotient ring")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "images", table)
@@ -125,14 +123,7 @@ class Derivation(_ImageTable):
         return all(el.is_zero() for el in self.images.values())
 
     def apply(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
-        p = SurfaceElement._coerce(p, self.surface)
-        if p.surface != self.surface:
-            raise ValueError("element lives on a different surface")
-        acc = self.surface.element(0)
-        for v, dv in self.images.items():
-            if dv and (part := p.rep.partial_derivative(v)):
-                acc = acc + SurfaceElement._trusted(self.surface, part) * dv  # d/dv keeps a normal form one
-        return acc
+        return self.surface.element(_leibniz(self.images, SurfaceElement._coerce(p, self.surface).rep))
 
     def scaled_by(self, w: SurfaceElement | PolyLike) -> "Derivation":
         """The derivation w*D for a kernel element w; (w*D)(relation) = w*0."""
@@ -156,7 +147,7 @@ class RingMap(_ImageTable):
 
     def __init__(self, surface: SurfaceSpec, images: Mapping[str, object]):
         table = _image_table(images, surface)
-        if not surface.is_free and not check_map_well_defined(table, surface):
+        if not check_map_well_defined(table, surface):
             raise ValueError("images do not preserve the relation ideal")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "images", table)
@@ -170,11 +161,7 @@ class RingMap(_ImageTable):
         return all(self.images[v] == self.surface.gen(v) for v in self.surface.variables)
 
     def apply(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
-        p = SurfaceElement._coerce(p, self.surface)
-        if p.surface != self.surface:
-            raise ValueError("element lives on a different surface")
-        image = p.rep.substitute({v: self.images[v].rep for v in self.surface.variables})
-        return self.surface.element(image)
+        return self.surface.element(_substituted(self.images, SurfaceElement._coerce(p, self.surface).rep))
 
     def compose(self, inner: "RingMap") -> "RingMap":
         """self(inner(p)); inner sends the relation into the ideal, and self sends that to 0."""
@@ -281,6 +268,7 @@ def exp_derivation(D: Derivation, cap: Optional[int] = None) -> RingMap:
         powers = list(islice(_powers(D, v), cap + 1))  # summed only once some D^k(v) is 0
         if len(powers) > cap:
             raise CapExceededError(f"inconclusive: D^k({v}) is nonzero for every k <= {cap}")
-        images[v] = sum((p * Fraction(1, math.factorial(k)) for k, p in enumerate(powers, 1)),
-                        D.surface.gen(v))
+        # v and every D^k(v) are normal forms, and so is any linear combination of them
+        terms = [(p.rep * Fraction(1, math.factorial(k)), 1) for k, p in enumerate(powers, 1)]
+        images[v] = SurfaceElement._trusted(D.surface, MultiPoly.variable(v)._merged(terms))
     return _trusted(RingMap, D.surface, images)

@@ -84,10 +84,7 @@ def _shape(phi: MultiPoly) -> PhiShape:
 
     # power form c*(z - a)^d: read a off the subleading coefficient, verify
     a = -(phi.coefficient_of("z", d - 1).as_scalar() / (c * d))
-    z = MultiPoly.variable("z")
-    power = None
-    if MultiPoly.constant(c) * (z - MultiPoly.constant(a)) ** d == phi:
-        power = (c, a)
+    power = (c, a) if PhiShape(d, (c, a), None).reconstruct_power() == phi else None
 
     i, m = monomial_split(phi, "z")
     if m == 0:

@@ -184,8 +184,13 @@ class SurfaceElement:
 
     @staticmethod
     def _coerce(value, surface: SurfaceSpec) -> "SurfaceElement":
-        """value as an element, TypeError for a foreign type; operators return NotImplemented for one."""
-        return value if isinstance(value, SurfaceElement) else surface.element(value)
+        """value as an element of surface: ValueError for another surface's element, TypeError for a
+        foreign type; operators return NotImplemented for one."""
+        if not isinstance(value, SurfaceElement):
+            return surface.element(value)
+        if value.surface != surface:
+            raise ValueError("elements live on different surfaces")
+        return value
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -194,10 +199,7 @@ class SurfaceElement:
         """build(surface, op on the representatives of self and other, an element of the same surface)."""
         if not isinstance(other, (SurfaceElement, _POLYS)):
             return NotImplemented
-        other = SurfaceElement._coerce(other, self.surface)
-        if self.surface != other.surface:
-            raise ValueError("elements live on different surfaces")
-        return build(self.surface, op(self.rep, other.rep))
+        return build(self.surface, op(self.rep, SurfaceElement._coerce(other, self.surface).rep))
 
     def __add__(self, other) -> "SurfaceElement":
         return self._combined(other, operator.add, SurfaceElement._trusted)
@@ -246,6 +248,4 @@ def normal_form(p: PolyLike, S: SurfaceSpec) -> SurfaceElement:
 
 
 def elements_equal(p: SurfaceElement, q: SurfaceElement) -> bool:
-    if p.surface != q.surface:
-        raise ValueError("elements live on different surfaces")
-    return p.rep == q.rep
+    return p.rep == SurfaceElement._coerce(q, p.surface).rep

@@ -1,6 +1,7 @@
 """One coercion rule per layer: a public entry point given a value of a foreign type raises
 TypeError, and the arithmetic operators return NotImplemented for one, so Python tries the other
-operand's reflected method and, failing that, raises its own "unsupported operand" TypeError."""
+operand's reflected method and, failing that, raises its own "unsupported operand" TypeError.
+An element of another surface raises ValueError, with one message wherever it is given."""
 
 import pytest
 
@@ -50,6 +51,33 @@ ENTRY_POINTS = {
 def test_foreign_values_raise_type_error(entry, value):
     with pytest.raises(TypeError, match=repr(value).replace("^", r"\^")):
         ENTRY_POINTS[entry](value)
+
+
+OTHER = SurfaceSpec.danielewski(x ** 2, z ** 2).gen("x")  # x on another surface
+F, OTHER_FREE = SurfaceSpec.free_ring(("X", "Y")), SurfaceSpec.free_ring(("X", "Y", "Z")).gen("X")
+OTHER_SURFACE_ENTRY_POINTS = {
+    "Derivation.apply": lambda: D.apply(OTHER),
+    "RingMap.apply": lambda: RHO.apply(OTHER),
+    "Derivation table": lambda: Derivation(S, {"x": OTHER, "y": 0, "z": 0}),
+    "RingMap table": lambda: RingMap(S, {"x": OTHER, "y": y, "z": z}),
+    "derivation table check": lambda: check_derivation_well_defined({"x": 0, "y": OTHER, "z": 0}, S),
+    "map table check": lambda: check_map_well_defined({"x": x, "y": y, "z": OTHER}, S),
+    "free derivation table check": lambda: check_derivation_well_defined({"X": OTHER_FREE, "Y": 0}, F),
+    "free map table check": lambda: check_map_well_defined({"X": OTHER_FREE, "Y": 0}, F),
+    "scaled_by": lambda: D.scaled_by(OTHER),
+    "kernel_contains": lambda: kernel_contains(D, OTHER),
+    "+": lambda: S.gen("x") + OTHER,
+    "-": lambda: S.gen("x") - OTHER,
+    "*": lambda: S.gen("x") * OTHER,
+}
+
+
+@pytest.mark.parametrize("entry", OTHER_SURFACE_ENTRY_POINTS)
+def test_another_surfaces_element_raises_value_error(entry):
+    """Every entry point that takes an element coerces it by one rule, which refuses an element of
+    another surface with one message, also on a free ring, whose tables are otherwise unchecked."""
+    with pytest.raises(ValueError, match="^elements live on different surfaces$"):
+        OTHER_SURFACE_ENTRY_POINTS[entry]()
 
 
 @pytest.mark.parametrize("build, value", [

@@ -15,10 +15,12 @@ from danisurf.diffmaps import (MAX_CAP, CapExceededError, CommutationResult,
                                exp_derivation, is_locally_nilpotent,
                                kernel_contains, scale_by_kernel)
 from danisurf.exactnum import CycScalar, zeta
+from danisurf.isotropy import canonical_lnd, triangular
 from danisurf.multipoly import MultiPoly
 from danisurf.surface import SurfaceSpec
 
-from oracles import random_poly, random_univariate
+from oracles import (in_relation_ideal, map_add, map_derivative, map_mul, map_substitute, random_poly,
+                     random_univariate, term_map)
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -334,6 +336,94 @@ def test_representative_independence(seed):
     q = random_poly(rnd, max_exp=2)
     shifted = p + S.relation * q
     assert raw_apply(shifted) == raw_apply(p) == D.apply(S.element(p))
+
+
+# -- well-definedness against the ideal-membership oracle ---------------------------------
+
+_DIFF_SURFACES = [
+    SurfaceSpec.danielewski(3 * x ** 2 + x, z ** 3 + z),  # non-monic f
+    SurfaceSpec.danielewski(2 * x ** 2 + 1, z ** 3 + zeta(3) * z),  # f with a constant term
+    SurfaceSpec.danielewski(x ** 2 + zeta(12) * x, z ** 2 - zeta(12) ** 5),  # zeta_12 coefficients
+]
+
+
+def _table(S: SurfaceSpec, factory, kind: str, rnd: random.Random) -> dict:
+    """A random table, a factory one, or a factory one with one image shifted."""
+    if kind == "random":
+        return {v: random_poly(rnd, max_exp=2, max_terms=3, cyclotomic=True) for v in "xyz"}
+    table = {v: el.rep for v, el in factory(S, random_univariate(rnd, "x", 1)).images.items()}
+    if kind == "shifted":
+        v = rnd.choice("xyz")
+        table[v] = table[v] + random_poly(rnd, max_exp=1, max_terms=2, cyclotomic=True)
+    return table
+
+
+def _oracle_derivation(S: SurfaceSpec, table: dict) -> bool:
+    """D(f(x)*y - phi(z)) = sum over v of d/dv(relation) * D(v), expanded term by term, in the ideal."""
+    relation, image = term_map(S.relation), {}
+    for i, v in enumerate("xyz"):
+        image = map_add(image, map_mul(map_derivative(relation, i), term_map(table[v])))
+    return in_relation_ideal(MultiPoly(("x", "y", "z"), image), S.f, S.phi)
+
+
+def _oracle_map(S: SurfaceSpec, table: dict) -> bool:
+    """rho(f(x)*y - phi(z)) = f(rho x)*rho y - phi(rho z), expanded term by term, in the ideal."""
+    image = map_substitute(term_map(S.relation), [term_map(table[v]) for v in "xyz"])
+    return in_relation_ideal(MultiPoly(("x", "y", "z"), image), S.f, S.phi)
+
+
+# factory, check, oracle; the map factory composes the exponential of a canonical LND with a triangular map
+_CHECKS = {
+    "derivation": (lambda S, h: canonical_lnd(S, h).derivation, check_derivation_well_defined, _oracle_derivation),
+    "map": (lambda S, h: exp_derivation(canonical_lnd(S, h).derivation).compose(triangular(S, h)),
+            check_map_well_defined, _oracle_map),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(_CHECKS)), st.sampled_from(range(len(_DIFF_SURFACES))),
+       st.sampled_from(["random", "factory", "shifted"]), _seeds)
+def test_well_definedness_matches_the_ideal_oracle(check, surface, kind, seed):
+    """Both checks agree with ideal membership of the relation's image, computed without the
+    library's derivation, substitution or reduction; a canonical or factory table always passes."""
+    S, (factory, observed, oracle) = _DIFF_SURFACES[surface], _CHECKS[check]
+    table = _table(S, factory, kind, random.Random(seed))
+    expected = oracle(S, table)
+    assert observed(table, S) == expected
+    assert expected or kind != "factory"
+
+
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+@pytest.mark.parametrize("S", _DIFF_SURFACES, ids=["non-monic", "constant term", "zeta12"])
+def test_both_verdicts_occur(check, S):
+    factory, observed, _ = _CHECKS[check]
+    verdicts = {observed(_table(S, factory, kind, random.Random(seed)), S)
+                for kind in ("random", "factory") for seed in range(3)}
+    assert verdicts == {True, False}
+
+
+# -- one reduction per application ----------------------------------------------------------
+
+_F5 = SurfaceSpec.free_ring(("a", "b", "c", "d", "e"))
+
+
+@pytest.mark.parametrize("build, p", [
+    (lambda: _canonical(S_FX, x + 1), S_FX.element(x * y * z + y ** 2 + z ** 3)),
+    (lambda: Derivation(_F5, {v: MultiPoly.variable(w) for v, w in zip("abcde", "bcdea")}),
+     _F5.element(MultiPoly.variable("a") * MultiPoly.variable("b") * MultiPoly.variable("c")
+                 + MultiPoly.variable("d") * MultiPoly.variable("e"))),
+    (lambda: triangular(S_FX, x + 2), S_FX.element(x * y * z + y ** 2 + z ** 3)),
+    (lambda: RingMap(_F5, {v: MultiPoly.variable(w) + 1 for v, w in zip("abcde", "bcdea")}),
+     _F5.element(MultiPoly.variable("a") * MultiPoly.variable("b") + MultiPoly.variable("e") ** 3)),
+], ids=["derivation on a relation surface", "derivation on a free ring", "map on a relation surface",
+        "map on a free ring"])
+def test_apply_reduces_once_per_call(monkeypatch, build, p):
+    """apply builds the image's representative by one rule, Leibniz or substitution, and reduces it once,
+    not once per generator."""
+    op, calls, reduce = build(), [], SurfaceSpec.reduce
+    expected = op.apply(p)
+    monkeypatch.setattr(SurfaceSpec, "reduce", lambda S, q: calls.append(q) or reduce(S, q))
+    assert op.apply(p) == expected and len(calls) == 1
 
 
 class TestRecords:
