@@ -6,7 +6,11 @@ as ``apply``: Leibniz for a derivation, substitution for a map.  The public cons
 user tables, prove this and refuse ill-defined ones; tables whose construction proves it (factories,
 identity, composition, exponentials) go through ``_trusted``, which skips the re-proof; each caller
 states its proof.  Commutation with a derivation is decided on generators alone: the defect
-rho∘D - D∘rho obeys a twisted Leibniz rule, so vanishing on generators forces it to vanish everywhere.
+delta = rho∘D - D∘rho is a rho-derivation, delta(ab) = delta(a)*rho(b) + rho(a)*delta(b), so vanishing on
+generators forces it to vanish everywhere.  On a relation surface x and z suffice once rho(f) != 0, given rho
+and D well defined on B: f(x)*y - phi(z) has degree 1 in y and coprime coefficients f(x), phi(z), so it is
+irreducible and B a domain; delta of the relation, 0 = f'(rho x)*delta(x)*rho(y) + rho(f)*delta(y) -
+phi'(rho z)*delta(z), then leaves rho(f)*delta(y) = 0 once delta(x) = delta(z) = 0, so delta(y) = 0.
 Normal forms are unique, so the two sides are compared as they are.  The result records
 (``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
 """
@@ -192,12 +196,18 @@ class CommutationResult(NamedTuple):
 
 
 def commutes(rho: RingMap, D: Derivation) -> CommutationResult:
-    """Decide rho∘D = D∘rho, with a generator witness on failure."""
-    if rho.surface != D.surface:
+    """Decide rho∘D = D∘rho, with the first generator witness on failure.  For well-defined rho and D on a
+    relation surface, a domain, agreement at x and z with rho(f) != 0 proves it at y (module docstring)."""
+    S = rho.surface
+    if S != D.surface:
         raise ValueError("map and derivation live on different surfaces")
-    for v in rho.surface.variables:
-        left = rho.apply(D.images[v])
-        right = D.apply(rho.images[v])
+    sides = {}  # v -> (rho(D(v)), D(rho(v))), each computed at most once
+    side = lambda v: sides.get(v) or sides.setdefault(v, (rho.apply(D.images[v]), D.apply(rho.images[v])))
+    if (not S.is_free and all(left.rep == right.rep for left, right in map(side, "xz"))
+            and not rho.apply(S.f).is_zero()):
+        return CommutationResult(True)
+    for v in S.variables:
+        left, right = side(v)
         if left.rep != right.rep:  # normal forms are unique, so only the witness needs left - right
             return CommutationResult(False, v, left - right)
     return CommutationResult(True)

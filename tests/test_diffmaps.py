@@ -15,7 +15,8 @@ from danisurf.diffmaps import (MAX_CAP, CapExceededError, CommutationResult,
                                exp_derivation, is_locally_nilpotent,
                                kernel_contains, scale_by_kernel)
 from danisurf.exactnum import CycScalar, zeta
-from danisurf.isotropy import canonical_lnd, triangular
+from danisurf.isotropy import (ShapeMismatchError, canonical_lnd, hyperbolic_rotation, involution, rescaling,
+                               symmetry, triangular)
 from danisurf.multipoly import MultiPoly
 from danisurf.surface import SurfaceSpec
 
@@ -155,6 +156,20 @@ class TestCommutes:
         v, diff = next((v, d) for v, d in diffs if not d.is_zero())
         res = commutes(rho, D)
         assert not res and res.generator == v and res.difference == diff
+
+    def test_y_is_checked_when_rho_of_f_is_zero(self):
+        """rho = (0, y, 1) agrees with D = x*D0 at x and z, but rho(f) = rho(x) = 0, so agreement at y
+        does not follow from the relation: the check must run there and fail."""
+        S = SurfaceSpec.danielewski(x, z ** 2 - 1)
+        rho = RingMap(S, {"x": 0, "y": y, "z": 1})  # well defined: 0*y = 1 - 1
+        res = commutes(rho, canonical_lnd(S, x).derivation)
+        assert (res.commutes, res.generator, res.difference) == (False, "y", S.element(-2 * x * z))
+
+    def test_y_is_checked_on_a_free_ring_named_x_y_z(self):
+        """A free ring has no relation to decide y, whatever its generators are called."""
+        F = SurfaceSpec.free_ring(("x", "y", "z"))
+        res = commutes(RingMap(F, {"x": x, "y": 2 * y, "z": z}), Derivation(F, {"x": 0, "y": 1, "z": 0}))
+        assert (res.commutes, res.generator, res.difference) == (False, "y", F.element(-1))
 
     def test_hyperbolic_minus_one_on_x2(self):
         D = _canonical(S_X2, 1)
@@ -399,6 +414,82 @@ def test_both_verdicts_occur(check, S):
     factory, observed, _ = _CHECKS[check]
     verdicts = {observed(_table(S, factory, kind, random.Random(seed)), S)
                 for kind in ("random", "factory") for seed in range(3)}
+    assert verdicts == {True, False}
+
+
+# -- commutation against a full scan of x, y and z -----------------------------------------
+
+# (surface, a root of f, a root of phi): each map (a, p, b) sends f to 0.  The last surface has f = c*x
+# and phi = c*(z - a)^d, so the involution and the rescalings exist there, as they do on none of the others
+_COMMUTE_SURFACES = [
+    (_DIFF_SURFACES[0], 0, 0),
+    (_DIFF_SURFACES[1], (zeta(8) ** 3 - zeta(8) ** 5) / 2, 0),  # i/sqrt(2), a root of 2*x^2 + 1
+    (_DIFF_SURFACES[2], -zeta(12), zeta(24) ** 5),
+    (SurfaceSpec.danielewski(2 * x, 3 * (z - 1) ** 3), 0, 1),
+]
+_UNITS = [CycScalar(1), CycScalar(-1), CycScalar(2), CycScalar(Fraction(-1, 3)), zeta(3), zeta(4), zeta(12)]
+_FAMILIES = [
+    lambda S, rnd: hyperbolic_rotation(S, rnd.choice(_UNITS)),
+    lambda S, rnd: involution(S),
+    lambda S, rnd: triangular(S, random_univariate(rnd, "x", rnd.randint(0, 2))),
+    lambda S, rnd: rescaling(S, rnd.choice(_UNITS)),
+    lambda S, rnd: symmetry(S, rnd.choice(_UNITS)),
+]
+
+
+def _generator(S: SurfaceSpec, rnd: random.Random) -> RingMap:
+    """A random member of a random factory family that exists on S; triangular maps always do."""
+    while True:
+        try:
+            return rnd.choice(_FAMILIES)(S, rnd)
+        except ShapeMismatchError:
+            pass
+
+
+def _commute_case(surface: int, kind: str, seed: int) -> tuple[RingMap, Derivation]:
+    """g*D0 for a random g in x, against a factory map, a composition of two or three, the public
+    constructor's copy of one, or a public (root of f, p, root of phi), which sends f to 0."""
+    rnd = random.Random(seed)
+    S, a, b = _COMMUTE_SURFACES[surface]
+    D = canonical_lnd(S, random_univariate(rnd, "x", rnd.randint(0, 2))).derivation
+    rho = _generator(S, rnd)
+    if kind == "composition":
+        for _ in range(rnd.randint(1, 2)):
+            rho = rho.compose(_generator(S, rnd))
+    elif kind == "public":
+        rho = RingMap(S, {v: el.rep for v, el in rho.images.items()})
+    elif kind == "f to 0":
+        rho = RingMap(S, {"x": a, "y": random_poly(rnd, max_exp=2, max_terms=3, cyclotomic=True), "z": b})
+    return rho, D
+
+
+def _full_scan(rho: RingMap, D: Derivation) -> tuple:
+    """Verdict, witness and its difference's representative from rho(D v) - D(rho v) on every v in order."""
+    for v in rho.surface.variables:
+        difference = rho.apply(D.images[v]) - D.apply(rho.images[v])
+        if not difference.is_zero():
+            return False, v, difference.rep
+    return True, None, None
+
+
+_COMMUTE_KINDS = ["factory", "composition", "public", "f to 0"]
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(range(len(_COMMUTE_SURFACES))), st.sampled_from(_COMMUTE_KINDS), _seeds)
+def test_commutes_matches_a_full_scan(surface, kind, seed):
+    """Deciding y from x and z where rho(f) != 0 gives the verdict, witness and difference that
+    comparing all three generators gives."""
+    rho, D = _commute_case(surface, kind, seed)
+    res = commutes(rho, D)
+    difference = None if res.difference is None else res.difference.rep
+    assert (res.commutes, res.generator, difference) == _full_scan(rho, D)
+
+
+@pytest.mark.parametrize("surface", range(len(_COMMUTE_SURFACES)))
+def test_both_commutation_verdicts_occur(surface):
+    verdicts = {_full_scan(*_commute_case(surface, kind, seed))[0]
+                for kind in _COMMUTE_KINDS for seed in range(4)}
     assert verdicts == {True, False}
 
 
