@@ -5,7 +5,8 @@ defined iff the normal form of its image of the relation f(x)*y - phi(z) is 0, c
 as ``apply``: Leibniz for a derivation, substitution for a map.  The public constructors, which build
 user tables, prove this and refuse ill-defined ones; tables whose construction proves it (factories,
 identity, composition, exponentials) go through ``_trusted``, which skips the re-proof; each caller
-states its proof.  Commutation with a derivation is decided on generators alone: the defect
+states its proof, and may defer an image whose build it shows raises nothing, to build and coerce it on
+first read (y in ``triangular``).  Commutation with a derivation is decided on generators alone: the defect
 delta = rho∘D - D∘rho is a rho-derivation, delta(ab) = delta(a)*rho(b) + rho(a)*delta(b), so vanishing on
 generators forces it to vanish everywhere.  On a relation surface x and z suffice once rho(f) != 0, given rho
 and D well defined on B: f(x)*y - phi(z) has degree 1 in y and coprime coefficients f(x), phi(z), so it is
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .multipoly import MultiPoly, PolyLike
 from .surface import SurfaceElement, SurfaceSpec
@@ -33,16 +34,16 @@ class CapExceededError(RuntimeError):
     """An iteration bound was hit before the computation settled."""
 
 
-def _image_table(images: Mapping[str, object], S: SurfaceSpec) -> dict[str, SurfaceElement]:
+def _image_table(images: Mapping[str, object], S: SurfaceSpec, deferred: Mapping = {}) -> Mapping[str, SurfaceElement]:
     table = {}
-    for name in S.variables:
+    for name in [v for v in S.variables if v not in deferred]:
         if name not in images:
             raise ValueError(f"missing image for generator {name!r}")
         table[name] = SurfaceElement._coerce(images[name], S)
     extra = set(images) - set(S.variables)
     if extra:
         raise ValueError(f"images given for unknown generators {sorted(extra)}")
-    return table
+    return _Images(S, table, deferred) if deferred else table
 
 
 def _leibniz(table: Mapping[str, SurfaceElement], p: MultiPoly) -> MultiPoly:
@@ -52,15 +53,34 @@ def _leibniz(table: Mapping[str, SurfaceElement], p: MultiPoly) -> MultiPoly:
 
 
 def _substituted(table: Mapping[str, SurfaceElement], p: MultiPoly) -> MultiPoly:
-    """p at the images of the generators, on representatives."""
-    return p.substitute({v: el.rep for v, el in table.items()})
+    """p at the images of its own variables, on representatives; no other image is read."""
+    return p.substitute({v: table[v].rep for v in p.variables})
 
 
-def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object]):
-    """A RingMap or Derivation whose caller proved its images well defined: coerced, reduced, not re-proved."""
+class _Images(Mapping):
+    """Generator -> image; a deferred image is built on first read, and ``setdefault`` keeps one if threads race."""
+
+    def __init__(self, surface: SurfaceSpec, table: dict, deferred: Mapping[str, Callable[[], object]]):
+        self._surface, self._table, self._deferred = surface, table, deferred
+
+    def __getitem__(self, v: str) -> SurfaceElement:
+        return self._table[v] if v in self._table else self._table.setdefault(
+            v, SurfaceElement._coerce(self._deferred[v](), self._surface))
+
+    def __iter__(self):
+        return iter(self._surface.variables)
+
+    def __len__(self) -> int:
+        return len(self._surface.variables)
+
+
+def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object],
+             deferred: Mapping[str, Callable[[], object]] = {}):
+    """A RingMap or Derivation whose caller proved its images well defined: coerced, reduced, not re-proved;
+    a deferred image is one whose build the caller shows cannot raise, so reading it raises nothing new."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "surface", surface)
-    object.__setattr__(obj, "images", _image_table(images, surface))
+    object.__setattr__(obj, "images", _image_table(images, surface, deferred))
     return obj
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Optional
 
-from .exactnum import CycScalar, ScalarLike, divisors, zeta
-from .multipoly import MultiPoly, PolyLike
+from .exactnum import MAX_CONDUCTOR, CycScalar, ScalarLike, divisors, zeta
+from .multipoly import _W, MultiPoly, PolyLike
 from .surface import SurfaceSpec
 from .diffmaps import CommutationResult, Derivation, RingMap, _trusted, commutes
 
@@ -161,16 +161,21 @@ def involution(S: SurfaceSpec) -> RingMap:
 
 def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
     """T = (x, y + h*psi(w), z + w), w = h*f: w*psi(w) = phi(z + w) - phi(z).  With psi(u) =
-    sum_j C_j(z)*u^j, h*psi(w) is sum_j C_j(z)*(h*w^j), each h*w^j = (h*w^(j-1))*w."""
+    sum_j C_j(z)*u^j, h*psi(w) is sum_j C_j(z)*(h*w^j), each h*w^j = (h*w^(j-1))*w.  T(y) is built on
+    first read when that cannot raise: its operands and the relation lie over Q(zeta_L), L = lcm of the
+    conductors of h, f and phi, and no product passes x-degree deg h + (deg phi - 1)*deg w.  Past either
+    bound it is built here, before T(z), and raises as it always did (past L it may still not raise)."""
     h = MultiPoly._coerce(h)
     if not h.depends_only_on("x"):
         raise ValueError("h must be a polynomial in x")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    coeffs, w, hw = _psi(S.phi), h * S.f, [h]
-    for _ in coeffs[1:]:
-        hw.append(hw[-1] * w)
-    bump = [(c * q, 1) for c, q in zip(coeffs, hw)]
-    return _trusted(RingMap, S, {"x": x, "y": y._merged(bump), "z": z + w})
+    coeffs, w = _psi(S.phi), h * S.f
+    bumped = lambda: y._merged([(c * q, 1) for c, q in zip(coeffs, reduce(  # q = h*w^j
+        lambda hw, _: hw + [hw[-1] * w], coeffs[1:], [h]))])
+    if (math.lcm(h.conductor, S.f.conductor, S.phi.conductor) > MAX_CONDUCTOR
+            or h.degree_in("x") + (len(coeffs) - 1) * w.degree_in("x") >= 1 << _W - 1):
+        return _trusted(RingMap, S, {"x": x, "y": bumped(), "z": z + w})
+    return _trusted(RingMap, S, {"x": x, "z": z + w}, {"y": bumped})
 
 
 @lru_cache(maxsize=64)  # C_0(z), ..., C_(d-1)(z), one tuple per phi for every h

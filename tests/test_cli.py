@@ -302,6 +302,21 @@ class TestErrorsAndFiles:
         code, out, err = _run(capsys, *argv)
         assert code == EXIT_ERROR and not out and "conductor 988027 exceeds MAX_CONDUCTOR = 1000" in err
 
+    # T(y) of the first triangular map forms phi'(z)*h, whose operands need Q(zeta_1001), while T(z) lies
+    # over Q(zeta_91); the second keeps every operand within Q(zeta_77) or Q(zeta_91), though the
+    # conductors of its h, f and phi have lcm 1001
+    @pytest.mark.parametrize("surface,derivation,h,expected", [
+        ("f=zeta(11)*x; phi=zeta(11)*zeta(7)*z^2 + zeta(11)", "x -> 0; y -> 2*zeta(11)*zeta(7)*z; z -> zeta(11)*x",
+         "zeta(11)^-1*zeta(13)*x", None),
+        ("f=zeta(11)*x; phi=zeta(11)*z^2 + zeta(11)*zeta(13)", "x -> 0; y -> 2*zeta(11)*z; z -> zeta(11)*x",
+         "zeta(11)^-1*zeta(7)*x", "true")], ids=["T(y)-above-the-bound", "lcm-above-the-bound"])
+    def test_triangular_image_conductor_bound(self, capsys, surface, derivation, h, expected):
+        code, out, err = _run(capsys, "commute", "--surface", surface, "--derivation", derivation, "--h", h)
+        if expected is None:
+            assert code == EXIT_ERROR and not out and "conductor 1001 exceeds MAX_CONDUCTOR = 1000" in err
+        else:
+            assert code == EXIT_OK and out == expected
+
     def test_long_coefficient_without_one_conductor_rejected(self, capsys):
         """The parenthesised sum meets the conductor bound before the product meets the digit bound."""
         expr = f"(zeta(997)*X + zeta(991)*Y)*{10 ** (MAX_DIGITS - 1)}*10"

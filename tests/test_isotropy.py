@@ -1,14 +1,17 @@
 """Generator factories, shape classification, order bounds, and suite runs."""
 
 import json
+import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from danisurf.diffmaps import (Derivation, RingMap, check_derivation_well_defined,
+from danisurf.diffmaps import (Derivation, RingMap, _trusted, check_derivation_well_defined,
                                check_map_well_defined, commutes, exp_derivation)
 from danisurf.exactnum import CycScalar, root_of_unity_order, zeta
 from danisurf.multipoly import MultiPoly
@@ -339,6 +342,141 @@ def test_triangular_maps_solve_the_relation(case):
     assert dense_map(lhs, 12, ("x", "y", "z")) == map_add(map_substitute(phi, shift), map_neg(phi))
     assert check_map_well_defined(T.images, S)
     assert commutes(T, canonical_lnd(S, g).derivation)
+
+
+# ---------------------------------------------------------------------------
+# T(y) is built on first read
+
+
+def _eager_triangular(S: SurfaceSpec, h: MultiPoly) -> RingMap:
+    """The triangular map with T(y) built at once, before T(z): the reference for what T(y) is and for
+    what building it raises."""
+    coeffs, w, hw = _psi(S.phi), h * S.f, [h]
+    for _ in coeffs[1:]:
+        hw.append(hw[-1] * w)
+    bump = [(c * q, 1) for c, q in zip(coeffs, hw)]
+    return _trusted(RingMap, S, {"x": x, "y": y._merged(bump), "z": z + w})
+
+
+def _built_or_raised(build, *args):
+    """build(*args), or the text of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# MAX_CONDUCTOR is 1000 and 7*11*13 = 1001.  In the first case T(z) lies over Q(zeta_91), but T(y) forms
+# phi'(z)*h, whose operands need Q(zeta_1001).  In the second the conductors of h, f and phi have lcm 1001,
+# yet every operand T(y) forms lies over Q(zeta_77) or Q(zeta_91): that lcm alone does not decide a raise.
+_Z7, _Z11, _Z13, _Z11_INV = (MultiPoly.constant(c) for c in (zeta(7), zeta(11), zeta(13), zeta(11, -1)))
+_FIELD_CASES = [(SurfaceSpec.danielewski(_Z11 * x, _Z11 * _Z7 * z ** 2 + _Z11), _Z11_INV * _Z13 * x),
+                (SurfaceSpec.danielewski(_Z11 * x, _Z11 * z ** 2 + _Z11 * _Z13), _Z11_INV * _Z7 * x)]
+
+
+# For h = x^k on x*y = z^12 + z^5 + 1 the largest x exponent T(y) forms is k + 11*(k + 1); a key holds
+# exponents up to 2^19 - 1 = 524287, which 12*k + 11 passes first at k = 43690.
+@pytest.mark.parametrize("k", [43689, 43690])
+def test_triangular_raises_at_the_exponent_bound_as_the_eager_build(k):
+    S = SurfaceSpec.danielewski(x, z ** 12 + z ** 5 + 1)
+    eager, T = _built_or_raised(_eager_triangular, S, x ** k), _built_or_raised(triangular, S, x ** k)
+    if k == 43690:
+        assert T == eager == "ValueError: exponent above 2^19 - 1"
+    else:
+        assert "y" not in T.images._table and T.images["y"] == eager.images["y"]
+
+
+# Each polynomial's coefficients are rational numbers times roots of unity of the orders in one palette,
+# whose lcm is at most 143; h draws its palette apart from f and phi, so the lcm over all three falls on
+# either side of MAX_CONDUCTOR = 1000 (7*11*13 = 1001, 8*9*13 = 936, 9*11*13 = 1287, ...).
+_PALETTES = [(), (7,), (13,), (7, 11), (8, 9), (9, 11), (7, 13), (11, 13), (8, 13)]
+
+
+def _coefficients(palette: tuple, **size):
+    roots = st.lists(st.tuples(st.sampled_from(palette), st.integers(-3, 3)), max_size=2) if palette else st.just([])
+    return st.lists(st.builds(lambda r, roots: r * math.prod([zeta(n, k) for n, k in roots], start=CycScalar(1)),
+                              _FRAC, roots), **size)
+
+
+@st.composite
+def _field_cases(draw):
+    """(S, h): f non-monic of degree 1-2 with a constant term, phi of degree 2-3, h of degree 0-2."""
+    surface, field = draw(st.sampled_from(_PALETTES)), draw(st.sampled_from(_PALETTES))
+    f = draw(_coefficients(surface, min_size=2, max_size=3).filter(lambda cs: cs[-1] != 1))
+    phi = draw(_coefficients(surface, min_size=3, max_size=4))
+    h = draw(_coefficients(field, min_size=1, max_size=3))
+    return SurfaceSpec.danielewski(MultiPoly.univariate("x", f), MultiPoly.univariate("z", phi)), \
+        MultiPoly.univariate("x", h)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_field_cases())
+@example(_FIELD_CASES[0])
+@example(_FIELD_CASES[1])
+def test_deferred_triangular_matches_the_eager_build(case):
+    """triangular raises iff the eager build does, with its message; otherwise each reader of the whole
+    table, on a map of its own, gets from it what it gets from the eager map, or raises as it does there
+    (the relation's image can need a field above MAX_CONDUCTOR when T itself does not)."""
+    eager = _built_or_raised(_eager_triangular, *case)
+    if isinstance(eager, str):
+        assert _built_or_raised(triangular, *case) == eager
+        return
+    readers = [lambda T: T.images["y"], str, hash, lambda T: check_map_well_defined(T.images, case[0]),
+               lambda T: T == eager, lambda T: eager == T]
+    for read in readers:
+        assert _built_or_raised(read, triangular(*case)) == _built_or_raised(read, eager)
+
+
+# the four surfaces of the verify-rational bench workload, with its g and h degrees
+_VERIFY_RATIONAL = [(SurfaceSpec.danielewski(x ** 2, z ** 12 + z ** 5 + 1), x, 8),
+                    (SurfaceSpec.danielewski(x ** 12, z ** 9 + z ** 3 + 1), x ** 6 + x ** 2, 6),
+                    (SurfaceSpec.danielewski(x ** 3 + x, 2 * (z - 1) ** 3), x, 4),
+                    (SurfaceSpec.danielewski(x, z ** 6 + 2 * z ** 2), x + 1, 4)]
+
+
+@pytest.mark.parametrize("S, g, hdeg", _VERIFY_RATIONAL)
+def test_passing_check_never_builds_y(S, g, hdeg):
+    """A triangular map passes against g*D0 from x and z alone, so T(y) is never built."""
+    D = canonical_lnd(S, g).derivation
+    for h in (MultiPoly.zero(), MultiPoly.one(), random_univariate(random.Random(hdeg), "x", hdeg)):
+        T = triangular(S, h)
+        assert commutes(T, D)
+        assert "y" not in T.images._table
+
+
+@pytest.mark.parametrize("S, g, hdeg", _VERIFY_RATIONAL)
+def test_check_failing_at_z_matches_a_full_scan(S, g, hdeg):
+    """D = (0, phi'*z, f*z) is a derivation, and T(D(z)) - D(T(z)) = h*f^2 != 0: the x and z check fails
+    at z, so commutes reads y too and reports the witness and difference of a scan of every generator."""
+    D = Derivation(S, {"x": 0, "y": S.phi.partial_derivative("z") * z, "z": S.f * z})
+    h = random_univariate(random.Random(hdeg), "x", hdeg)
+    T = triangular(S, h)
+    assert (T.apply(D.images["z"]) - D.apply(T.images["z"])).rep == h * S.f ** 2
+    differences = [(v, T.apply(D.images[v]) - D.apply(T.images[v])) for v in S.variables]
+    assert tuple(commutes(triangular(S, h), D)) == next((False, v, d) for v, d in differences if d)
+
+
+def test_threads_reading_y_at_once_get_one_image():
+    """Eight threads read T(y) of one map at once, switching every microsecond: each gets the one stored
+    image, equal to the eager build's."""
+    S, _, hdeg = _VERIFY_RATIONAL[0]
+    h = random_univariate(random.Random(hdeg), "x", hdeg)
+    expected = _eager_triangular(S, h).images["y"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            T, barrier, seen = triangular(S, h), threading.Barrier(8), []
+            threads = [threading.Thread(target=lambda: seen.append((barrier.wait(), T.images["y"])[1]))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 8
+            assert all(el is T.images["y"] for el in seen) and seen[0] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestCanonicalLND:
