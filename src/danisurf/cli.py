@@ -1,10 +1,10 @@
 """Batch command-line interface.
 
-One surface and one command per invocation.  Exit codes: 0 when the command
-succeeds and any checked property holds, 1 when a verification check fails
-(the report is still emitted), 2 on parse or validation errors.  ``run`` builds each
-distinct surface and ``--derivation``/``--map`` table once per process and reuses it, safely:
-each is immutable and a function of its text and surface, and a raising input is never kept.
+One surface and one command per invocation.  Exit codes: 0 when the command succeeds and any checked
+property holds, 1 when a verification check fails (the report is still emitted), 2 on parse or validation
+errors.  ``run`` parses a subcommand's arguments with its own parser, extras getting the top-level error,
+and builds each distinct surface and ``--derivation``/``--map`` table once per process and reuses it,
+safely: each is immutable and a function of its text and surface, and a raising input is never kept.
 
 >>> run(["nf", "--surface", "f=x; phi=z^2", "--expr", "x*y"])
 z^2
@@ -233,6 +233,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="exact computations on Danielewski surfaces and their "
                     "locally nilpotent derivations")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for run()'s direct dispatch
 
     def common(p: argparse.ArgumentParser, *, surface=False, derivation=False,
                map_=False, cap=False, seed=False) -> None:
@@ -332,7 +333,12 @@ def _table(kind: type, surface: SurfaceSpec, text: str):
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv, parser = sys.argv[1:] if argv is None else argv, _parser()
+    sub = parser.commands.get(argv[0]) if argv else None  # a subcommand's own parser reads the rest
+    args, extras = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
+                    else parser.parse_known_args(argv))
+    if extras:  # refused with the top-level parser's message, as its parse_args refuses them
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(_build_session(args))
     except (ParseError, ValueError, OSError) as exc:

@@ -1,19 +1,19 @@
 """Derivations and ring endomorphisms of a surface, given by generator images.
 
-A derivation or map is a table generator -> SurfaceElement.  On a relation surface a table is well
-defined iff the normal form of its image of the relation f(x)*y - phi(z) is 0, computed by the same rule
-as ``apply``: Leibniz for a derivation, substitution for a map.  The public constructors, which build
-user tables, prove this and refuse ill-defined ones; tables whose construction proves it (factories,
-identity, composition, exponentials) go through ``_trusted``, which skips the re-proof; each caller
-states its proof, and may defer an image whose build it shows raises nothing, to build and coerce it on
-first read (y in ``triangular``).  Commutation with a derivation is decided on generators alone: the defect
-delta = rho∘D - D∘rho is a rho-derivation, delta(ab) = delta(a)*rho(b) + rho(a)*delta(b), so vanishing on
-generators forces it to vanish everywhere.  On a relation surface x and z suffice once rho(f) != 0, given rho
-and D well defined on B: f(x)*y - phi(z) has degree 1 in y and coprime coefficients f(x), phi(z), so it is
-irreducible and B a domain; delta of the relation, 0 = f'(rho x)*delta(x)*rho(y) + rho(f)*delta(y) -
-phi'(rho z)*delta(z), then leaves rho(f)*delta(y) = 0 once delta(x) = delta(z) = 0, so delta(y) = 0.
-Normal forms are unique, so the two sides are compared as they are.  The result records
-(``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
+A derivation or map is a table generator -> SurfaceElement.  On a relation surface a table is well defined iff
+the normal form of its image of the monic relation, (f(x)*y - phi(z))/lc f, is 0 (it spans the same ideal, in
+a field no larger), computed by the same rule as ``apply``: Leibniz for a derivation, substitution for a map.
+The public constructors, which build user tables, prove this and refuse ill-defined ones; tables whose
+construction proves it (factories, identity, composition, exponentials) go through ``_trusted``, which skips
+the re-proof; each caller states its proof, and may defer an image whose build it shows raises nothing, to
+build and coerce it on first read (y in ``triangular``).  Commutation with a derivation is decided on
+generators alone: the defect delta = rho∘D - D∘rho is a rho-derivation, delta(ab) = delta(a)*rho(b) +
+rho(a)*delta(b), so vanishing on generators forces it to vanish everywhere.  On a relation surface x and z
+suffice once rho(f) != 0, given rho and D well defined on B: f(x)*y - phi(z) has degree 1 in y and coprime
+coefficients f(x), phi(z), so it is irreducible and B a domain; delta of the relation,
+0 = f'(rho x)*delta(x)*rho(y) + rho(f)*delta(y) - phi'(rho z)*delta(z), then leaves rho(f)*delta(y) = 0 once
+delta(x) = delta(z) = 0, so delta(y) = 0.  Normal forms are unique, so the two sides are compared as they are.  The
+result records (``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -87,13 +87,13 @@ def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object],
 def check_derivation_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
     """True iff the image table extends to a derivation of the quotient ring: D(relation) reduces to 0."""
     table = _image_table(images, S)  # checked on a free surface too
-    return S.is_free or S.reduce(_leibniz(table, S.relation)).is_zero()
+    return S.is_free or S.reduce(_leibniz(table, S.monic)).is_zero()
 
 
 def check_map_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
     """True iff the image table preserves the relation ideal: the relation's image reduces to 0."""
     table = _image_table(images, S)  # checked on a free surface too
-    return S.is_free or S.reduce(_substituted(table, S.relation)).is_zero()
+    return S.is_free or S.reduce(_substituted(table, S.monic)).is_zero()
 
 
 class _ImageTable:

@@ -21,7 +21,7 @@ x's coordinates at the multiples of p if p | M, else a shifted difference of
 two strided slices of x that must lift back to x (``_in_subfield``).
 ``zeta(n, k)`` needs no descent: its least conductor follows from n and k, nor does
 a sum or product of operands with coprime least conductors, whose lcm L is least.
-Fractions are built only on request: ``coeffs``, ``as_rational`` and ``str``.
+Fractions are built only on request: ``coeffs`` and ``as_rational``; ``str`` prints the integers.
 Conductors above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands,
 raise ValueError.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Optional, Sequence, Union
 
 Rational = Fraction
@@ -72,15 +72,8 @@ def _check_conductor(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +150,11 @@ def _canonical(L: int, nums: Sequence[int], D: int) -> "CycScalar":
     return self
 
 
+def _ratio(n: int, D: int) -> str:
+    """|n|/D, D > 0, in lowest terms as a Fraction prints it, from the integers."""
+    return f"{abs(n) // (g := gcd(n, D))}" + (f"/{D // g}" if g < D else "")
+
+
 def _descended(L: int, vecs: list) -> tuple[int, list]:
     """(N, ys): N the least conductor whose field holds every vector of vecs in Q(zeta_L), and ys
     their coordinates there; prime steps while one subfield holds all, as for a single value."""
@@ -184,18 +182,6 @@ def _lifted(nums: Sequence[int], N: int, L: int) -> Sequence[int]:
     vec = [0] * ((len(nums) - 1) * (L // N) + 1)
     vec[::L // N] = nums
     return tuple(_mod_phi(vec, L))
-
-
-def _power(base, k: int, one):
-    """base^k for k >= 0 by square-and-multiply, starting from ``one``."""
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
 
 
 def _pack(c: Sequence[int], k: int) -> int:
@@ -366,7 +352,14 @@ class CycScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, CycScalar(1))
+        result, base = CycScalar(1), self  # square-and-multiply, no square after the last bit
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     # -- identity ---------------------------------------------------------
 
@@ -388,13 +381,11 @@ class CycScalar:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.conductor == 1:
-            return str(self.as_rational())
-        parts = []
-        for e, q in reversed([*enumerate(self.coeffs)]):
-            if q:
-                base = f"zeta({self.conductor})" + (f"^{e}" if e > 1 else "")
-                body = str(abs(q)) if e == 0 else base if abs(q) == 1 else f"{abs(q)}*{base}"
+        N, D, parts = self.conductor, self.den, []
+        for e in range(len(self.nums) - 1, -1, -1):
+            if q := self.nums[e]:
+                mag, base = _ratio(q, D), f"zeta({N})" + (f"^{e}" if e > 1 else "")
+                body = mag if e == 0 else base if mag == "1" else f"{mag}*{base}"
                 parts.append(((" - " if q < 0 else " + ") if parts else "-" if q < 0 else "") + body)
         return "".join(parts) or "0"
 

@@ -38,10 +38,10 @@ from functools import lru_cache, reduce
 from itertools import chain, count
 from math import comb, gcd, lcm, prod
 from operator import add, or_
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .exactnum import (_SCALARS, CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _lifted,
-                       _minimized, _mod_phi, _pack, _unpack, _vec_product, euler_phi)
+                       _minimized, _mod_phi, _pack, _ratio, _unpack, _vec_product, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
 
@@ -95,12 +95,6 @@ class MultiPoly:
         return _built((), c.conductor, c.den, {0: c.nums[0] if c.conductor == 1 else c.nums} if c else {})
 
     @staticmethod
-    def _monomial(exponents: Mapping[str, int], num: int, den: int) -> "MultiPoly":
-        """Trusted constructor of num/den * prod(v^k), (v, k) in exponents; den > 0, k < 2^19."""
-        return _settled(tuple(sorted(exponents)), 1, den,
-                        {sum([k << _SHIFT[v] for v, k in exponents.items()]): num} if num else {})
-
-    @staticmethod
     def zero() -> "MultiPoly":
         return _built((), 1, 1, {})
 
@@ -142,7 +136,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(_unpacked(e, self.variables)) for e in self.nums), default=-1)
+        return max((sum([k for _, k in _slots(e)]) for e in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
@@ -169,7 +163,7 @@ class MultiPoly:
             raise ValueError("zero polynomial has no exponent support")
         if any(v != var for v in self.variables):
             raise ValueError(f"polynomial depends on more than {var!r}")
-        return tuple(sorted([sum(_unpacked(e, self.variables)) for e in self.nums]))  # var's exponent, or 0
+        return tuple(sorted([sum([k for _, k in _slots(e)]) for e in self.nums]))  # var's exponent, or 0
 
     def depends_only_on(self, var: str) -> bool:
         return all(v == var for v in self.variables)
@@ -290,16 +284,21 @@ class MultiPoly:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        out, N, D = [], self.conductor, self.den
-        for exps, c in sorted(((_unpacked(e, self.variables), c) for e, c in self.nums.items()),
-                              key=lambda t: (sum(t[0]), t[0]), reverse=True):
-            mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, exps) if k)
+        """Terms in graded lex order, each sorted on one int: its degree above its exponents packed with
+        the first variable highest, read off only the slots its key uses, so a wide ring costs no more."""
+        rows, out, N, D, top = [], [], self.conductor, self.den, len(self.variables) * _W
+        at = {_SHIFT[v]: (top - _W * i, v) for i, v in enumerate(self.variables, 1)}
+        for e, c in self.nums.items():
+            order, parts = 0, []
+            for s, k in _slots(e):
+                order += (k << top) + (k << (pos := at[s])[0])
+                parts.append((pos[0], pos[1] if k == 1 else f"{pos[1]}^{k}"))
+            rows.append((order, "*".join([t for _, t in sorted(parts, reverse=True)]), c))
+        for _, mono, c in sorted(rows, reverse=True):  # on order alone, as no two terms share one
             if N > 1 and any(c[1:]):
                 sign, body = "+", f"({_minimized(N, list(c), D)})" + ("*" + mono if mono else "")
             else:
-                n = c if type(c) is int else c[0]
-                g = gcd(n, D)  # |n|/D in lowest terms from the integers, no Fraction per term
-                sign, mag = "-" if n < 0 else "+", str(abs(n) // g) if g == D else f"{abs(n) // g}/{D // g}"
+                sign, mag = "-" if (m := c if N == 1 else c[0]) < 0 else "+", _ratio(m, D)
                 body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
             out.append(f" {sign} {body}" if out else body if sign == "+" else f"-{body}")
         return "".join(out) or "0"
@@ -343,8 +342,16 @@ def _names(variables: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def _slots(e: int) -> Iterator[tuple[int, int]]:  # (shift, exponent) of each slot key e uses, lowest first
+    while e:
+        s = ((e & -e).bit_length() - 1) // _W * _W  # the lowest slot e uses
+        yield s, (k := e >> s & _MASK)
+        e -= k << s
+
+
 def _unpacked(e: int, variables: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple([e >> _SHIFT[v] & _MASK for v in variables])
+    used = dict(_slots(e))
+    return tuple([used.get(_SHIFT[v], 0) for v in variables])
 
 
 @lru_cache(maxsize=256)

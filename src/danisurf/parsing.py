@@ -12,9 +12,9 @@ are written ``f=<expr>; phi=<expr>`` or ``free: X,Y``; image tables are
 written ``x -> <expr>; y -> <expr>; z -> <expr>`` with an optional
 leading ``D:`` or ``M:`` tag.
 
-Parse errors carry the 0-based position of the offending token.  A term that is a '*'-product
-of unsigned rationals and variable powers is first read as one monomial from plain ints; any
-other term, or one past a bound, is read again from its first token by the general grammar.
+Parse errors carry the 0-based position of the offending token.  A term that is a '*'-product of
+unsigned rationals and variable powers is read from plain ints as a key, numerator and denominator that
+its sum settles together; any other term, or one past a bound, is reread by the general grammar.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import CycScalar, _check_conductor, _descended, _prime_factors
-from .multipoly import MultiPoly
+from .multipoly import _SHIFT, MultiPoly, _added, _settled
 from .surface import SurfaceSpec
 
 MAX_EXPONENT = 64  # bound on a ^ exponent and on the total degree of a power or product
@@ -115,18 +115,21 @@ class _Parser:
     # -- expression grammar -------------------------------------------------
 
     def expr(self) -> MultiPoly:
-        if negate := self.at_symbol("-"):
-            self.next()
-        first, signed, L = -self.term() if negate else self.term(), [], 1
-        while self.at_symbol("+") or self.at_symbol("-"):
-            sign = 1 if self.next()[1] == "+" else -1
-            signed.append((self.term(), sign))
-            L = _check_conductor(lcm(L, first.conductor, signed[-1][0].conductor))  # raise before reading on
-        return first._merged(signed) if signed else first  # one merge: a sum of n terms is linear in n
+        """The sum, its monomial terms settled once over their lcm denominator, the others merged once."""
+        monomials, names, others, L, sign = [], set(), [], 1, -1 if self.at_symbol("-") and self.next() else 1
+        while sign:  # 0 after the last term
+            if not self.monomial(sign, monomials, names):
+                others.append((self.term(), sign))
+                L = _check_conductor(lcm(L, others[-1][0].conductor))  # raise before reading on
+            sign = (1 if self.next()[1] == "+" else -1) if self.at_symbol("+") or self.at_symbol("-") else 0
+        if not monomials and len(others) == 1 and others[0][1] == 1:
+            return others[0][0]
+        D = lcm(*[d for _, _, d in monomials])
+        nums = _added({}, [(e, n * (D // d)) for e, n, d in monomials])
+        head = _settled(tuple(sorted(names)), 1, D, {e: n for e, n in nums.items() if n})
+        return head._merged(others) if others else head  # a sum of n terms is linear in n
 
     def term(self) -> MultiPoly:
-        if (folded := self.monomial()) is not None:
-            return folded
         acc = self.factor()
         while self.at_symbol("*"):
             star = self.next()
@@ -136,37 +139,39 @@ class _Parser:
             acc = _bounded(acc * rhs, star[2])
         return acc
 
-    def monomial(self) -> Optional[MultiPoly]:
-        """The term as one monomial, the parser moved past it, if it is a '*'-product of unsigned
-        rationals and allowed variable powers whose raw numerator, denominator and degree stay in
-        bounds (then the general path accepts it too, with the same value); else None."""
+    def monomial(self, sign: int, monomials: list, names: set) -> bool:
+        """Whether the term, a '*'-product of unsigned rationals and allowed variable powers with raw numerator,
+        denominator and degree in bounds (the general path gives it the same value), was read: then its (key,
+        sign * numerator, denominator) is in ``monomials``.  ``names`` gains each variable read."""
         tokens, i, allowed = self.tokens, self.index, self.allowed_vars
-        n, num, den, degree, exponents = len(tokens), 1, 1, 0, {}
+        n, num, den, degree, key = len(tokens), 1, 1, 0, 0
         while i < n:
             kind, value, _ = tokens[i]
             op, arg = tokens[i + 1][1] if i + 1 < n else None, 1
             if op in ("/", "^"):
                 if i + 2 == n or tokens[i + 2][0] != "int":
-                    return None
+                    return False
                 arg, i = int(tokens[i + 2][1]), i + 2
             i += 1
             after = tokens[i][1] if i < n else None
             if kind == "int" and op != "^" and after != "^" and arg:
                 num, den = num * int(value), den * arg
                 if num >= _TOO_LONG or den >= _TOO_LONG:
-                    return None
+                    return False
             elif kind == "name" and value != "zeta" and op != "/" and (allowed is None or value in allowed):
                 degree += arg
                 if degree > MAX_EXPONENT:
-                    return None
-                exponents[value] = exponents.get(value, 0) + arg
+                    return False
+                key += arg << _SHIFT[value]
+                names.add(value)
             else:
-                return None
+                return False
             if after != "*":
                 self.index = i
-                return MultiPoly._monomial(exponents, num, den)
+                monomials.append((key, sign * num, den))
+                return True
             i += 1
-        return None
+        return False
 
     def factor(self) -> MultiPoly:
         base = self.base()

@@ -86,13 +86,25 @@ def in_relation_ideal(p: MultiPoly, f: MultiPoly, phi: MultiPoly) -> bool:
     return acc.is_zero()
 
 
+def render_scalar(c: CycScalar) -> str:
+    """c as ``str`` prints it, read off ``c.coeffs``, one Fraction per coordinate, highest power first."""
+    parts = []
+    for e, q in reversed([*enumerate(c.coeffs)]):
+        if q:
+            base = f"zeta({c.conductor})" + (f"^{e}" if e > 1 else "")
+            body = str(abs(q)) if e == 0 else base if abs(q) == 1 else f"{abs(q)}*{base}"
+            parts.append(((" - " if q < 0 else " + ") if parts else "-" if q < 0 else "") + body)
+    return "".join(parts) or "0"
+
+
 def render_with_fractions(p: MultiPoly) -> str:
-    """p as ``str`` prints it, read off ``p.terms`` with one Fraction per rational coefficient."""
+    """p as ``str`` prints it, read off ``p.terms`` with Fractions: one per rational coefficient, and
+    one per coordinate of a cyclotomic one (``render_scalar``)."""
     out = []
     for exps, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
         mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(p.variables, exps) if k)
         if c.conductor > 1:
-            sign, body = "+", f"({c})" + ("*" + mono if mono else "")
+            sign, body = "+", f"({render_scalar(c)})" + ("*" + mono if mono else "")
         else:
             q = Fraction(c.nums[0], c.den)
             sign, mag = "-" if q < 0 else "+", abs(q)

@@ -14,6 +14,8 @@ from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 from danisurf.diffmaps import MAX_CAP
 from danisurf.parsing import MAX_DIGITS, MAX_EXPONENT
 
+import dispatch_parity
+
 SURFACE = "f=x; phi=z^2"
 CANONICAL_D = "x -> 0; y -> 2*z; z -> x"
 
@@ -317,6 +319,15 @@ class TestErrorsAndFiles:
         else:
             assert code == EXIT_OK and out == expected
 
+    # the checks substitute into the monic relation x*y - z^2 - zeta(13), at conductor 13, not into the
+    # relation, at 143 for the unit zeta(11): with images over Q(zeta_91) that lcm would be 1001
+    @pytest.mark.parametrize("command,expected", [("dwf", "true"),
+                                                  ("lnd", "x: 1; y: 3; z: 2 (cap 6) -> locally nilpotent")])
+    def test_derivation_checked_in_the_monic_field(self, capsys, command, expected):
+        code, out, err = _run(capsys, command, "--surface", "f=zeta(11)*x; phi=zeta(11)*z^2 + zeta(11)*zeta(13)",
+                              "--derivation", "x -> 0; y -> 2*zeta(7)*zeta(13)*z; z -> zeta(7)*zeta(13)*x")
+        assert (code, out, err) == (EXIT_OK, expected, "")
+
     def test_long_coefficient_without_one_conductor_rejected(self, capsys):
         """The parenthesised sum meets the conductor bound before the product meets the digit bound."""
         expr = f"(zeta(997)*X + zeta(991)*Y)*{10 ** (MAX_DIGITS - 1)}*10"
@@ -376,6 +387,23 @@ class TestParserReuse:
 ILL_MAP = "x -> y; y -> y; z -> z"
 ILL_D = "x -> 0; y -> 1; z -> 1"
 SHEAR = "x -> x; y -> y + 2*z + x; z -> z + x"
+
+
+class TestDirectDispatch:
+    """run() hands the arguments after a subcommand's name to that subcommand's parser; the exit code,
+    stdout and stderr are those of the top-level parser for every kind of argv (``dispatch_parity``)."""
+
+    @pytest.mark.parametrize("argv", dispatch_parity.argvs())
+    def test_matches_the_top_level_parser(self, argv):
+        direct, top_level = dispatch_parity.outcomes(argv)
+        assert direct == top_level
+
+    def test_extras_get_the_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["nf", "--surface", SURFACE, "--expr", "x", "--bogus"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_ERROR and err.startswith("usage: danisurf [-h]")
+        assert err.endswith("danisurf: error: unrecognized arguments: --bogus\n")
 
 
 class TestDispatchTable:

@@ -21,7 +21,7 @@ from danisurf.multipoly import MultiPoly
 from danisurf.surface import SurfaceSpec
 
 from oracles import (in_relation_ideal, map_add, map_derivative, map_mul, map_substitute, random_poly,
-                     random_univariate, term_map)
+                     random_univariate, render_with_fractions, term_map)
 
 x, y, z = (MultiPoly.variable(v) for v in "xyz")
 
@@ -546,3 +546,35 @@ class TestRecords:
         assert report.all_nilpotent and not report.inconclusive
         assert repr(CommutationResult(True)) == \
             "CommutationResult(commutes=True, generator=None, difference=None)"
+
+
+class TestChecksInTheMonicField:
+    """f = zeta(11)*x puts the unit zeta(11) into the relation, at conductor 143; the monic relation
+    x*y - z^2 - zeta(13) is at 13.  Tables over Q(zeta_7) or Q(zeta_91) checked against the relation
+    would need Q(zeta_1001), above MAX_CONDUCTOR; against the monic relation they need Q(zeta_91)."""
+
+    S = SurfaceSpec.danielewski(zeta(11) * x, zeta(11) * z ** 2 + zeta(11) * zeta(13))
+    D = {"x": 0, "y": 2 * zeta(7) * zeta(13) * z, "z": zeta(7) * zeta(13) * x}
+
+    def test_triangular_map_is_well_defined(self):
+        T = triangular(self.S, zeta(11) ** -1 * zeta(7) * x)
+        assert check_map_well_defined(T.images, self.S)
+        assert not check_map_well_defined({"x": x, "y": y, "z": zeta(7) * z}, self.S)
+
+    def test_derivation_is_well_defined_and_locally_nilpotent(self):
+        assert check_derivation_well_defined(self.D, self.S)
+        assert not check_derivation_well_defined({**self.D, "y": self.D["y"] + 1}, self.S)
+        assert str(is_locally_nilpotent(Derivation(self.S, self.D))) == \
+            "x: 1; y: 3; z: 2 (cap 6) -> locally nilpotent"
+
+
+def test_wide_ring_str_matches_fraction_renderer():
+    """On 1,000 generators with D(g_i) = g_(i+1), D(sum g_i*g_(i+7)) has 1,985 terms, each over at most
+    two of the 1,000 key slots; str reads only those and prints what the Fraction renderer prints."""
+    names = [f"g{i}" for i in range(1000)]
+    g = [MultiPoly.variable(v) for v in names]
+    F = SurfaceSpec.free_ring(names)
+    D = Derivation(F, {v: g[i + 1] if i < 999 else 0 for i, v in enumerate(names)})
+    result = D.apply(MultiPoly.zero()._merged([(g[i] * g[i + 7], 1) for i in range(993)])).rep
+    assert len(result.nums) == 1985
+    assert str(result) == render_with_fractions(result)

@@ -16,7 +16,7 @@ from danisurf.exactnum import (MAX_CONDUCTOR, CycScalar, _minimized,
 from danisurf.multipoly import MultiPoly
 
 from oracles import (_solve_in_subfield, brute_root_of_unity_order, dense_at, dense_product, dense_sum,
-                     minimized_by_elimination, naive_dense_div, reduce_mod_cyclotomic)
+                     minimized_by_elimination, naive_dense_div, reduce_mod_cyclotomic, render_scalar)
 
 t = MultiPoly.variable("t")
 
@@ -404,3 +404,25 @@ def test_inverse_stays_at_the_least_conductor(a):
     assert dense_product(a, inverse) == (1, (1,))
     assert (inverse.conductor, inverse.coeffs) == minimized_by_elimination(
         inverse.conductor, list(inverse.coeffs))
+
+
+@st.composite
+def _rendered_scalars(draw):
+    """A scalar stored at conductor 1, 12, 105 or 420 or below, over a denominator > 1 before its gcd
+    is divided out, whose coordinates are often exactly 1 or -1: the cases that drop a '1*'."""
+    N = draw(st.sampled_from([1, 12, 105, 420]))
+    den = draw(st.integers(2, 12))
+    nums = draw(st.lists(st.one_of(st.sampled_from([0, den, -den]), st.integers(-3 * den, 3 * den)),
+                         min_size=euler_phi(N), max_size=euler_phi(N)))
+    return _minimized(N, nums, den)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_rendered_scalars())
+@example(_minimized(12, [1, -4, 4, 0], 4))  # 1/4 - zeta(12) + zeta(12)^2
+@example(_minimized(105, [0, 3] + [0] * 45 + [-6], 6))  # -zeta(105)^47 + 1/2*zeta(105)
+@example(_minimized(420, [1, -2] + [0] * 93 + [2], 2))  # zeta(420)^95 - zeta(420) + 1/2
+@example(_minimized(1, [-6], 4))
+def test_str_matches_fraction_renderer(c):
+    """str renders from the integer numerators over den exactly as from one Fraction per coordinate."""
+    assert str(c) == render_scalar(c)
