@@ -21,6 +21,8 @@ x's coordinates at the multiples of p if p | M, else a shifted difference of
 two strided slices of x that must lift back to x (``_in_subfield``).
 ``zeta(n, k)`` needs no descent: its least conductor follows from n and k, nor does
 a sum or product of operands with coprime least conductors, whose lcm L is least.
+A power is one square-and-multiply on the product kernel at the base's own conductor
+(``_vec_power``), for scalars and one-term polynomials alike, and descends once, at the end.
 Fractions are built only on request: ``coeffs`` and ``as_rational``; ``str`` prints the integers.
 Conductors above ``MAX_CONDUCTOR``, from ``zeta(n)`` or an lcm of operands,
 raise ValueError.
@@ -43,26 +45,20 @@ MAX_CONDUCTOR = 1000
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
     """The distinct primes dividing n, ascending."""
-    primes = []
-    p = 2
+    primes, p = [], 2
     while p * p <= n:
         if n % p == 0:
             primes.append(p)
             while n % p == 0:
                 n //= p
         p += 1
-    if n > 1:
-        primes.append(n)
-    return tuple(primes)
+    return tuple(primes + [n] * (n > 1))
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
-    result = n
-    for p in _prime_factors(n):
-        result -= result // p
-    return result
+    return n // prod(primes := _prime_factors(n)) * prod([p - 1 for p in primes])
 
 
 def _check_conductor(n: int) -> int:
@@ -222,6 +218,19 @@ def _vec_product(a: Sequence[int], sa: int, b: Sequence[int], sb: int, L: int) -
     return _mod_phi(product, L)
 
 
+def _vec_power(a: Sequence[int], k: int, N: int) -> list:
+    """The coordinates in Q(zeta_N) of a^k, k >= 0, for an integer vector a of Q(zeta_N), nonzero at
+    N > 1, by square-and-multiply at N with no lift, descent or square after the last bit."""
+    if N == 1:
+        return [a[0] ** k]
+    out = list(a) if k & 1 else [1] + [0] * (len(a) - 1)
+    while k := k >> 1:
+        a = _vec_product(a, 1, a, 1, N)
+        if k & 1:
+            out = _vec_product(out, 1, a, 1, N)
+    return out
+
+
 class CycScalar:
     """An element of some Q(zeta_N), stored at its minimal conductor.
 
@@ -320,10 +329,7 @@ class CycScalar:
         other = CycScalar._coerce(other)
         if self.conductor == 1 or other.conductor == 1:
             q, v = (self, other) if self.conductor == 1 else (other, self)
-            n = q.nums[0]
-            if n == 0:
-                return CycScalar(0)
-            return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den)
+            return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den) if (n := q.nums[0]) else q
         L = _check_conductor(lcm(self.conductor, other.conductor))
         product = _vec_product(self.nums, L // self.conductor, other.nums, L // other.conductor, L)
         least = _canonical if gcd(self.conductor, other.conductor) == 1 else _minimized  # coprime: L is least
@@ -352,14 +358,7 @@ class CycScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result, base = CycScalar(1), self  # square-and-multiply, no square after the last bit
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _minimized(self.conductor, _vec_power(self.nums, k, self.conductor), self.den ** k)
 
     # -- identity ---------------------------------------------------------
 

@@ -11,17 +11,17 @@ its exponents.  The top bit of each slot is a guard kept clear, so exponents sta
 identical representations; ``terms`` builds exponent tuples and ``CycScalar`` coefficients
 on request.  Term order everywhere is graded lexicographic in the variable tuple.
 Products and substitution run one ``int`` pair loop: keys add with ``+``, a set guard bit
-raising ValueError.  At L > 1 a rational side is never packed nor reduced mod
-Phi_L: one or two terms scale the other side's vectors, more multiply them packed into signed
-slots, zeta -> 2^k (Kronecker).  One term by one term is one scalar product of the unlifted
-coordinates (``exactnum``'s kernel); other cyclotomic sides are both packed, each product term
-unpacked and reduced mod Phi_L once.
+raising ValueError.  At L > 1 a side of one term, or a rational side of two, multiplies the
+other side term by term and lifts nothing: an integer scales a vector, and two vectors meet in
+one scalar product of their unlifted coordinates (``exactnum``'s kernel).  Only two sides of
+several terms each are packed into signed slots, zeta -> 2^k (Kronecker), a rational side never,
+and each product term is unpacked and reduced mod Phi_L once.
 Each result descends and divides out its gcd once.  ``substitute`` moves only the variables
 whose image is not the variable itself: it groups the terms by their exponents of those and
-multiplies each group once by each image's cached power.  Those powers and ``**`` raise a
-polynomial whose terms split into parts A and B over disjoint variables by the binomial rule,
-so no two keys of a product meet, one term by squaring, any other as P^(k-1)*P; ``**``
-settles once, over den^k.
+multiplies each group once by each image's cached power.  Those powers and ``**`` raise one
+term c*m as m's key times k and c^k by ``exactnum``'s square-and-multiply kernel (or one product
+past a cached P^(k-1)); parts A and B over disjoint variables by the binomial rule, so no two
+keys of a product meet; any other as P^(k-1)*P.  ``**`` settles once, over den^k.
 
 >>> from danisurf.exactnum import zeta
 >>> x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
@@ -41,7 +41,7 @@ from operator import add, or_
 from typing import Iterable, Iterator, Mapping, Union
 
 from .exactnum import (_SCALARS, CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _lifted,
-                       _minimized, _mod_phi, _pack, _ratio, _unpack, _vec_product, euler_phi)
+                       _minimized, _mod_phi, _pack, _ratio, _unpack, _vec_power, _vec_product, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
 
@@ -327,10 +327,6 @@ def _at(terms: Iterable, N: int, L: int) -> Iterable:
     return terms if N == L else [(e, _lifted((c,) if N == 1 else c, N, L)) for e, c in terms]
 
 
-def _top(terms: Iterable) -> int:  # the largest absolute numerator
-    return max(abs(c) if type(c) is int else max(map(abs, c)) for _, c in terms)
-
-
 def _names(variables: Iterable[str]) -> tuple[str, ...]:
     """The names as a tuple, checked before any takes a slot: TypeError naming the first that is not
     a str, ValueError for a repeated one."""
@@ -375,27 +371,26 @@ def _convolve(a: Iterable, b: Iterable, guard: int) -> list:
 
 def _product(a, Na: int, b, Nb: int, guard: int) -> list:
     """The nonzero terms, at L = lcm(Na, Nb), of the product of term lists at conductors Na and
-    Nb.  A rational side is never packed nor reduced mod Phi_L: one or two terms scale the other
-    side's vectors (faster than packing b at two terms, not at four).  One term by one term is one
-    scalar product of the unlifted coordinates.  Otherwise cyclotomic sides are packed; a slot of a
-    product term sums min(len(a), len(b)) pairs of phi(L) products, or of one by a rational side."""
+    Nb.  A side of one term (either order, any conductor), or a rational side of two (faster than
+    packing the other side at two terms, not at four), multiplies the other side term by term with
+    no lift, pack or extra reduction: an integer scales a vector, two vectors meet in one scalar
+    product of their unlifted coordinates.  Only where both sides have several terms are they
+    packed, a rational side never; a slot of a product term sums min(len(a), len(b)) pairs of
+    phi(L) products, or of one by a rational side, and each product term is reduced mod Phi_L once."""
     L = lcm(Na, Nb)
     if L == 1 or not a or not b:
         return _convolve(a, b, guard)
     if Nb == 1:  # the rational side, if any, first
         a, Na, b, Nb = b, Nb, a, Na
-    if Na == 1 and len(a) <= 2 or len(a) == len(b) == 1:  # scale b's vectors, or one scalar product
-        acc = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = ea + eb
-                v = tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, L // Na, cb, L // Nb, L))
-                acc[e] = tuple(map(add, acc[e], v)) if e in acc else v
-        if reduce(or_, acc, 0) & guard:
+    if Na == 1 and len(a) <= 2 or len(a) == 1 or len(b) == 1:  # scale b's vectors, or multiply unlifted
+        out = [(ea + eb, tuple([ca * w for w in cb] if Na == 1 else _vec_product(ca, L // Na, cb, L // Nb, L)))
+               for ea, ca in a for eb, cb in b]
+        if reduce(or_, [e for e, _ in out], 0) & guard:
             raise ValueError(_OVERFLOW)
-        return [(e, v) for e, v in acc.items() if any(v)]
+        return out if len(a) == 1 or len(b) == 1 else [(e, v) for e, v in _added({}, out).items() if any(v)]
     a, b, n = a if Na == 1 else _at(a, Na, L), _at(b, Nb, L), euler_phi(L)
-    k = (min(len(a), len(b)) * (1 if Na == 1 else n) * _top(a) * _top(b)).bit_length() + 1
+    top = [max([abs(c) if type(c) is int else max(map(abs, c)) for _, c in t]) for t in (a, b)]  # |numerator|
+    k = (min(len(a), len(b)) * (1 if Na == 1 else n) * top[0] * top[1]).bit_length() + 1
     out = _convolve(a if Na == 1 else [(e, _pack(c, k)) for e, c in a], [(e, _pack(c, k)) for e, c in b], guard)
     return [(e, tuple(v)) for e, c in out if any(v := _mod_phi(_unpack(c, k, 2 * n - 1), L))]
 
@@ -414,20 +409,27 @@ def _parts(terms: list, guard: int):
 
 
 def _power_of(cache: dict, k: int, N: int, guard: int) -> list:
-    """cache[k], the k-th power at conductor N of the term list P = cache[1], filled in: by squaring
-    for one term; for parts A and B (cache[0], from _parts once per cache) by the binomial rule
-    P^k = sum C(k, i) A^(k-i) B^i, no two keys meeting in a product; else as P^(k-1) * P."""
+    """cache[k], the k-th power at conductor N of the term list P = cache[1], filled in: for one term
+    c*m, as P^(k-1) * P when cache holds P^(k-1) (one product, where the kernel takes up to 2 log2 k),
+    else as c^k by exactnum's square-and-multiply kernel and m's key times k, each slot below 2^19;
+    for parts A and B (cache[0], from _parts once per cache) by the binomial rule
+    P^k = sum C(k, i) A^(k-i) B^i, both parts' powers walking up and no two keys meeting in a
+    product; else as P^(k-1) * P."""
     if k in cache:
         return cache[k]
-    if len(cache[1]) == 1:
-        half = _power_of(cache, k // 2, N, guard)
-        cache[k] = _product(half, N, _power_of(cache, k - k // 2, N, guard), N, guard)
+    if len(cache[1]) == 1 and k - 1 in cache:
+        cache[k] = _product(cache[k - 1], N, cache[1], N, guard)
+    elif len(cache[1]) == 1:
+        (e, c), = cache[1]
+        if max([m for _, m in _slots(e)], default=0) * k >> _W - 1:
+            raise ValueError(_OVERFLOW)
+        cache[k] = [(e * k, c ** k if N == 1 else tuple(_vec_power(c, k, N)))]
     elif parts := cache[0] if 0 in cache else cache.setdefault(0, _parts(cache[1], guard)):
-        a, b = parts
-        acc = dict(_power_of(a, k, N, guard))
+        pa = [_power_of(parts[0], j, N, guard) for j in range(1, k + 1)]
+        acc = dict(pa[-1])
         for i in range(1, k + 1):
-            bi = _power_of(b, i, N, guard)
-            _added(acc, bi if i == k else _product(_power_of(a, k - i, N, guard), N, bi, N, guard), comb(k, i))
+            bi = _power_of(parts[1], i, N, guard)
+            _added(acc, bi if i == k else _product(pa[k - i - 1], N, bi, N, guard), comb(k, i))
         cache[k] = [(e, c) for e, c in acc.items() if (c if N == 1 else any(c))]
     else:
         for j in range(len(cache) - 1, k):  # the keys are 0 and the powers 1..j

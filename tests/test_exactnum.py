@@ -92,6 +92,26 @@ class TestArithmetic:
         assert zeta(5) ** -1 * zeta(5) == CycScalar(1)
         assert (CycScalar(2) ** -3) == Fraction(1, 8)
 
+    @pytest.mark.parametrize("N, a", [
+        (1, CycScalar(Fraction(-3, 2))),
+        (12, zeta(12) + Fraction(1, 2)),
+        (105, zeta(105, 4) - 2 * zeta(105, 50) + 1),
+        (420, Fraction(2, 3) * zeta(420) + zeta(7) - zeta(12, 5)),
+    ])
+    @pytest.mark.parametrize("k", [0, 1, 2, 31, -3])
+    def test_power_matches_repeated_products(self, N, a, k):
+        """a**k, one square-and-multiply at a's conductor and one descent, against |k| products."""
+        assert a.conductor == N
+        factor, expected = a if k >= 0 else CycScalar(1) / a, CycScalar(1)
+        for _ in range(abs(k)):
+            expected = expected * factor
+        assert a ** k == expected
+
+    def test_powers_of_zero(self):
+        assert CycScalar(0) ** 5 == 0 and CycScalar(0) ** 0 == 1
+        with pytest.raises(ZeroDivisionError):
+            CycScalar(0) ** -1
+
     @pytest.mark.parametrize("divisor", [zeta(3), CycScalar(0)])
     def test_float_divided_by_scalar_is_a_type_error(self, divisor):
         with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /: 'float' and 'CycScalar'"):

@@ -457,6 +457,11 @@ def _path_poly(m, N, L):
     return MultiPoly(_XY, coeffs), lifted
 
 
+def _coords(N, spots):
+    """The phi(N) coordinates at conductor N with the values of ``spots`` ({index: value}), zero elsewhere."""
+    return [Fraction(spots.get(i, 0)) for i in range(euler_phi(N))]
+
+
 def _dense_one_term(N, top):
     """One term x*y whose coordinates at N are all nonzero, alternating +-top: beyond the crossover."""
     return {(1, 1): [Fraction(top * (-1) ** i) for i in range(euler_phi(N))]}
@@ -483,11 +488,28 @@ def _dense_one_term(N, top):
 # ... and dense on both sides, 48 * 48 > 10 * phi(420): the Kronecker branch, each side packed at its stride
 @example(((105, 140), _dense_one_term(105, 3), _dense_one_term(140, -_BIG), 1))
 @example(((140, 105), _dense_one_term(140, _BIG), _dense_one_term(105, -2), 2))
+@example(((1, 20), {(1, 0): [Fraction(1)], (0, 1): [Fraction(-1)]},  # two rational terms whose pairs meet and cancel
+          {(1, 0): _coords(20, {0: 1, 3: _BIG}), (0, 1): _coords(20, {0: 1, 3: _BIG})}, 2))
+# one term by several, in either order: each pair one product of unlifted coordinates, nothing lifted or packed
+@example(((15, 7), _dense_one_term(15, 3), {(1, 0): _coords(7, {5: -1}), (0, 2): _coords(7, {0: 2, 3: _BIG})}, 3))
+@example(((7, 15), {(2, 0): _coords(7, {0: 1}), (1, 1): [Fraction(-2, 3)] * 6, (0, 0): _coords(7, {1: _BIG})},
+          {(0, 1): _coords(15, {7: 5})}, 2))
+@example(((20, 7), {(1, 0): _coords(20, {1: -_BIG})},
+          {(0, 0): _coords(7, {0: 3}), (1, 1): _dense_one_term(7, 2)[(1, 1)],
+           (0, 2): _coords(7, {3: Fraction(1, 2)})}, 2))
+@example(((7, 20), {(1, 0): _coords(7, {2: -1}), (0, 1): [Fraction(4)] * 6}, _dense_one_term(20, -_BIG), 3))
+@example(((105, 140), _dense_one_term(105, -_BIG),  # a dense term at 105 by two at 140: Kronecker pairs at 420
+          {(1, 0): _dense_one_term(140, 3)[(1, 1)], (0, 2): _coords(140, {47: -7})}, 2))
+@example(((1, 20), {(0, 0): [Fraction(2)], (1, 0): [Fraction(-7, 2)], (2, 1): [Fraction(_BIG)]},  # three rational terms
+          {(0, 1): _coords(20, {5: Fraction(-1, 3)})}, 2))
+@example(((12, 12), {(1, 0): _coords(12, {1: -3, 3: Fraction(1, 2)})},  # one term by five in one field
+          {(i, i % 2): _coords(12, {0: i - 2, 2: _BIG, 3: 1}) for i in range(5)}, 3))
 def test_every_product_path_matches_dense_oracle(case):
     """*, ** and substitute against term-by-term Dense arithmetic at L = lcm(Na, Nb): rational sides of
-    one, two (scaling) and three terms (packed) times cyclotomic ones, one term by one term with sparse
-    and dense vectors on both sides of the schoolbook/Kronecker crossover, at one conductor and at two,
-    and fields that meet at a larger conductor."""
+    one, two (scaling) and three terms (packed) times cyclotomic ones, a rational side of three by one
+    cyclotomic term, one term by one or several at one conductor or at two, in either order, with
+    sparse and dense vectors on both sides of the schoolbook/Kronecker crossover, one-term powers, and
+    fields that meet at a larger conductor."""
     (Na, Nb), ma, mb, k = case
     L = lcm(Na, Nb)
     (p, a), (q, b) = _path_poly(ma, Na, L), _path_poly(mb, Nb, L)
@@ -648,18 +670,22 @@ def test_split_images_match_dense_oracle(a, images):
 @example({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1}, 6)  # split, and split again
 @example({(0, 0, 1): 1, (0, 0, 2): 1, (0, 0, 0): 5}, 5)  # a constant-only remainder, which does not split
 @example({(1, 0, 0): zeta(4)}, 2)  # one term whose square descends to conductor 1
+# one term to the 31st: its key times 31 and one square-and-multiply on the coefficient, at 15, at 20 and dense at 420
+@example({(1, 0, 1): zeta(15, 4) - 2}, 31)
+@example({(0, 2, 0): Fraction(3, 2) * zeta(20, 3) + zeta(20)}, 31)
+@example({(0, 0, 1): sum((zeta(420, i) * (i % 5 - 2 or 3) for i in range(euler_phi(420))), CycScalar(0))}, 31)
 @example({(1, 0, 0): Fraction(1, 3), (0, 1, 0): zeta(12, 5) / 2, (0, 0, 0): Fraction(1, 4)}, 6)  # stacked dens
 @example({(1, 0, 0): 1, (1, 1, 0): 2, (0, 1, 1): zeta(12)}, 4)  # one component, which does not split
 def test_power_matches_dense_oracle(a, k):
     """p**k, through the power rule that substitute uses, against k repeated term-by-term products
-    of Dense coefficients."""
+    of Dense coefficients at L = lcm(12, conductor of p)."""
     p = MultiPoly(_XYZ, a)
-    got = p ** k
+    got, L = p ** k, lcm(12, p.conductor)
     _check_canonical(got)
-    expected = {(0, 0, 0): Dense(12, [1, 0, 0, 0])}
+    expected = {(0, 0, 0): Dense(L, [1] + [0] * (euler_phi(L) - 1))}
     for _ in range(k):
-        expected = map_mul(expected, dense_map(p, 12, _XYZ))
-    assert dense_map(got, 12, _XYZ) == expected
+        expected = map_mul(expected, dense_map(p, L, _XYZ))
+    assert dense_map(got, L, _XYZ) == expected
 
 class TestCanonicalForm:
     x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
@@ -883,6 +909,12 @@ class TestExponentGuard:
         lambda: SurfaceSpec.danielewski(x ** 2 + zeta(3) * x, z ** 4 + zeta(7)).reduce(  # ... at a cyclotomic relation
             zeta(5) * x ** 3 * y + x ** 2 * y * z ** (_TOP - 1)),
         lambda: (MultiPoly.variable("w") ** _HALF + x) * (x * MultiPoly.variable("w") ** _HALF),  # a slot past z's
+        lambda: (zeta(15) * x ** _HALF) * (zeta(7) * x ** _HALF + y),  # one term by several, unlifted ...
+        lambda: (zeta(7) * x ** _HALF + y) * (zeta(15) * x ** _HALF),  # ... in either order
+        lambda: (zeta(7) * x ** _HALF) ** 2,  # one term to a power: its key times k ...
+        lambda: (zeta(7) * y * x ** 2 ** 17) ** 4,
+        lambda: (zeta(7) * x ** _TOP * y) ** 4,  # ... where, unchecked, the x slot would carry into y's
+        lambda: (x ** 2).substitute({"x": zeta(15) * x ** _HALF}),
     ])
     def test_crossing_the_largest_exponent_raises(self, build):
         with pytest.raises(ValueError, match=r"exponent above 2\^19 - 1"):
