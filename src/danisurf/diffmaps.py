@@ -3,17 +3,17 @@
 A derivation or map is a table generator -> SurfaceElement.  On a relation surface a table is well defined iff
 the normal form of its image of the monic relation, (f(x)*y - phi(z))/lc f, is 0 (it spans the same ideal, in
 a field no larger), computed by the same rule as ``apply``: Leibniz for a derivation, substitution for a map.
-The public constructors, which build user tables, prove this and refuse ill-defined ones; tables whose
-construction proves it (factories, identity, composition, exponentials) go through ``_trusted``, which skips
-the re-proof; each caller states its proof, and may defer an image whose build it shows raises nothing, to
-build and coerce it on first read (y in ``triangular``).  Commutation with a derivation is decided on
-generators alone: the defect delta = rho∘D - D∘rho is a rho-derivation, delta(ab) = delta(a)*rho(b) +
-rho(a)*delta(b), so vanishing on generators forces it to vanish everywhere.  On a relation surface x and z
-suffice once rho(f) != 0, given rho and D well defined on B: f(x)*y - phi(z) has degree 1 in y and coprime
-coefficients f(x), phi(z), so it is irreducible and B a domain; delta of the relation,
-0 = f'(rho x)*delta(x)*rho(y) + rho(f)*delta(y) - phi'(rho z)*delta(z), then leaves rho(f)*delta(y) = 0 once
-delta(x) = delta(z) = 0, so delta(y) = 0.  Normal forms are unique, so the two sides are compared as they are.  The
-result records (``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
+Both kinds share one constructor, which coerces a user table once and refuses it unless this holds, and the
+public checks run the same proof.  Tables whose construction proves it (factories, identity, composition,
+exponentials) go through ``_trusted``, which skips the re-proof; each caller states its proof, and may defer
+an image whose build it shows raises nothing, to build and coerce it on first read (y in ``triangular``).
+Commutation with a derivation is decided on generators alone: the defect delta = rho∘D - D∘rho is a
+rho-derivation, delta(ab) = delta(a)*rho(b) + rho(a)*delta(b), so vanishing on generators forces it to vanish
+everywhere.  On a relation surface x and z suffice once rho(f) != 0, given rho and D well defined on B: f(x)*y -
+phi(z) has degree 1 in y and coprime coefficients f(x), phi(z), so it is irreducible and B a domain; delta of the
+relation, 0 = f'(rho x)*delta(x)*rho(y) + rho(f)*delta(y) - phi'(rho z)*delta(z), then leaves rho(f)*delta(y) = 0
+once delta(x) = delta(z) = 0, so delta(y) = 0.  Normal forms are unique, so the two sides are compared as they
+are.  The result records (``CommutationResult``, ``NilpotencyReport``) are immutable ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -86,22 +86,34 @@ def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object],
 
 def check_derivation_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
     """True iff the image table extends to a derivation of the quotient ring: D(relation) reduces to 0."""
-    table = _image_table(images, S)  # checked on a free surface too
-    return S.is_free or S.reduce(_leibniz(table, S.monic)).is_zero()
+    return Derivation._holds(_image_table(images, S), S)  # the table is checked on a free surface too
 
 
 def check_map_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
     """True iff the image table preserves the relation ideal: the relation's image reduces to 0."""
-    table = _image_table(images, S)  # checked on a free surface too
-    return S.is_free or S.reduce(_substituted(table, S.monic)).is_zero()
+    return RingMap._holds(_image_table(images, S), S)  # the table is checked on a free surface too
 
 
 class _ImageTable:
-    """What derivations and maps share: an immutable table generator -> image on a surface,
-    applied by the subclass's ``apply`` and printed with its tag."""
+    """An immutable table generator -> image on a surface, built, proved and applied by the ``_rule`` (Leibniz or
+    substitution) of its kind, which gives only that rule, its tag and its refusal message.  Each kind binds
+    ``__init__`` and ``apply`` in its own namespace, so either kind's can be wrapped alone (``bench/tracer.py``)."""
 
     __slots__ = ("surface", "images")
     _tag = ""
+
+    def _proved(self, surface: SurfaceSpec, images: Mapping[str, object]):
+        if not self._holds(table := _image_table(images, surface), surface):
+            raise ValueError(self._refusal)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "images", table)
+
+    @classmethod
+    def _holds(cls, table: Mapping[str, SurfaceElement], S: SurfaceSpec) -> bool:
+        return S.is_free or S.reduce(cls._rule(table, S.monic)).is_zero()
+
+    def _applied(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
+        return self.surface.element(self._rule(self.images, SurfaceElement._coerce(p, self.surface).rep))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -129,14 +141,8 @@ class Derivation(_ImageTable):
     """A K-linear derivation of the surface ring, defined by generator images."""
 
     __slots__ = ()
-    _tag = "D"
-
-    def __init__(self, surface: SurfaceSpec, images: Mapping[str, object]):
-        table = _image_table(images, surface)
-        if not check_derivation_well_defined(table, surface):
-            raise ValueError("images do not define a derivation of the quotient ring")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "images", table)
+    _tag, _rule, _refusal = "D", staticmethod(_leibniz), "images do not define a derivation of the quotient ring"
+    __init__, apply = _ImageTable._proved, _ImageTable._applied
 
     @staticmethod
     def zero(surface: SurfaceSpec) -> "Derivation":
@@ -145,9 +151,6 @@ class Derivation(_ImageTable):
 
     def is_zero(self) -> bool:
         return all(el.is_zero() for el in self.images.values())
-
-    def apply(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
-        return self.surface.element(_leibniz(self.images, SurfaceElement._coerce(p, self.surface).rep))
 
     def scaled_by(self, w: SurfaceElement | PolyLike) -> "Derivation":
         """The derivation w*D for a kernel element w; (w*D)(relation) = w*0."""
@@ -167,14 +170,8 @@ class RingMap(_ImageTable):
     """A ring endomorphism of the surface ring, defined by generator images."""
 
     __slots__ = ()
-    _tag = "M"
-
-    def __init__(self, surface: SurfaceSpec, images: Mapping[str, object]):
-        table = _image_table(images, surface)
-        if not check_map_well_defined(table, surface):
-            raise ValueError("images do not preserve the relation ideal")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "images", table)
+    _tag, _rule, _refusal = "M", staticmethod(_substituted), "images do not preserve the relation ideal"
+    __init__, apply = _ImageTable._proved, _ImageTable._applied
 
     @staticmethod
     def identity(surface: SurfaceSpec) -> "RingMap":
@@ -183,9 +180,6 @@ class RingMap(_ImageTable):
 
     def is_identity(self) -> bool:
         return all(self.images[v] == self.surface.gen(v) for v in self.surface.variables)
-
-    def apply(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
-        return self.surface.element(_substituted(self.images, SurfaceElement._coerce(p, self.surface).rep))
 
     def compose(self, inner: "RingMap") -> "RingMap":
         """self(inner(p)); inner sends the relation into the ideal, and self sends that to 0."""

@@ -134,12 +134,19 @@ def hyperbolic_order_bound(g: PolyLike, n: int) -> int:
 # generator factories
 
 
+def _relation(S: SurfaceSpec) -> SurfaceSpec:
+    """S, unless it is free: the generator families live on relation surfaces."""
+    if S.is_free:
+        raise ValueError("generator families live on relation surfaces")
+    return S
+
+
 def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     """H = (lam*x, lam^(-j)*y, z); well defined as f(lam*x)*lam^(-j) = f, given lam^s = 1."""
     lam = CycScalar(lam)
     if lam.is_zero():
         raise ValueError("hyperbolic parameter must be a unit")
-    j, s = monomial_split(S.f)
+    j, s = monomial_split(_relation(S).f)
     if s > 0 and lam ** s != 1:
         raise ShapeMismatchError(
             f"lambda = {lam} does not satisfy lambda^{s} = 1 required by f = {S.f}")
@@ -169,7 +176,7 @@ def triangular(S: SurfaceSpec, h: PolyLike) -> RingMap:
     if not h.depends_only_on("x"):
         raise ValueError("h must be a polynomial in x")
     x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    coeffs, w = _psi(S.phi), h * S.f
+    coeffs, w = _psi(_relation(S).phi), h * S.f
     bumped = lambda: y._merged([(c * q, 1) for c, q in zip(coeffs, reduce(  # q = h*w^j
         lambda hw, _: hw + [hw[-1] * w], coeffs[1:], [h]))])
     if (math.lcm(h.conductor, S.f.conductor, S.phi.conductor) > MAX_CONDUCTOR
@@ -190,7 +197,7 @@ def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     lam = CycScalar(lam)
     if lam.is_zero():
         raise ValueError("rescaling parameter must be a unit")
-    shape = classify_phi(S.phi)
+    shape = classify_phi(_relation(S).phi)
     if shape.power is None:
         raise ShapeMismatchError(f"phi = {S.phi} is not of the form c*(z - a)^d")
     _, a = shape.power
@@ -206,7 +213,7 @@ def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
 def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
     """S = (x, mu^i*y, mu*z); well defined as phi(mu*z) = mu^i*phi, given mu^m = 1."""
     mu = CycScalar(mu)
-    shape = classify_phi(S.phi)
+    shape = classify_phi(_relation(S).phi)
     i, m, _ = shape.periodic
     if m == 0:
         raise ShapeMismatchError(
@@ -290,22 +297,14 @@ class VerifyReport(NamedTuple):
         return all(rec.ok for rec in self.checks)
 
     def to_dict(self) -> dict:
-        out_checks = []
-        for rec in sorted(self.checks, key=lambda r: (r.family, r.params)):
-            entry = {
-                "family": rec.family,
-                "params": rec.params,
-                "expected": rec.expected,
-                "observed": rec.observed,
-            }
-            if rec.witness is not None:
-                entry["witness"] = rec.witness
-            out_checks.append(entry)
+        """The report as JSON data; a check's keys are its fields in order, with no witness when it has none."""
+        checks = [{k: v for k, v in rec._asdict().items() if v is not None}  # only a witness may be None
+                  for rec in sorted(self.checks, key=lambda r: (r.family, r.params))]
         return {
             "suite": self.suite,
             "surface": self.surface,
             "g": self.g,
-            "checks": out_checks,
+            "checks": checks,
             "pass": self.passed,
         }
 

@@ -31,6 +31,7 @@ from .surface import SurfaceSpec
 
 MAX_EXPONENT = 64  # bound on a ^ exponent and on the total degree of a power or product
 MAX_DIGITS = 1000  # bound on the length of an integer literal and of a numerator or denominator
+MAX_DEPTH = 100  # bound on the nesting of parentheses, well within the interpreter's recursion limit
 _TOO_LONG = 10 ** MAX_DIGITS
 
 
@@ -62,7 +63,7 @@ class _Parser:
     def __init__(self, text: str, allowed_vars: Optional[Sequence[str]] = None):
         self.text = text
         self.tokens = _tokenize(text)
-        self.index = 0
+        self.index = self.depth = 0
         self.allowed_vars = tuple(allowed_vars) if allowed_vars is not None else None
 
     def peek(self) -> Optional[tuple[str, str, int]]:
@@ -224,8 +225,12 @@ class _Parser:
             return MultiPoly.variable(value)
         if kind == "sym" and value == "(":
             self.next()
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect("sym", ")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 

@@ -12,7 +12,7 @@ import pytest
 from danisurf import cli
 from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 from danisurf.diffmaps import MAX_CAP
-from danisurf.parsing import MAX_DIGITS, MAX_EXPONENT
+from danisurf.parsing import MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT
 
 import dispatch_parity
 
@@ -251,6 +251,15 @@ class TestErrorsAndFiles:
         code, out, err = _run(capsys, *argv)
         assert code == EXIT_ERROR and not out
         assert "zero to a negative power" in err and f"(at position {position})" in err
+
+    @pytest.mark.parametrize("argv,position", [
+        (["nf", "--surface", SURFACE, "--expr", "(" * 3000 + "x" + ")" * 3000], MAX_DEPTH),
+        (["apply", "--surface", SURFACE, "--map", "x -> " + "(" * 300 + "x" + ")" * 300 + "; y -> y; z -> z",
+          "--expr", "x"], 5 + MAX_DEPTH)], ids=["nf expression", "apply map image"])
+    def test_nesting_above_bound_rejected(self, capsys, argv, position):
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR and not out
+        assert "MAX_DEPTH" in err and f"(at position {position})" in err
 
     def test_exponent_at_bound_accepted(self, capsys):
         code, out, _ = _run(capsys, "nf", "--surface", SURFACE,
@@ -528,6 +537,9 @@ class TestModuleEntryPoint:
         (["eq", "--surface", SURFACE, "--left", "x*y", "--right", "z^2"], EXIT_OK, "true"),
         (["eq", "--surface", SURFACE, "--left", "x", "--right", "y"], EXIT_CHECK_FAILED, "false"),
         (["nf", "--surface", "f=x; phi=z^2 +", "--expr", "x"], EXIT_ERROR, ""),
+        # a free surface has no generator families, and deep nesting is bounded: input errors, not tracebacks
+        (["commute", "--surface", "free: X,Y", "--h", "1/2", "--derivation", "X -> 1; Y -> 0"], EXIT_ERROR, ""),
+        (["nf", "--surface", SURFACE, "--expr", "(" * 3000 + "x" + ")" * 3000], EXIT_ERROR, ""),
     ])
     def test_exit_codes(self, argv, code, out):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -387,34 +387,50 @@ def _oracle_map(S: SurfaceSpec, table: dict) -> bool:
     return in_relation_ideal(MultiPoly(("x", "y", "z"), image), S.f, S.phi)
 
 
-# factory, check, oracle; the map factory composes the exponential of a canonical LND with a triangular map
+# factory, check, public constructor, oracle; the map factory composes the exponential of a canonical LND
+# with a triangular map
 _CHECKS = {
-    "derivation": (lambda S, h: canonical_lnd(S, h).derivation, check_derivation_well_defined, _oracle_derivation),
+    "derivation": (lambda S, h: canonical_lnd(S, h).derivation, check_derivation_well_defined, Derivation,
+                   _oracle_derivation),
     "map": (lambda S, h: exp_derivation(canonical_lnd(S, h).derivation).compose(triangular(S, h)),
-            check_map_well_defined, _oracle_map),
+            check_map_well_defined, RingMap, _oracle_map),
 }
+_REFUSALS = {Derivation: "images do not define a derivation of the quotient ring",
+             RingMap: "images do not preserve the relation ideal"}
+
+
+def _built(kind: type, table: dict, S: SurfaceSpec) -> bool:
+    """Whether the public constructor accepts the table; it refuses one only with its kind's message."""
+    try:
+        kind(S, table)
+    except ValueError as exc:
+        assert str(exc) == _REFUSALS[kind]
+        return False
+    return True
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(sorted(_CHECKS)), st.sampled_from(range(len(_DIFF_SURFACES))),
        st.sampled_from(["random", "factory", "shifted"]), _seeds)
 def test_well_definedness_matches_the_ideal_oracle(check, surface, kind, seed):
-    """Both checks agree with ideal membership of the relation's image, computed without the
-    library's derivation, substitution or reduction; a canonical or factory table always passes."""
-    S, (factory, observed, oracle) = _DIFF_SURFACES[surface], _CHECKS[check]
+    """Both checks and both public constructors agree with ideal membership of the relation's image,
+    computed without the library's derivation, substitution or reduction; a canonical or factory table
+    always passes."""
+    S, (factory, observed, constructor, oracle) = _DIFF_SURFACES[surface], _CHECKS[check]
     table = _table(S, factory, kind, random.Random(seed))
     expected = oracle(S, table)
     assert observed(table, S) == expected
+    assert _built(constructor, table, S) == expected
     assert expected or kind != "factory"
 
 
 @pytest.mark.parametrize("check", sorted(_CHECKS))
 @pytest.mark.parametrize("S", _DIFF_SURFACES, ids=["non-monic", "constant term", "zeta12"])
 def test_both_verdicts_occur(check, S):
-    factory, observed, _ = _CHECKS[check]
-    verdicts = {observed(_table(S, factory, kind, random.Random(seed)), S)
-                for kind in ("random", "factory") for seed in range(3)}
-    assert verdicts == {True, False}
+    factory, observed, constructor, _ = _CHECKS[check]
+    tables = [_table(S, factory, kind, random.Random(seed)) for kind in ("random", "factory") for seed in range(3)]
+    verdicts = {(observed(table, S), _built(constructor, table, S)) for table in tables}
+    assert verdicts == {(True, True), (False, False)}
 
 
 # -- commutation against a full scan of x, y and z -----------------------------------------

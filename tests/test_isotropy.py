@@ -34,6 +34,7 @@ S_XY2 = SurfaceSpec.danielewski(x, z ** 2)
 S_XY3 = SurfaceSpec.danielewski(x, z ** 3)
 S_X2Z3 = SurfaceSpec.danielewski(x ** 2, z ** 3)
 S_X2Z2 = SurfaceSpec.danielewski(x ** 2, z ** 2)
+_FAMILIES = ("hyperbolic", "involution", "triangular", "rescaling", "symmetry")
 
 
 class TestClassifyPhi:
@@ -224,6 +225,19 @@ class TestFactories:
                 else [zeta(s, t) for t in range(s)]
             for lam in lams:
                 assert check_map_well_defined(hyperbolic_rotation(S, lam).images, S)
+
+    @pytest.mark.parametrize("build", [
+        lambda S: hyperbolic_rotation(S, -1), involution, lambda S: triangular(S, Fraction(1, 2)),
+        lambda S: rescaling(S, -1), lambda S: symmetry(S, -1),
+        *(lambda S, request=request: make_generator(request, S) for request in (
+            GeneratorRequest("hyperbolic", -1), GeneratorRequest("involution"), GeneratorRequest("triangular", x),
+            GeneratorRequest("rescaling", -1), GeneratorRequest("symmetry", -1)))],
+        ids=[*_FAMILIES, *(f"make_generator-{family}" for family in _FAMILIES)])
+    @pytest.mark.parametrize("S", [SurfaceSpec.free_ring("XY"), SurfaceSpec.free_ring("xyz")], ids=str)
+    def test_every_family_refuses_a_free_surface(self, build, S):
+        """A free surface has no generator families: each factory refuses it with a ValueError."""
+        with pytest.raises(ValueError):
+            build(S)
 
     def test_make_generator_dispatch(self):
         req = GeneratorRequest("hyperbolic", zeta(4))
@@ -684,6 +698,9 @@ class TestRecords:
                         "expected": False, "observed": True, "witness": "x: -2*x"},
                        {"family": "triangular", "params": "h = 0", "expected": True, "observed": True}],
             "pass": False}
+        # the JSON output is byte-stable only if each check keeps its keys in field order
+        assert [list(check) for check in report.to_dict()["checks"]] == [
+            ["family", "params", "expected", "observed", "witness"], ["family", "params", "expected", "observed"]]
 
     def test_shape_and_canonical_records(self):
         shape = classify_phi(2 * (z - 1) ** 3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from danisurf.exactnum import CycScalar, zeta
 from danisurf.multipoly import MultiPoly
-from danisurf.parsing import (ParseError, parse_expression, parse_images,
+from danisurf.parsing import (MAX_DEPTH, ParseError, parse_expression, parse_images,
                               parse_scalar, parse_surface)
 from danisurf.surface import SurfaceSpec
 
@@ -63,6 +63,20 @@ class TestExpressionGrammar:
         with pytest.raises(ParseError, match="expected 'name'") as err:
             parse_surface("  free: X, 1")
         assert err.value.position == 11
+
+    def test_parentheses_at_max_depth(self):
+        nested = "(" * MAX_DEPTH + "x + zeta(3)" + ")" * MAX_DEPTH
+        assert parse_expression(f"{nested}^2 - {nested}") == (x + zeta(3)) ** 2 - x - zeta(3)
+
+    @pytest.mark.parametrize("text,position", [
+        ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+        ("x + 2*" + "((" * MAX_DEPTH + "y" + "))" * MAX_DEPTH, 6 + MAX_DEPTH),
+        ("(x)+" * 3 + "(" * 3000 + "y", 12 + MAX_DEPTH)], ids=["one past", "twice as deep", "unclosed"])
+    def test_parentheses_past_max_depth(self, text, position):
+        """The '(' that opens level MAX_DEPTH + 1 is refused before the parser recurses into it."""
+        with pytest.raises(ParseError, match=f"MAX_DEPTH = {MAX_DEPTH}") as err:
+            parse_expression(text)
+        assert err.value.position == position
 
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown variable"):
