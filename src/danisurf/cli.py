@@ -221,6 +221,8 @@ def _cmd_verify(session: Session) -> int:
 
 def _cmd_plane_example(session: Session) -> int:
     args = session.args
+    if args.s > MAX_EXPONENT:  # the degree of Y^s in d, bounded as a typed Y^s is
+        raise ValueError(f"--s above MAX_EXPONENT = {MAX_EXPONENT}")
     report = plane_example_suite(args.s, parse_scalar(_argvalue(args.p)),
                                  SamplingPlan(seed=args.seed))
     session.emit(report.to_dict(), report.render_text())

@@ -15,7 +15,10 @@ For a surface f(x)y = phi(z) the relevant generator families are
 A hyperbolic rotation commutes with the canonical derivation
 D = (0, g*phi_z, g*f) exactly when the order of lam divides
 gcd{j + e : e in the exponent support of g} (and divides s where f forces
-it); the suites sweep parameters on both sides of that criterion.  Shapes,
+it); the suites sweep parameters on both sides of that criterion.  H, R and
+S are the diagonal maps (a*x, b*y, c*z + t) of one builder, and
+``make_generator`` maps each family name to its factory.  Every function
+that needs a relation refuses a free ring with one ``ValueError``.  Shapes,
 requests, canonical derivations, check records, reports and sampling plans
 are immutable ``NamedTuple`` records.
 """
@@ -105,11 +108,16 @@ def monomial_split(f: PolyLike, var: str = "x") -> tuple[int, int]:
     return j, math.gcd(*(e - j for e in rest))
 
 
+def _relation(S: SurfaceSpec) -> SurfaceSpec:
+    """S, unless it is free: classes, generator families, canonical derivations and suites need a relation."""
+    if S.is_free:
+        raise ValueError("isotropy needs a relation surface, not a free ring")
+    return S
+
+
 def surface_class(S: SurfaceSpec) -> str:
     """One of "xy" (f = c*x), "xn" (f = c*x^n, n > 1), "fx" (anything else)."""
-    if S.is_free:
-        raise ValueError("free rings have no Danielewski class")
-    j, s = monomial_split(S.f)
+    j, s = monomial_split(_relation(S).f)
     if s == 0:
         return "xy" if j == 1 else "xn"
     return "fx"
@@ -134,11 +142,12 @@ def hyperbolic_order_bound(g: PolyLike, n: int) -> int:
 # generator factories
 
 
-def _relation(S: SurfaceSpec) -> SurfaceSpec:
-    """S, unless it is free: the generator families live on relation surfaces."""
-    if S.is_free:
-        raise ValueError("generator families live on relation surfaces")
-    return S
+def _scaled(S: SurfaceSpec, a: ScalarLike, b: ScalarLike, c: ScalarLike, t: ScalarLike = 0) -> RingMap:
+    """(a*x, b*y, c*z + t), unproved: its caller says why it is well defined.  A scale of 1 is not
+    multiplied in, nor a shift of 0 added."""
+    x, y, z = (v if k == 1 else MultiPoly.constant(k) * v
+               for k, v in zip((a, b, c), map(MultiPoly.variable, "xyz")))
+    return _trusted(RingMap, S, {"x": x, "y": y, "z": z + MultiPoly.constant(t) if t else z})
 
 
 def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
@@ -150,12 +159,7 @@ def hyperbolic_rotation(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     if s > 0 and lam ** s != 1:
         raise ShapeMismatchError(
             f"lambda = {lam} does not satisfy lambda^{s} = 1 required by f = {S.f}")
-    x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    return _trusted(RingMap, S, {
-        "x": MultiPoly.constant(lam) * x,
-        "y": MultiPoly.constant(lam ** (-j)) * y,
-        "z": z,
-    })
+    return _scaled(S, lam, lam ** (-j), 1)
 
 
 def involution(S: SurfaceSpec) -> RingMap:
@@ -201,13 +205,7 @@ def rescaling(S: SurfaceSpec, lam: ScalarLike) -> RingMap:
     if shape.power is None:
         raise ShapeMismatchError(f"phi = {S.phi} is not of the form c*(z - a)^d")
     _, a = shape.power
-    x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    # R(z) - a = lam*(z - a); relation preservation forces this shift
-    return _trusted(RingMap, S, {
-        "x": x,
-        "y": MultiPoly.constant(lam ** shape.degree) * y,
-        "z": MultiPoly.constant(lam) * z + MultiPoly.constant((1 - lam) * a),
-    })
+    return _scaled(S, 1, lam ** shape.degree, lam, (1 - lam) * a)  # R(z) - a = lam*(z - a)
 
 
 def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
@@ -220,12 +218,7 @@ def symmetry(S: SurfaceSpec, mu: ScalarLike) -> RingMap:
             "phi is a monomial; its symmetries are covered by rescalings")
     if mu ** m != 1:
         raise ShapeMismatchError(f"mu = {mu} does not satisfy mu^{m} = 1")
-    x, y, z = (MultiPoly.variable(v) for v in "xyz")
-    return _trusted(RingMap, S, {
-        "x": x,
-        "y": MultiPoly.constant(mu ** i) * y,
-        "z": MultiPoly.constant(mu) * z,
-    })
+    return _scaled(S, 1, mu ** i, mu)
 
 
 class GeneratorRequest(NamedTuple):
@@ -234,10 +227,8 @@ class GeneratorRequest(NamedTuple):
 
 
 def make_generator(request: GeneratorRequest, S: SurfaceSpec) -> RingMap:
-    if request.family == "involution":
-        return involution(S)
-    factory = {"hyperbolic": hyperbolic_rotation, "triangular": triangular,
-               "rescaling": rescaling, "symmetry": symmetry}.get(request.family)
+    factory = {"hyperbolic": hyperbolic_rotation, "involution": lambda S, _: involution(S),
+               "triangular": triangular, "rescaling": rescaling, "symmetry": symmetry}.get(request.family)
     if factory is None:
         raise ValueError(f"unknown generator family {request.family!r}")
     return factory(S, request.parameter)
@@ -257,8 +248,7 @@ class CanonicalLND(NamedTuple):
 
 def canonical_lnd(S: SurfaceSpec, g: PolyLike) -> CanonicalLND:
     """D = (0, g*phi', g*f); a derivation as D(f*y - phi) = f*g*phi' - phi'*g*f = 0."""
-    if S.is_free:
-        raise ValueError("canonical derivations live on relation surfaces")
+    _relation(S)
     g = MultiPoly._coerce(g)
     if not g.depends_only_on("x"):
         raise ValueError("g must be a polynomial in x")
@@ -348,9 +338,7 @@ def verify_isotropy_theorem(S: SurfaceSpec, g: PolyLike,
     """
     plan = plan or SamplingPlan()
     g = MultiPoly._coerce(g)
-    if S.is_free:
-        raise ValueError("theorem suites run on relation surfaces")
-    if S.d < 2:
+    if _relation(S).d < 2:
         raise ValueError("theorem suites require deg phi >= 2")
     if g.is_zero():
         raise ValueError("theorem suites require g != 0")

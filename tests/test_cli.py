@@ -181,6 +181,13 @@ class TestSuiteCommands:
         code, out, _ = _run(capsys, *argv, "--hdeg", "6")
         assert code == EXIT_OK and out.endswith("PASS")
 
+    def test_s_bound(self, capsys):
+        """Y^65 typed in a derivation is refused by the parser, so is plane-example's --s 65."""
+        code, out, err = _run(capsys, "plane-example", "--s", str(MAX_EXPONENT + 1), "--p", "1")
+        assert code == EXIT_ERROR and not out and err == f"error: --s above MAX_EXPONENT = {MAX_EXPONENT}"
+        code, out, _ = _run(capsys, "plane-example", "--s", str(MAX_EXPONENT), "--p", "1")
+        assert code == EXIT_OK and out.endswith("PASS")
+
     @pytest.mark.parametrize("argv", [
         ["nf", "--n", str(MAX_EXPONENT + 1), "--phi", "z^2", "--expr", "x*y"],
         ["nf", "--n", "0", "--phi", "z^2", "--expr", "x*y"],

@@ -231,12 +231,15 @@ class TestFactories:
         lambda S: rescaling(S, -1), lambda S: symmetry(S, -1),
         *(lambda S, request=request: make_generator(request, S) for request in (
             GeneratorRequest("hyperbolic", -1), GeneratorRequest("involution"), GeneratorRequest("triangular", x),
-            GeneratorRequest("rescaling", -1), GeneratorRequest("symmetry", -1)))],
-        ids=[*_FAMILIES, *(f"make_generator-{family}" for family in _FAMILIES)])
+            GeneratorRequest("rescaling", -1), GeneratorRequest("symmetry", -1))),
+        surface_class, lambda S: canonical_lnd(S, 1), lambda S: verify_isotropy_theorem(S, 1)],
+        ids=[*_FAMILIES, *(f"make_generator-{family}" for family in _FAMILIES),
+             "surface_class", "canonical_lnd", "verify_isotropy_theorem"])
     @pytest.mark.parametrize("S", [SurfaceSpec.free_ring("XY"), SurfaceSpec.free_ring("xyz")], ids=str)
     def test_every_family_refuses_a_free_surface(self, build, S):
-        """A free surface has no generator families: each factory refuses it with a ValueError."""
-        with pytest.raises(ValueError):
+        """A free surface has no class, generator families, canonical derivation or suite: each
+        function refuses it with the one ValueError."""
+        with pytest.raises(ValueError, match="^isotropy needs a relation surface, not a free ring$"):
             build(S)
 
     def test_make_generator_dispatch(self):
@@ -277,6 +280,8 @@ def _factory_cases(draw):
 
 @settings(deadline=None, max_examples=40)
 @given(_factory_cases())
+@example((SurfaceSpec.danielewski(x ** 2, Fraction(3, 2) * (z + Fraction(1, 2)) ** 3), x, MultiPoly.one(),
+          random.Random(0)))  # a rescaling that shifts z: a = -1/2
 def test_factory_outputs_are_well_defined(case):
     """Every factory builds its map without re-proving it; the proof obligation is checked here,
     also for the maps and derivations built from them without a check."""
@@ -296,6 +301,18 @@ def test_factory_outputs_are_well_defined(case):
     maps.append(rnd.choice(maps).compose(rnd.choice(maps)))
     for rho in maps:
         assert check_map_well_defined(rho.images, S), rho
+    # the diagonal families drop no scale or shift: each is its written-out table, proved
+    c = MultiPoly.constant
+    for lam in (CycScalar(1), zeta(s) if s else _random_unit(rnd)):
+        assert hyperbolic_rotation(S, lam) == RingMap(S, {"x": c(lam) * x, "y": c(lam ** -j) * y, "z": z})
+    if shape.power is not None:
+        _, a = shape.power
+        for lam in (CycScalar(1), CycScalar(-1), _random_unit(rnd)):
+            assert rescaling(S, lam) == RingMap(S, {"x": x, "y": c(lam ** shape.degree) * y,
+                                                    "z": c(lam) * (z - c(a)) + c(a)})
+    if m >= 1:
+        for mu in (CycScalar(1), zeta(m)):
+            assert symmetry(S, mu) == RingMap(S, {"x": x, "y": c(mu ** i) * y, "z": c(mu) * z})
     D = canonical_lnd(S, g).derivation
     for delta in (D, D.scaled_by(g * x + 1), Derivation.zero(S)):
         assert check_derivation_well_defined(delta.images, S), delta
