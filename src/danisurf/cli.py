@@ -3,8 +3,11 @@
 One surface and one command per invocation.  Exit codes: 0 when the command succeeds and any checked
 property holds, 1 when a verification check fails (the report is still emitted), 2 on parse or validation
 errors.  ``run`` parses a subcommand's arguments with its own parser, extras getting the top-level error,
-and builds each distinct surface and ``--derivation``/``--map`` table once per process and reuses it,
-safely: each is immutable and a function of its text and surface, and a raising input is never kept.
+reads each ``@path`` value from its file, at most ``MAX_FILE`` characters, and builds the surface, the
+``--derivation`` table and the ``--map`` or ``--h`` map in one step: each distinct surface and table once
+per process, reused safely, as each is immutable and a function of its text and surface, and a raising
+input is never kept.  A handler returns (verdict, report, text, None meaning the report's one value);
+``run`` alone prints the report or its text and maps the verdict to the exit code.
 
 >>> run(["nf", "--surface", "f=x; phi=z^2", "--expr", "x*y"])
 z^2
@@ -36,159 +39,107 @@ from .surface import SurfaceSpec
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+MAX_FILE = 1 << 17  # Linux's MAX_ARG_STRLEN: an @file may hold what one inline argument can
 
 
-class Session:
-    """The parsed arguments of one invocation and the objects built from them."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.surface: Optional[SurfaceSpec] = None
-        self.D: Optional[Derivation] = None
-        self.M: Optional[RingMap] = None
-
-    def emit(self, payload: dict, text: Optional[str] = None) -> None:
-        """Print the payload as JSON, or else ``text``, by default the payload's one value."""
-        text = str(*payload.values()) if text is None else text
-        print(json.dumps(payload) if self.args.format == "json" else text)
-
-
-def _argvalue(value: Optional[str]) -> Optional[str]:
-    """Argument values beginning with @ are read from the named file."""
-    if value is not None and value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as stream:
-            return stream.read().strip()
-    return value
-
-
-def _build_session(args: argparse.Namespace) -> Session:
-    session = Session(args)
-    surface_text = _argvalue(getattr(args, "surface", None))
-    if surface_text is not None:
-        session.surface = _surface(surface_text)
-    else:
-        f_text = _argvalue(getattr(args, "f", None))
-        n = getattr(args, "n", None)
-        phi_text = _argvalue(getattr(args, "phi", None))
-        if phi_text is not None and (f_text is not None or n is not None):
-            if f_text is not None:
-                f = parse_expression(f_text, ("x",))
-            elif 1 <= n <= MAX_EXPONENT:  # the bound --f's degree meets in the parser
-                f = MultiPoly.variable("x") ** n
-            else:
-                raise ValueError(f"--n outside 1..MAX_EXPONENT = {MAX_EXPONENT}")
-            session.surface = SurfaceSpec.danielewski(f, parse_expression(phi_text, ("z",)))
-    der_text = _argvalue(getattr(args, "derivation", None))
-    if der_text is not None:
-        session.D = _table(Derivation, _need_surface(session), der_text)
-    map_text = _argvalue(getattr(args, "map", None))
-    if map_text is not None:
-        session.M = _table(RingMap, _need_surface(session), map_text)
-    h_text = _argvalue(getattr(args, "h", None))
-    if h_text is not None:
-        if session.M is not None:
+def _build(args: argparse.Namespace) -> None:
+    """Set ``args.S``, ``args.D`` and ``args.M``: the surface, the --derivation table and the --map or --h
+    map, each None when its options are absent.  A subcommand's namespace holds only its own options."""
+    opt = vars(args).get
+    S = D = M = None
+    if opt("surface") is not None:
+        S = _surface(args.surface)
+    elif opt("phi") is not None and (opt("f") is not None or opt("n") is not None):
+        if args.f is not None:
+            f = parse_expression(args.f, ("x",))
+        elif 1 <= args.n <= MAX_EXPONENT:  # the bound --f's degree meets in the parser
+            f = MultiPoly.variable("x") ** args.n
+        else:
+            raise ValueError(f"--n outside 1..MAX_EXPONENT = {MAX_EXPONENT}")
+        S = SurfaceSpec.danielewski(f, parse_expression(args.phi, ("z",)))
+    if opt("derivation") is not None:
+        D = _table(Derivation, _need_surface(S), args.derivation)
+    if opt("map") is not None:
+        M = _table(RingMap, _need_surface(S), args.map)
+    if opt("h") is not None:
+        if M is not None:
             raise ValueError("give either --map or --h, not both")
-        session.M = triangular(_need_surface(session), parse_expression(h_text, ("x",)))
-    return session
+        M = triangular(_need_surface(S), parse_expression(args.h, ("x",)))
+    args.S, args.D, args.M = S, D, M
 
 
-def _need_surface(session: Session) -> SurfaceSpec:
-    if session.surface is None:
+def _need_surface(S: Optional[SurfaceSpec]) -> SurfaceSpec:
+    if S is None:
         raise ValueError("this command needs --surface (or --phi with --f/--n)")
-    return session.surface
+    return S
 
 
-def _cmd_nf(session: Session) -> int:
-    S = _need_surface(session)
-    session.emit({"normal_form": str(S.element(parse_expression(_argvalue(session.args.expr), S.variables)))})
-    return EXIT_OK
+def _cmd_nf(args: argparse.Namespace) -> tuple:
+    S = _need_surface(args.S)
+    return True, {"normal_form": str(S.element(parse_expression(args.expr, S.variables)))}, None
 
 
-def _cmd_eq(session: Session) -> int:
-    S = _need_surface(session)
-    left = S.element(parse_expression(_argvalue(session.args.left), S.variables))
-    right = S.element(parse_expression(_argvalue(session.args.right), S.variables))
-    equal = left == right
-    session.emit({"equal": equal}, "true" if equal else "false")
-    return EXIT_OK if equal else EXIT_CHECK_FAILED
+def _cmd_eq(args: argparse.Namespace) -> tuple:
+    S = _need_surface(args.S)
+    left = S.element(parse_expression(args.left, S.variables))
+    equal = left == S.element(parse_expression(args.right, S.variables))
+    return equal, {"equal": equal}, "true" if equal else "false"
 
 
-def _cmd_well_defined(session: Session) -> int:
-    """dwf and mwf: the verdict on a table, which need not be well-defined."""
-    S = _need_surface(session)
-    images = parse_images(_argvalue(session.args.table), S)
-    if session.args.command == "dwf":
-        ok = check_derivation_well_defined(images, S)
-    else:
-        ok = check_map_well_defined(images, S)
-    session.emit({"well_defined": ok}, "true" if ok else "false")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _cmd_well_defined(args: argparse.Namespace) -> tuple:
+    """dwf and mwf: the verdict of the subcommand's check on a table, which need not be well-defined."""
+    S = _need_surface(args.S)
+    ok = args.check(parse_images(args.table, S), S)
+    return ok, {"well_defined": ok}, "true" if ok else "false"
 
 
-def _cmd_apply(session: Session) -> int:
-    S = _need_surface(session)
-    target = S.element(parse_expression(_argvalue(session.args.expr), S.variables))
-    op = session.D if session.D is not None else session.M
+def _cmd_apply(args: argparse.Namespace) -> tuple:
+    S = _need_surface(args.S)
+    target = S.element(parse_expression(args.expr, S.variables))
+    op = args.D if args.D is not None else args.M
     if op is None:
         raise ValueError("apply needs --derivation or --map")
-    session.emit({"result": str(op.apply(target))})
-    return EXIT_OK
+    return True, {"result": str(op.apply(target))}, None
 
 
-def _cmd_commute(session: Session) -> int:
-    if session.M is None or session.D is None:
+def _cmd_commute(args: argparse.Namespace) -> tuple:
+    if args.M is None or args.D is None:
         raise ValueError("commute needs both --map and --derivation")
-    result = commutes(session.M, session.D)
-    payload: dict = {"commutes": result.commutes}
+    result = commutes(args.M, args.D)
     if result.commutes:
-        session.emit(payload, "true")
-        return EXIT_OK
+        return True, {"commutes": True}, "true"
     difference = str(result.difference)
-    payload["witness"] = {"generator": result.generator, "difference": difference}
-    session.emit(payload, f"false (witness {result.generator}: {difference})")
-    return EXIT_CHECK_FAILED
+    return (False, {"commutes": False, "witness": {"generator": result.generator, "difference": difference}},
+            f"false (witness {result.generator}: {difference})")
 
 
-def _cmd_lnd(session: Session) -> int:
-    if session.D is None:
+def _cmd_lnd(args: argparse.Namespace) -> tuple:
+    if args.D is None:
         raise ValueError("lnd needs --derivation")
-    report = is_locally_nilpotent(session.D, session.args.cap)
-    payload = {
-        "indices": {v: k for v, k in report.indices.items()},
-        "cap": report.cap,
-        "locally_nilpotent": report.all_nilpotent,
-    }
-    session.emit(payload, str(report))
-    return EXIT_OK if report.all_nilpotent else EXIT_CHECK_FAILED
+    report = is_locally_nilpotent(args.D, args.cap)
+    payload = {"indices": dict(report.indices), "cap": report.cap, "locally_nilpotent": report.all_nilpotent}
+    return report.all_nilpotent, payload, str(report)
 
 
-def _cmd_exp(session: Session) -> int:
-    D = session.D
+def _cmd_exp(args: argparse.Namespace) -> tuple:
+    D = args.D
     if D is None:
         raise ValueError("exp needs --derivation")
-    scale_text = _argvalue(session.args.scale)
-    if scale_text is not None:
-        S = _need_surface(session)
-        D = D.scaled_by(S.element(parse_expression(scale_text, S.variables)))
+    if args.scale is not None:
+        D = D.scaled_by(args.S.element(parse_expression(args.scale, args.S.variables)))
     try:
-        rho = exp_derivation(D, session.args.cap)
+        rho = exp_derivation(D, args.cap)
     except CapExceededError as exc:
-        session.emit({"error": str(exc)}, f"error: {exc}")
-        return EXIT_CHECK_FAILED
-    session.emit({"map": str(rho)})
-    return EXIT_OK
+        return False, {"error": str(exc)}, f"error: {exc}"
+    return True, {"map": str(rho)}, None
 
 
-def _cmd_bound(session: Session) -> int:
-    g = parse_expression(_argvalue(session.args.g), ("x",))
-    bound = hyperbolic_order_bound(g, session.args.n)
-    session.emit({"bound": bound})
-    return EXIT_OK
+def _cmd_bound(args: argparse.Namespace) -> tuple:
+    return True, {"bound": hyperbolic_order_bound(parse_expression(args.g, ("x",)), args.n)}, None
 
 
-def _cmd_classify(session: Session) -> int:
-    phi = parse_expression(_argvalue(session.args.phi), ("z",))
-    shape = classify_phi(phi)
+def _cmd_classify(args: argparse.Namespace) -> tuple:
+    shape = classify_phi(parse_expression(args.phi, ("z",)))
     payload: dict = {"degree": shape.degree}
     text = [f"degree: {shape.degree}"]
     if shape.power is not None:
@@ -201,32 +152,25 @@ def _cmd_classify(session: Session) -> int:
     i, m, phi0 = shape.periodic
     payload["periodic"] = {"i": i, "m": m, "phi0": str(phi0)}
     text.append(f"periodic form: i = {i}, m = {m}, phi0 = {phi0}")
-    session.emit(payload, "\n".join(text))
-    return EXIT_OK
+    return True, payload, "\n".join(text)
 
 
-def _cmd_verify(session: Session) -> int:
-    args = session.args
-    S = _need_surface(session)
+def _cmd_verify(args: argparse.Namespace) -> tuple:
+    S = _need_surface(args.S)
     if args.suite and (actual := surface_class(S)) != args.suite:
         raise ValueError(f"surface has class {actual!r}, not requested {args.suite!r}")
-    if args.hdeg > MAX_EXPONENT:  # --h cannot give a higher degree either
-        raise ValueError(f"--hdeg above MAX_EXPONENT = {MAX_EXPONENT}")
-    g = parse_expression(_argvalue(args.g), ("x",)) if args.g else MultiPoly.one()
-    plan = SamplingPlan(h_degrees=tuple(range(args.hdeg + 1)), seed=args.seed)
-    report = verify_isotropy_theorem(S, g, plan)
-    session.emit(report.to_dict(), report.render_text())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    if not 0 <= args.hdeg <= MAX_EXPONENT:  # below 0 no h is sampled; --h cannot give a higher degree either
+        raise ValueError("--hdeg below 0" if args.hdeg < 0 else f"--hdeg above MAX_EXPONENT = {MAX_EXPONENT}")
+    g = parse_expression(args.g, ("x",)) if args.g else MultiPoly.one()
+    report = verify_isotropy_theorem(S, g, SamplingPlan(h_degrees=tuple(range(args.hdeg + 1)), seed=args.seed))
+    return report.passed, report.to_dict(), report.render_text()
 
 
-def _cmd_plane_example(session: Session) -> int:
-    args = session.args
+def _cmd_plane_example(args: argparse.Namespace) -> tuple:
     if args.s > MAX_EXPONENT:  # the degree of Y^s in d, bounded as a typed Y^s is
         raise ValueError(f"--s above MAX_EXPONENT = {MAX_EXPONENT}")
-    report = plane_example_suite(args.s, parse_scalar(_argvalue(args.p)),
-                                 SamplingPlan(seed=args.seed))
-    session.emit(report.to_dict(), report.render_text())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    report = plane_example_suite(args.s, parse_scalar(args.p), SamplingPlan(seed=args.seed))
+    return report.passed, report.to_dict(), report.render_text()
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -266,16 +210,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.set_defaults(handler=_cmd_eq)
 
-    # the table of dwf/mwf is the subject of the check, not a session object
+    # dwf/mwf check a table, not a built object; the check is looked up per call, so a later wrapper sees it
     p = sub.add_parser("dwf", help="is the image table a well-defined derivation")
     common(p, surface=True)
     p.add_argument("--derivation", dest="table", metavar="DERIVATION", required=True)
-    p.set_defaults(handler=_cmd_well_defined)
+    p.set_defaults(handler=_cmd_well_defined, check=lambda images, S: check_derivation_well_defined(images, S))
 
     p = sub.add_parser("mwf", help="is the image table a well-defined ring map")
     common(p, surface=True)
     p.add_argument("--map", dest="table", metavar="MAP", required=True)
-    p.set_defaults(handler=_cmd_well_defined)
+    p.set_defaults(handler=_cmd_well_defined, check=lambda images, S: check_map_well_defined(images, S))
 
     p = sub.add_parser("apply", help="apply a derivation or map to an expression")
     common(p, surface=True, derivation=True, map_=True)
@@ -342,10 +286,20 @@ def run(argv: Optional[list[str]] = None) -> int:
     if extras:  # refused with the top-level parser's message, as its parse_args refuses them
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.handler(_build_session(args))
+        for name, value in vars(args).items():  # the one @file read, before anything is built
+            if isinstance(value, str) and value.startswith("@"):
+                with open(value[1:], "r", encoding="utf-8") as stream:
+                    content = stream.read(MAX_FILE + 1)
+                if len(content) > MAX_FILE:
+                    raise ValueError(f"@file longer than MAX_FILE = {MAX_FILE} characters")
+                setattr(args, name, content.strip())
+        _build(args)
+        holds, payload, text = args.handler(args)
+        print(json.dumps(payload) if args.format == "json" else str(*payload.values()) if text is None else text)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
 def main() -> None:

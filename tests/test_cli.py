@@ -181,6 +181,14 @@ class TestSuiteCommands:
         code, out, _ = _run(capsys, *argv, "--hdeg", "6")
         assert code == EXIT_OK and out.endswith("PASS")
 
+    def test_hdeg_floor(self, capsys):
+        """--hdeg -1 would sample no h at all, so a PASS would check nothing."""
+        argv = ("verify", "--suite", "xy", "--f", "x", "--phi", "z^8+1")
+        code, out, err = _run(capsys, *argv, "--hdeg", "-1")
+        assert code == EXIT_ERROR and not out and err == "error: --hdeg below 0"
+        code, out, _ = _run(capsys, *argv, "--hdeg", "0")
+        assert code == EXIT_OK and out.endswith("PASS")
+
     def test_s_bound(self, capsys):
         """Y^65 typed in a derivation is refused by the parser, so is plane-example's --s 65."""
         code, out, err = _run(capsys, "plane-example", "--s", str(MAX_EXPONENT + 1), "--p", "1")
@@ -226,6 +234,48 @@ class TestErrorsAndFiles:
         code, _, err = _run(capsys, "nf", "--surface", "@/no/such/file",
                             "--expr", "x")
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("argv,option", [
+        (["nf", "--surface", SURFACE, "--expr", "x^2*y"], "--expr"),
+        (["apply", "--surface", SURFACE, "--derivation", CANONICAL_D, "--expr", "y*z"], "--expr"),
+        (["eq", "--surface", SURFACE, "--left", "x*y", "--right", "z^2"], "--left"),
+        (["eq", "--surface", SURFACE, "--left", "x*y", "--right", "z^2"], "--right"),
+        (["exp", "--surface", SURFACE, "--derivation", CANONICAL_D, "--scale", "x"], "--scale"),
+        (["commute", "--surface", SURFACE, "--h", "x^2 - 1", "--derivation", CANONICAL_D], "--h"),
+        (["bound", "--g", "x^2+1", "--n", "2"], "--g"),
+        (["classify", "--phi", "z^8 + z^2"], "--phi"),
+        (["verify", "--suite", "xy", "--f", "x", "--phi", "z^2+1", "--g", "x", "--hdeg", "1"], "--f"),
+        (["verify", "--suite", "xy", "--f", "x", "--phi", "z^2+1", "--g", "x", "--hdeg", "1"], "--phi"),
+        (["verify", "--suite", "xy", "--f", "x", "--phi", "z^2+1", "--g", "x", "--hdeg", "1"], "--g"),
+        (["plane-example", "--s", "3", "--p", "2"], "--p")],
+        ids=["nf-expr", "apply-expr", "eq-left", "eq-right", "exp-scale", "commute-h", "bound-g",
+             "classify-phi", "verify-f", "verify-phi", "verify-g", "plane-example-p"])
+    def test_every_string_option_takes_at_file(self, capsys, tmp_path, argv, option):
+        at = argv.index(option) + 1
+        value = tmp_path / "value.txt"
+        value.write_text(f" {argv[at]}\n", encoding="utf-8")
+        inline = _run(capsys, *argv)
+        from_file = _run(capsys, *argv[:at], f"@{value}", *argv[at + 1:])
+        assert from_file[:2] == inline[:2] and inline[0] == EXIT_OK and inline[1]
+
+    def test_ignored_option_file_is_read(self, capsys):
+        """--surface wins over --phi, yet every @file is read before anything is built."""
+        code, out, err = _run(capsys, "nf", "--surface", SURFACE, "--phi", "@/no/such/file", "--expr", "x*y")
+        assert code == EXIT_ERROR and not out and "/no/such/file" in err
+
+    def test_missing_file_reported_before_earlier_parse_error(self, capsys):
+        code, out, err = _run(capsys, "nf", "--surface", "f=x; phi=z^2 +", "--expr", "@/no/such/file")
+        assert code == EXIT_ERROR and not out and "/no/such/file" in err
+
+    def test_at_file_bound(self, capsys, tmp_path):
+        """An @file holds at most MAX_FILE characters, counted before the surrounding blanks are stripped."""
+        value = tmp_path / "expr.txt"
+        value.write_text("x*y" + " " * (cli.MAX_FILE - 2), encoding="utf-8")
+        code, out, err = _run(capsys, "nf", "--surface", SURFACE, "--expr", f"@{value}")
+        assert code == EXIT_ERROR and not out
+        assert err == f"error: @file longer than MAX_FILE = {cli.MAX_FILE} characters"
+        value.write_text("x*y" + " " * (cli.MAX_FILE - 3), encoding="utf-8")
+        assert _run(capsys, "nf", "--surface", SURFACE, "--expr", f"@{value}") == (EXIT_OK, "z^2", "")
 
     def test_cross_surface_rejected_early(self, capsys):
         # free-surface generators in a relation derivation table
