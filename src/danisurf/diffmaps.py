@@ -39,7 +39,7 @@ def _image_table(images: Mapping[str, object], S: SurfaceSpec, deferred: Mapping
     for name in [v for v in S.variables if v not in deferred]:
         if name not in images:
             raise ValueError(f"missing image for generator {name!r}")
-        table[name] = SurfaceElement._coerce(images[name], S)
+        table[name] = S.element(images[name])
     extra = set(images) - set(S.variables)
     if extra:
         raise ValueError(f"images given for unknown generators {sorted(extra)}")
@@ -65,7 +65,7 @@ class _Images(Mapping):
 
     def __getitem__(self, v: str) -> SurfaceElement:
         return self._table[v] if v in self._table else self._table.setdefault(
-            v, SurfaceElement._coerce(self._deferred[v](), self._surface))
+            v, self._surface.element(self._deferred[v]()))
 
     def __iter__(self):
         return iter(self._surface.variables)
@@ -113,7 +113,7 @@ class _ImageTable:
         return S.is_free or S.reduce(cls._rule(table, S.monic)).is_zero()
 
     def _applied(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
-        return self.surface.element(self._rule(self.images, SurfaceElement._coerce(p, self.surface).rep))
+        return self.surface.element(self._rule(self.images, self.surface.element(p).rep))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -154,7 +154,7 @@ class Derivation(_ImageTable):
 
     def scaled_by(self, w: SurfaceElement | PolyLike) -> "Derivation":
         """The derivation w*D for a kernel element w; (w*D)(relation) = w*0."""
-        w = SurfaceElement._coerce(w, self.surface)
+        w = self.surface.element(w)
         if not self.apply(w).is_zero():
             raise ValueError("scaling factor is not in the kernel of the derivation")
         return _trusted(Derivation, self.surface, {v: w * el for v, el in self.images.items()})

@@ -246,16 +246,13 @@ class CycScalar:
 
     __slots__ = ("conductor", "nums", "den")
 
-    def __init__(self, value: ScalarLike = 0):
+    def __new__(cls, value: ScalarLike = 0) -> "CycScalar":
+        """value itself if a scalar, an int or Fraction at conductor 1, else TypeError: the one coercion."""
         if isinstance(value, CycScalar):
-            conductor, nums, den = value.conductor, value.nums, value.den
-        elif isinstance(value, (int, Fraction)):
-            conductor, nums, den = 1, (value.numerator,), value.denominator
-        else:
+            return value
+        if not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot build a scalar from {value!r}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        return _canonical(1, (value.numerator,), value.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -296,15 +293,10 @@ class CycScalar:
 
     # -- arithmetic -------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value: ScalarLike) -> "CycScalar":
-        """value as a scalar, TypeError for a foreign type; operators return NotImplemented for one."""
-        return value if isinstance(value, CycScalar) else CycScalar(value)
-
     def __add__(self, other: ScalarLike) -> "CycScalar":
         if not isinstance(other, _SCALARS):
             return NotImplemented
-        other = CycScalar._coerce(other)
+        other = CycScalar(other)
         L = _check_conductor(lcm(self.conductor, other.conductor))
         D = lcm(self.den, other.den)
         ma, mb = D // self.den, D // other.den
@@ -326,7 +318,7 @@ class CycScalar:
     def __mul__(self, other: ScalarLike) -> "CycScalar":
         if not isinstance(other, _SCALARS):
             return NotImplemented
-        other = CycScalar._coerce(other)
+        other = CycScalar(other)
         if self.conductor == 1 or other.conductor == 1:
             q, v = (self, other) if self.conductor == 1 else (other, self)
             return _canonical(v.conductor, [n * c for c in v.nums], q.den * v.den) if (n := q.nums[0]) else q
@@ -348,7 +340,7 @@ class CycScalar:
         return _canonical(self.conductor, [self.den * v for v in u], c)
 
     def __truediv__(self, other: ScalarLike) -> "CycScalar":
-        return self * CycScalar._coerce(other).inverse() if isinstance(other, _SCALARS) else NotImplemented
+        return self * CycScalar(other).inverse() if isinstance(other, _SCALARS) else NotImplemented
 
     def __rtruediv__(self, other: ScalarLike) -> "CycScalar":
         return self.inverse() * other if isinstance(other, _SCALARS) else NotImplemented
@@ -365,7 +357,7 @@ class CycScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _SCALARS):
             return NotImplemented
-        other = CycScalar._coerce(other)
+        other = CycScalar(other)
         return (self.conductor == other.conductor and self.den == other.den
                 and self.nums == other.nums)
 
@@ -442,7 +434,7 @@ def root_of_unity_order(a: ScalarLike) -> Optional[int]:
     So at the conductor N of a, which is least, the only possible orders are
     N when N is odd and lcm(2, N); no other power needs testing.
     """
-    a = CycScalar._coerce(a)
+    a = CycScalar(a)
     N = a.conductor
     if N % 2 and (a ** N).is_one():
         return N

@@ -89,8 +89,14 @@ class SurfaceSpec:
         _check_conductor(lcm(p.conductor, self.monic.conductor))  # whether or not p needs a rewrite
         return _reduce_relation(p, self)
 
-    def element(self, p: PolyLike) -> "SurfaceElement":
-        return SurfaceElement(self, MultiPoly._coerce(p))
+    def element(self, p: "SurfaceElement | PolyLike") -> "SurfaceElement":
+        """p itself if an element of this surface, else p's normal form: the one coercion of elements, raising
+        ValueError for another surface's element and TypeError for a value of any other type."""
+        if not isinstance(p, SurfaceElement):
+            return SurfaceElement(self, MultiPoly._coerce(p))
+        if p.surface != self:
+            raise ValueError("elements live on different surfaces")
+        return p
 
     def gen(self, name: str) -> "SurfaceElement":
         if name not in self.variables:
@@ -182,16 +188,6 @@ class SurfaceElement:
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceElement is immutable")
 
-    @staticmethod
-    def _coerce(value, surface: SurfaceSpec) -> "SurfaceElement":
-        """value as an element of surface: ValueError for another surface's element, TypeError for a
-        foreign type; operators return NotImplemented for one."""
-        if not isinstance(value, SurfaceElement):
-            return surface.element(value)
-        if value.surface != surface:
-            raise ValueError("elements live on different surfaces")
-        return value
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
@@ -199,7 +195,7 @@ class SurfaceElement:
         """build(surface, op on the representatives of self and other, an element of the same surface)."""
         if not isinstance(other, (SurfaceElement, _POLYS)):
             return NotImplemented
-        return build(self.surface, op(self.rep, SurfaceElement._coerce(other, self.surface).rep))
+        return build(self.surface, op(self.rep, self.surface.element(other).rep))
 
     def __add__(self, other) -> "SurfaceElement":
         return self._combined(other, operator.add, SurfaceElement._trusted)
@@ -248,4 +244,4 @@ def normal_form(p: PolyLike, S: SurfaceSpec) -> SurfaceElement:
 
 
 def elements_equal(p: SurfaceElement, q: SurfaceElement) -> bool:
-    return p.rep == SurfaceElement._coerce(q, p.surface).rep
+    return p.rep == p.surface.element(q).rep

@@ -1,13 +1,14 @@
 """One coercion rule per layer: a public entry point given a value of a foreign type raises
 TypeError, and the arithmetic operators return NotImplemented for one, so Python tries the other
 operand's reflected method and, failing that, raises its own "unsupported operand" TypeError.
-An element of another surface raises ValueError, with one message wherever it is given."""
+An element of another surface raises ValueError, with one message wherever it is given, and a value
+of an entry's own type (a scalar to `CycScalar`, an element of S to `S.element`) comes back as it is."""
 
 import pytest
 
 from danisurf.diffmaps import (Derivation, RingMap, apply_derivation, apply_map, check_derivation_well_defined,
                                check_map_well_defined, kernel_contains, scale_by_kernel)
-from danisurf.exactnum import root_of_unity_order, zeta
+from danisurf.exactnum import CycScalar, root_of_unity_order, zeta
 from danisurf.isotropy import (canonical_lnd, classify_phi, hyperbolic_order_bound, monomial_split, triangular,
                                verify_isotropy_theorem)
 from danisurf.multipoly import _SHIFT, MultiPoly
@@ -46,7 +47,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", ["x^2", 1.5])
+@pytest.mark.parametrize("value", ["x^2", "x", 1.5])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_foreign_values_raise_type_error(entry, value):
     with pytest.raises(TypeError, match=repr(value).replace("^", r"\^")):
@@ -66,6 +67,9 @@ OTHER_SURFACE_ENTRY_POINTS = {
     "free map table check": lambda: check_map_well_defined({"X": OTHER_FREE, "Y": 0}, F),
     "scaled_by": lambda: D.scaled_by(OTHER),
     "kernel_contains": lambda: kernel_contains(D, OTHER),
+    "element": lambda: S.element(OTHER),
+    "normal_form": lambda: normal_form(OTHER, S),
+    "free element": lambda: F.element(OTHER_FREE),
     "+": lambda: S.gen("x") + OTHER,
     "-": lambda: S.gen("x") - OTHER,
     "*": lambda: S.gen("x") * OTHER,
@@ -78,6 +82,15 @@ def test_another_surfaces_element_raises_value_error(entry):
     another surface with one message, also on a free ring, whose tables are otherwise unchecked."""
     with pytest.raises(ValueError, match="^elements live on different surfaces$"):
         OTHER_SURFACE_ENTRY_POINTS[entry]()
+
+
+@pytest.mark.parametrize("build, value", [
+    (CycScalar, zeta(12)), (CycScalar, CycScalar(3)), (MultiPoly._coerce, x),
+    (S.element, S.gen("x")), (S.element, SurfaceSpec.danielewski(x, z ** 2).gen("y")), (F.element, F.gen("X")),
+], ids=["cyclotomic", "rational", "polynomial", "element", "element of an equal surface", "free element"])
+def test_a_value_of_the_entrys_own_type_is_returned_unchanged(build, value):
+    """Each value type has one entry, its constructor, which returns a value of that type as it is."""
+    assert build(value) is value
 
 
 @pytest.mark.parametrize("build, value", [
