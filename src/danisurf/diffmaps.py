@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Mapping, NamedTuple, Optional
 
+from .exactnum import _Frozen
 from .multipoly import MultiPoly, PolyLike
 from .surface import SurfaceElement, SurfaceSpec
 
@@ -73,15 +74,15 @@ class _Images(Mapping):
     def __len__(self) -> int:
         return len(self._surface.variables)
 
+    def __reduce__(self):  # a deferred build is a closure, so a copy or pickle holds every image built
+        return dict, (dict(self),)
+
 
 def _trusted(cls: type, surface: SurfaceSpec, images: Mapping[str, object],
              deferred: Mapping[str, Callable[[], object]] = {}):
     """A RingMap or Derivation whose caller proved its images well defined: coerced, reduced, not re-proved;
     a deferred image is one whose build the caller shows cannot raise, so reading it raises nothing new."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "surface", surface)
-    object.__setattr__(obj, "images", _image_table(images, surface, deferred))
-    return obj
+    return object.__new__(cls)._fill((surface, _image_table(images, surface, deferred)))
 
 
 def check_derivation_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool:
@@ -94,7 +95,7 @@ def check_map_well_defined(images: Mapping[str, object], S: SurfaceSpec) -> bool
     return RingMap._holds(_image_table(images, S), S)  # the table is checked on a free surface too
 
 
-class _ImageTable:
+class _ImageTable(_Frozen):
     """An immutable table generator -> image on a surface, built, proved and applied by the ``_rule`` (Leibniz or
     substitution) of its kind, which gives only that rule, its tag and its refusal message.  Each kind binds
     ``__init__`` and ``apply`` in its own namespace, so either kind's can be wrapped alone (``bench/tracer.py``)."""
@@ -105,8 +106,7 @@ class _ImageTable:
     def _proved(self, surface: SurfaceSpec, images: Mapping[str, object]):
         if not self._holds(table := _image_table(images, surface), surface):
             raise ValueError(self._refusal)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "images", table)
+        self._fill((surface, table))
 
     @classmethod
     def _holds(cls, table: Mapping[str, SurfaceElement], S: SurfaceSpec) -> bool:
@@ -114,9 +114,6 @@ class _ImageTable:
 
     def _applied(self, p: SurfaceElement | PolyLike) -> SurfaceElement:
         return self.surface.element(self._rule(self.images, self.surface.element(p).rep))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __call__(self, p) -> SurfaceElement:
         return self.apply(p)
@@ -132,9 +129,6 @@ class _ImageTable:
     def __str__(self) -> str:
         body = "; ".join(f"{v} -> {self.images[v]}" for v in self.surface.variables)
         return f"{self._tag}: {body}"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
 
 
 class Derivation(_ImageTable):
@@ -292,7 +286,6 @@ def exp_derivation(D: Derivation, cap: Optional[int] = None) -> RingMap:
         powers = list(islice(_powers(D, v), cap + 1))  # summed only once some D^k(v) is 0
         if len(powers) > cap:
             raise CapExceededError(f"inconclusive: D^k({v}) is nonzero for every k <= {cap}")
-        # v and every D^k(v) are normal forms, and so is any linear combination of them
         terms = [(p.rep * Fraction(1, math.factorial(k)), 1) for k, p in enumerate(powers, 1)]
-        images[v] = SurfaceElement._trusted(D.surface, MultiPoly.variable(v)._merged(terms))
+        images[v] = MultiPoly.variable(v)._merged(terms)
     return _trusted(RingMap, D.surface, images)

@@ -40,7 +40,7 @@ from math import comb, gcd, lcm, prod
 from operator import add, or_
 from typing import Iterable, Iterator, Mapping, Union
 
-from .exactnum import (_SCALARS, CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _lifted,
+from .exactnum import (_SCALARS, CycScalar, ScalarLike, _canonical, _check_conductor, _descended, _Frozen, _lifted,
                        _minimized, _mod_phi, _pack, _ratio, _unpack, _vec_power, _vec_product, euler_phi)
 
 PolyLike = Union["MultiPoly", CycScalar, Fraction, int]
@@ -62,7 +62,7 @@ class _Shifts(dict):
 _SHIFT = _Shifts(x=0, y=_W, z=2 * _W)
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     __slots__ = ("variables", "conductor", "den", "nums")
 
     def __new__(cls, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], ScalarLike] | None = None):
@@ -80,8 +80,8 @@ class MultiPoly:
                 _times(c.nums[0] if L == 1 else _lifted(c.nums, c.conductor, L), D // c.den) for e, c in pairs}
         return _settled(tuple(sorted(vars_in)), L, D, nums, descend=False)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    def __reduce__(self):  # by exponent tuples, as the slots of a key belong to one process
+        return MultiPoly, (self.variables, self.terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -302,9 +302,6 @@ class MultiPoly:
                 body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
             out.append(f" {sign} {body}" if out else body if sign == "+" else f"-{body}")
         return "".join(out) or "0"
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self})"
 
 
 _POLYS = (MultiPoly, *_SCALARS)  # what a polynomial is built from

@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from math import comb, gcd, lcm
+from typing import Collection, Iterator, Optional, Sequence
 
 from .exactnum import CycScalar, _check_conductor, _descended, _prime_factors
 from .multipoly import _SHIFT, MultiPoly, _added, _settled
@@ -32,6 +32,7 @@ from .surface import SurfaceSpec
 MAX_EXPONENT = 64  # bound on a ^ exponent and on the total degree of a power or product
 MAX_DIGITS = 1000  # bound on the length of an integer literal and of a numerator or denominator
 MAX_DEPTH = 100  # bound on the nesting of parentheses, well within the interpreter's recursion limit
+MAX_TERMS = 1 << 16  # a product or power is refused when t_a*t_b (or C(t+k-1, k)) and C(n+D, n) both pass it
 _TOO_LONG = 10 ** MAX_DIGITS
 
 
@@ -135,8 +136,9 @@ class _Parser:
         while self.at_symbol("*"):
             star = self.next()
             rhs = self.factor()
-            if acc.total_degree() + rhs.total_degree() > MAX_EXPONENT:
+            if (degree := acc.total_degree() + rhs.total_degree()) > MAX_EXPONENT:
                 raise ParseError(f"degree above MAX_EXPONENT = {MAX_EXPONENT}", star[2])
+            _check_terms(len(acc.nums) * len(rhs.nums), {*acc.variables, *rhs.variables}, degree, star[2])
             acc = _bounded(acc * rhs, star[2])
         return acc
 
@@ -193,6 +195,7 @@ class _Parser:
             if not base:
                 raise ParseError("zero to a negative power", caret[2])
             return _bounded(MultiPoly.constant(base.as_scalar() ** (-k)), caret[2])
+        _check_terms(comb(len(base.nums) + k - 1, k) if base else 0, base.variables, k * base.total_degree(), caret[2])
         return _bounded(base ** k, caret[2])
 
     def base(self) -> MultiPoly:
@@ -233,6 +236,12 @@ class _Parser:
             self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def _check_terms(terms: int, names: Collection[str], degree: int, pos: int) -> None:
+    """ParseError at pos if ``terms`` and the C(n + degree, n) monomials in n ``names`` both pass MAX_TERMS."""
+    if terms > MAX_TERMS and comb(len(names) + degree, len(names)) > MAX_TERMS:
+        raise ParseError(f"more than MAX_TERMS = {MAX_TERMS} terms possible", pos)
 
 
 def _bounded(p: MultiPoly, pos: int) -> MultiPoly:

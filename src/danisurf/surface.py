@@ -25,14 +25,14 @@ from bisect import insort
 from math import lcm
 from typing import Iterable
 
-from .exactnum import _check_conductor
+from .exactnum import _check_conductor, _Frozen
 from .multipoly import (_MASK, _POLYS, _W, MultiPoly, PolyLike, _added, _at, _guard, _names, _product,
                         _settled, _times)
 
 _XY, _G = _MASK | _MASK << _W, _guard(("x", "y"))  # x's and y's slots, and their guard bits
 
 
-class SurfaceSpec:
+class SurfaceSpec(_Frozen):
     __slots__ = ("kind", "f", "phi", "variables", "m", "lc", "d", "relation", "monic", "rows")
 
     def __init__(self, kind: str, f: MultiPoly | None, phi: MultiPoly | None,
@@ -56,12 +56,7 @@ class SurfaceSpec:
             if not variables:
                 raise ValueError("free surface needs at least one variable")
             m = lc = d = relation = monic = rows = None
-        values = (kind, f, phi, variables, m, lc, d, relation, monic, rows)
-        for name, value in zip(SurfaceSpec.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfaceSpec is immutable")
+        self._fill((kind, f, phi, variables, m, lc, d, relation, monic, rows))
 
     @staticmethod
     def danielewski(f: PolyLike, phi: PolyLike) -> "SurfaceSpec":
@@ -121,9 +116,6 @@ class SurfaceSpec:
             return "free: " + ",".join(self.variables)
         return f"f={self.f}; phi={self.phi}"
 
-    def __repr__(self) -> str:
-        return f"SurfaceSpec({self})"
-
 
 def _rows(terms: Iterable, m: int) -> list:
     """-rest, x^m*y's image times den, as rows (the key offset of their (x, y)-part from x^m*y, their terms)."""
@@ -167,7 +159,7 @@ def _reduce_relation(p: MultiPoly, S: SurfaceSpec) -> MultiPoly:
     return _settled(names, L, p.den * den ** T, nums)
 
 
-class SurfaceElement:
+class SurfaceElement(_Frozen):
     """A ring element kept in normal form on its surface."""
 
     __slots__ = ("surface", "rep")
@@ -176,43 +168,31 @@ class SurfaceElement:
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "rep", surface.reduce(p))
 
-    @staticmethod
-    def _trusted(surface: SurfaceSpec, rep: MultiPoly) -> "SurfaceElement":
-        """The element whose representative rep is already a normal form: a sum, difference or negation
-        of normal forms is one, as normal forms are the span of the monomials not divisible by x^m*y."""
-        el = object.__new__(SurfaceElement)
-        object.__setattr__(el, "surface", surface)
-        object.__setattr__(el, "rep", rep)
-        return el
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfaceElement is immutable")
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def _combined(self, other, op, build) -> "SurfaceElement":
-        """build(surface, op on the representatives of self and other, an element of the same surface)."""
+    def _combined(self, other, op) -> "SurfaceElement":
+        """The element of op on the representatives of self and other, an element of the same surface."""
         if not isinstance(other, (SurfaceElement, _POLYS)):
             return NotImplemented
-        return build(self.surface, op(self.rep, self.surface.element(other).rep))
+        return SurfaceElement(self.surface, op(self.rep, self.surface.element(other).rep))
 
     def __add__(self, other) -> "SurfaceElement":
-        return self._combined(other, operator.add, SurfaceElement._trusted)
+        return self._combined(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurfaceElement":
-        return SurfaceElement._trusted(self.surface, -self.rep)
+        return SurfaceElement(self.surface, -self.rep)
 
     def __sub__(self, other) -> "SurfaceElement":
-        return self._combined(other, operator.sub, SurfaceElement._trusted)
+        return self._combined(other, operator.sub)
 
     def __rsub__(self, other) -> "SurfaceElement":
         return -self + other if isinstance(other, _POLYS) else NotImplemented
 
     def __mul__(self, other) -> "SurfaceElement":
-        return self._combined(other, operator.mul, SurfaceElement)
+        return self._combined(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -234,9 +214,6 @@ class SurfaceElement:
 
     def __str__(self) -> str:
         return str(self.rep)
-
-    def __repr__(self) -> str:
-        return f"SurfaceElement({self.rep})"
 
 
 def normal_form(p: PolyLike, S: SurfaceSpec) -> SurfaceElement:

@@ -12,7 +12,7 @@ import pytest
 from danisurf import cli
 from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 from danisurf.diffmaps import MAX_CAP
-from danisurf.parsing import MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT
+from danisurf.parsing import MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT, MAX_TERMS
 
 import dispatch_parity
 
@@ -317,6 +317,11 @@ class TestErrorsAndFiles:
         code, out, err = _run(capsys, *argv)
         assert code == EXIT_ERROR and not out
         assert "MAX_DEPTH" in err and f"(at position {position})" in err
+
+    def test_expansion_above_max_terms_rejected(self, capsys):
+        code, out, err = _run(capsys, "nf", "--surface", "free: A,B,C,D,E", "--expr", "(A+B+C+D+E+1)^64")
+        assert code == EXIT_ERROR and not out
+        assert f"MAX_TERMS = {MAX_TERMS}" in err and "(at position 13)" in err
 
     def test_exponent_at_bound_accepted(self, capsys):
         code, out, _ = _run(capsys, "nf", "--surface", SURFACE,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from danisurf.exactnum import CycScalar, zeta
 from danisurf.multipoly import MultiPoly
-from danisurf.parsing import (MAX_DEPTH, ParseError, parse_expression, parse_images,
+from danisurf.parsing import (MAX_DEPTH, MAX_TERMS, ParseError, parse_expression, parse_images,
                               parse_scalar, parse_surface)
 from danisurf.surface import SurfaceSpec
 
@@ -77,6 +77,19 @@ class TestExpressionGrammar:
         with pytest.raises(ParseError, match=f"MAX_DEPTH = {MAX_DEPTH}") as err:
             parse_expression(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize("text,position", [
+        ("(A+B+C+D+1)^40", 11), ("(A+B+C+D+E+1)^64", 13), ("(A+B+C+D+1)^20*(A+B+C+D+1)^20", 14)])
+    def test_expansion_past_max_terms(self, text, position):
+        """Refused at its operator before it is expanded: C(44, 4) = 135,751 terms may come of each."""
+        with pytest.raises(ParseError, match=f"MAX_TERMS = {MAX_TERMS}") as err:
+            parse_expression(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text,terms", [("(x+y+z+1)^64", 47905), ("(x+y+1)^30*(x+y+1)^30", 1891)])
+    def test_expansion_within_max_terms(self, text, terms):
+        """The term count is bounded by the monomials of its degree too, so 496^2 term pairs are accepted."""
+        assert len(parse_expression(text).nums) == terms
 
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown variable"):
