@@ -2,8 +2,8 @@
 
 One surface and one command per invocation.  Exit codes: 0 when the command succeeds and any checked
 property holds, 1 when a verification check fails (the report is still emitted), 2 on parse or validation
-errors.  ``run`` parses a subcommand's arguments with its own parser, extras getting the top-level error,
-reads each ``@path`` value from its file, at most ``MAX_FILE`` characters, and builds the surface, the
+errors.  ``run`` parses a subcommand's arguments with its own parser, built alone, extras getting the top-level
+error, reads each ``@path`` value from its file, at most ``MAX_FILE`` characters, and builds the surface, the
 ``--derivation`` table and the ``--map`` or ``--h`` map in one step: each distinct surface and table once
 per process, reused safely, as each is immutable and a function of its text and surface, and a raising
 input is never kept.  A handler returns (verdict, report, text, None meaning the report's one value);
@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .diffmaps import (CapExceededError, Derivation, RingMap,
                        check_derivation_well_defined, check_map_well_defined,
@@ -140,19 +140,12 @@ def _cmd_bound(args: argparse.Namespace) -> tuple:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
     shape = classify_phi(parse_expression(args.phi, ("z",)))
-    payload: dict = {"degree": shape.degree}
-    text = [f"degree: {shape.degree}"]
-    if shape.power is not None:
-        c, a = shape.power
-        payload["power"] = {"c": str(c), "a": str(a)}
-        text.append(f"power form: c = {c}, a = {a}")
-    else:
-        payload["power"] = None
-        text.append("power form: none")
-    i, m, phi0 = shape.periodic
-    payload["periodic"] = {"i": i, "m": m, "phi0": str(phi0)}
-    text.append(f"periodic form: i = {i}, m = {m}, phi0 = {phi0}")
-    return True, payload, "\n".join(text)
+    (c, a), (i, m, phi0) = shape.power or (None, None), shape.periodic
+    payload = {"degree": shape.degree, "power": shape.power and {"c": str(c), "a": str(a)},
+               "periodic": {"i": i, "m": m, "phi0": str(phi0)}}
+    power = f"c = {c}, a = {a}" if shape.power else "none"
+    return True, payload, (f"degree: {shape.degree}\npower form: {power}\n"
+                           f"periodic form: i = {i}, m = {m}, phi0 = {phi0}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple:
@@ -173,14 +166,8 @@ def _cmd_plane_example(args: argparse.Namespace) -> tuple:
     return report.passed, report.to_dict(), report.render_text()
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="danisurf",
-        description="exact computations on Danielewski surfaces and their "
-                    "locally nilpotent derivations")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # name -> subparser, for run()'s direct dispatch
-
+def _define(add: Callable[[str, str], Optional[argparse.ArgumentParser]]) -> None:
+    """Each subcommand's one definition, in help order: ``add(name, help)`` gives the parser to fill, or None."""
     def common(p: argparse.ArgumentParser, *, surface=False, derivation=False,
                map_=False, cap=False, seed=False) -> None:
         if surface:
@@ -199,78 +186,93 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("nf", help="normal form of an expression")
-    common(p, surface=True)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(handler=_cmd_nf)
+    if p := add("nf", "normal form of an expression"):
+        common(p, surface=True)
+        p.add_argument("--expr", required=True)
+        p.set_defaults(handler=_cmd_nf)
 
-    p = sub.add_parser("eq", help="equality of two elements")
-    common(p, surface=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(handler=_cmd_eq)
+    if p := add("eq", "equality of two elements"):
+        common(p, surface=True)
+        p.add_argument("--left", required=True)
+        p.add_argument("--right", required=True)
+        p.set_defaults(handler=_cmd_eq)
 
     # dwf/mwf check a table, not a built object; the check is looked up per call, so a later wrapper sees it
-    p = sub.add_parser("dwf", help="is the image table a well-defined derivation")
-    common(p, surface=True)
-    p.add_argument("--derivation", dest="table", metavar="DERIVATION", required=True)
-    p.set_defaults(handler=_cmd_well_defined, check=lambda images, S: check_derivation_well_defined(images, S))
+    if p := add("dwf", "is the image table a well-defined derivation"):
+        common(p, surface=True)
+        p.add_argument("--derivation", dest="table", metavar="DERIVATION", required=True)
+        p.set_defaults(handler=_cmd_well_defined, check=lambda images, S: check_derivation_well_defined(images, S))
 
-    p = sub.add_parser("mwf", help="is the image table a well-defined ring map")
-    common(p, surface=True)
-    p.add_argument("--map", dest="table", metavar="MAP", required=True)
-    p.set_defaults(handler=_cmd_well_defined, check=lambda images, S: check_map_well_defined(images, S))
+    if p := add("mwf", "is the image table a well-defined ring map"):
+        common(p, surface=True)
+        p.add_argument("--map", dest="table", metavar="MAP", required=True)
+        p.set_defaults(handler=_cmd_well_defined, check=lambda images, S: check_map_well_defined(images, S))
 
-    p = sub.add_parser("apply", help="apply a derivation or map to an expression")
-    common(p, surface=True, derivation=True, map_=True)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(handler=_cmd_apply)
+    if p := add("apply", "apply a derivation or map to an expression"):
+        common(p, surface=True, derivation=True, map_=True)
+        p.add_argument("--expr", required=True)
+        p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("commute", help="does the map commute with the derivation")
-    common(p, surface=True, derivation=True, map_=True)
-    p.set_defaults(handler=_cmd_commute)
+    if p := add("commute", "does the map commute with the derivation"):
+        common(p, surface=True, derivation=True, map_=True)
+        p.set_defaults(handler=_cmd_commute)
 
-    p = sub.add_parser("lnd", help="local nilpotency report")
-    common(p, surface=True, derivation=True, cap=True)
-    p.set_defaults(handler=_cmd_lnd)
+    if p := add("lnd", "local nilpotency report"):
+        common(p, surface=True, derivation=True, cap=True)
+        p.set_defaults(handler=_cmd_lnd)
 
-    p = sub.add_parser("exp", help="exponential automorphism of a derivation")
-    common(p, surface=True, derivation=True, cap=True)
-    p.add_argument("--scale", help="kernel element w: exponentiate w*D")
-    p.set_defaults(handler=_cmd_exp)
+    if p := add("exp", "exponential automorphism of a derivation"):
+        common(p, surface=True, derivation=True, cap=True)
+        p.add_argument("--scale", help="kernel element w: exponentiate w*D")
+        p.set_defaults(handler=_cmd_exp)
 
-    p = sub.add_parser("bound", help="gcd order bound for hyperbolic rotations")
-    p.add_argument("--g", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_bound)
+    if p := add("bound", "gcd order bound for hyperbolic rotations"):
+        p.add_argument("--g", required=True)
+        p.add_argument("--n", type=int, required=True)
+        common(p)
+        p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("classify", help="shape classification of phi")
-    p.add_argument("--phi", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
+    if p := add("classify", "shape classification of phi"):
+        p.add_argument("--phi", required=True)
+        common(p)
+        p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("verify", help="isotropy theorem suite on one surface")
-    common(p, surface=True, seed=True)
-    p.add_argument("--suite", choices=("xy", "xn", "fx"),
-                   help="expected surface class (checked against f)")
-    p.add_argument("--g", help="g(x) defining the derivation (default 1)")
-    p.add_argument("--hdeg", type=int, default=4, help="max sampled degree of h")
-    p.set_defaults(handler=_cmd_verify)
+    if p := add("verify", "isotropy theorem suite on one surface"):
+        common(p, surface=True, seed=True)
+        p.add_argument("--suite", choices=("xy", "xn", "fx"),
+                       help="expected surface class (checked against f)")
+        p.add_argument("--g", help="g(x) defining the derivation (default 1)")
+        p.add_argument("--hdeg", type=int, default=4, help="max sampled degree of h")
+        p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("plane-example", help="plane isotropy sweep for d = X dX + (Y^s + pX) dY")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--p", required=True, help="nonzero scalar")
-    common(p, seed=True)
-    p.set_defaults(handler=_cmd_plane_example)
+    if p := add("plane-example", "plane isotropy sweep for d = X dX + (Y^s + pX) dY"):
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--p", required=True, help="nonzero scalar")
+        common(p, seed=True)
+        p.set_defaults(handler=_cmd_plane_example)
 
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="danisurf",
+        description="exact computations on Danielewski surfaces and their "
+                    "locally nilpotent derivations")
+    sub = parser.add_subparsers(dest="command", required=True)
+    _define(lambda name, text: sub.add_parser(name, help=text))
     return parser
 
 
-# built on first use and then reused by run(): the parser, which parsing leaves unchanged,
-# each surface, and each Derivation or RingMap, proved well defined once per surface and text
+# built on first use and then reused by run(): each parser, which parsing leaves unchanged, each surface,
+# and each Derivation or RingMap, proved well defined once per surface and text
 _parser = lru_cache(maxsize=None)(build_arg_parser)
 _surface = lru_cache(maxsize=64)(parse_surface)
+
+
+@lru_cache(maxsize=32)  # the 12 subcommands, and None for a name that is none of them
+def _subparser(name: str) -> Optional[argparse.ArgumentParser]:
+    built = {}
+    _define(lambda n, _: built.setdefault(n, argparse.ArgumentParser(prog=f"danisurf {n}")) if n == name else None)
+    return built.get(name)
 
 
 @lru_cache(maxsize=64)
@@ -279,12 +281,12 @@ def _table(kind: type, surface: SurfaceSpec, text: str):
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    argv, parser = sys.argv[1:] if argv is None else argv, _parser()
-    sub = parser.commands.get(argv[0]) if argv else None  # a subcommand's own parser reads the rest
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _subparser(argv[0]) if argv else None  # a subcommand's own parser reads the rest
     args, extras = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
-                    else parser.parse_known_args(argv))
+                    else _parser().parse_known_args(argv))  # no or an unknown command, or -h: the full tree
     if extras:  # refused with the top-level parser's message, as its parse_args refuses them
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         for name, value in vars(args).items():  # the one @file read, before anything is built
             if isinstance(value, str) and value.startswith("@"):

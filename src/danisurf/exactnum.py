@@ -152,8 +152,10 @@ class _Frozen:
 
     __setstate__ = _fill
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return object.__new__, (type(self),), tuple([getattr(self, name) for name in self._fields])

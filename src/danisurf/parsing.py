@@ -33,6 +33,7 @@ MAX_EXPONENT = 64  # bound on a ^ exponent and on the total degree of a power or
 MAX_DIGITS = 1000  # bound on the length of an integer literal and of a numerator or denominator
 MAX_DEPTH = 100  # bound on the nesting of parentheses, well within the interpreter's recursion limit
 MAX_TERMS = 1 << 16  # a product or power is refused when t_a*t_b (or C(t+k-1, k)) and C(n+D, n) both pass it
+MAX_PAIRS = 1 << 22  # a product is refused when t_a*t_b, the number of term pairs it multiplies, passes it
 _TOO_LONG = 10 ** MAX_DIGITS
 
 
@@ -138,7 +139,9 @@ class _Parser:
             rhs = self.factor()
             if (degree := acc.total_degree() + rhs.total_degree()) > MAX_EXPONENT:
                 raise ParseError(f"degree above MAX_EXPONENT = {MAX_EXPONENT}", star[2])
-            _check_terms(len(acc.nums) * len(rhs.nums), {*acc.variables, *rhs.variables}, degree, star[2])
+            _check_terms(pairs := len(acc.nums) * len(rhs.nums), {*acc.variables, *rhs.variables}, degree, star[2])
+            if pairs > MAX_PAIRS:
+                raise ParseError(f"more than MAX_PAIRS = {MAX_PAIRS} term pairs to multiply", star[2])
             acc = _bounded(acc * rhs, star[2])
         return acc
 

@@ -1,9 +1,10 @@
 """Direct subcommand dispatch against the top-level parser, on the standard library alone.
 
-``cli.run`` hands the arguments after a subcommand's name to that subcommand's own parser.  For
-every subcommand, ``mismatches`` runs each argv kind below twice, once as ``run`` dispatches it and
-once through the top-level parser (``run`` with an empty dispatch table), and compares (exit code,
-stdout, stderr).  argparse's internals differ between Python versions, so this runs without pytest:
+``cli.run`` hands the arguments after a subcommand's name to that subcommand's own parser, built
+alone.  For every subcommand, ``mismatches`` runs each argv kind below twice, once as ``run``
+dispatches it and once through the full tree of ``build_arg_parser`` (``run`` with the direct lookup
+disabled, which must then parse with the top-level parser), and compares (exit code, stdout, stderr).
+argparse's internals differ between Python versions, so this runs without pytest:
 
     PYTHONPATH=src python tests/dispatch_parity.py
 
@@ -61,24 +62,29 @@ def _outcome(argv: list[str]) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def outcomes(argv: list[str]) -> tuple[tuple, tuple]:
-    """(code, stdout, stderr) of argv through run's direct dispatch, then through the top-level parser."""
-    parser = cli._parser()
+def outcomes(argv: list[str]) -> tuple[tuple, tuple, int]:
+    """(code, stdout, stderr) of argv through run's direct dispatch, then through the top-level parser,
+    and how many times the second run parsed with the top-level parser."""
     direct = _outcome(argv)
-    commands, parser.commands = parser.commands, {}
+    parser, parses = cli._parser(), []
+    subparser, cli._subparser = cli._subparser, lambda name: None
+    parser.parse_known_args = lambda *a: parses.append(a) or type(parser).parse_known_args(parser, *a)
     try:
-        return direct, _outcome(argv)
+        return direct, _outcome(argv), len(parses)
     finally:
-        parser.commands = commands
+        cli._subparser = subparser
+        del parser.parse_known_args
 
 
 def mismatches() -> list[tuple]:
-    return [(argv, *pair) for argv in argvs() if (pair := outcomes(argv))[0] != pair[1]]
+    """(argv, direct, top-level, parses) for each argv whose outcomes differ or whose second run did not
+    parse with the top-level parser."""
+    return [(argv, *trio) for argv in argvs() if (trio := outcomes(argv))[0] != trio[1] or not trio[2]]
 
 
 if __name__ == "__main__":
     bad = mismatches()
-    for argv, direct, top in bad:
-        print(f"{argv}:\n  direct    {direct!r}\n  top-level {top!r}")
+    for argv, direct, top, parses in bad:
+        print(f"{argv}:\n  direct    {direct!r}\n  top-level {top!r} ({parses} top-level parses)")
     print(f"{len(argvs())} argvs compared, {len(bad)} mismatches")
     sys.exit(1 if bad else 0)

@@ -12,7 +12,7 @@ import pytest
 from danisurf import cli
 from danisurf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 from danisurf.diffmaps import MAX_CAP
-from danisurf.parsing import MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT, MAX_TERMS
+from danisurf.parsing import MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
 
 import dispatch_parity
 
@@ -323,6 +323,13 @@ class TestErrorsAndFiles:
         assert code == EXIT_ERROR and not out
         assert f"MAX_TERMS = {MAX_TERMS}" in err and "(at position 13)" in err
 
+    def test_product_above_max_pairs_rejected(self, capsys):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "nf", "--surface", "free: x,y,z", "--expr", "(x+y+z+1)^32*(x+y+z+1)^32")
+        assert code == EXIT_ERROR and not out
+        assert f"MAX_PAIRS = {MAX_PAIRS}" in err and "(at position 12)" in err
+        assert time.perf_counter() - start < 2
+
     def test_exponent_at_bound_accepted(self, capsys):
         code, out, _ = _run(capsys, "nf", "--surface", SURFACE,
                             "--expr", f"x^{MAX_EXPONENT - 1}*y")
@@ -443,16 +450,35 @@ class TestParserReuse:
         return code, captured.out, captured.err
 
     def test_reused_parser_matches_fresh_parsers(self, capsys):
+        """The top-level parser is never built, each subcommand's parser once, and reuse changes nothing."""
         fresh = []
         for argv in self.SEQUENCE:
-            cli._parser.cache_clear()
+            cli._subparser.cache_clear()
             fresh.append(self._outcome(capsys, argv))
         cli._parser.cache_clear()
+        cli._subparser.cache_clear()
         reused = [self._outcome(capsys, argv) for argv in self.SEQUENCE]
-        assert cli._parser.cache_info().misses == 1
+        assert cli._parser.cache_info().misses == 0
+        assert cli._subparser.cache_info().misses == len({argv[0] for argv in self.SEQUENCE}) == 4
         assert reused == fresh
         code, out, err = reused[0]
-        assert code == EXIT_ERROR and not out and err.startswith("usage:")
+        assert code == EXIT_ERROR and not out and err.startswith("usage: danisurf nf")
+
+    def test_one_valid_call_constructs_one_parser(self):
+        """A fresh interpreter's one valid call builds only its subcommand's ArgumentParser."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "def counted(self, *args, **kwargs):\n"
+                 "    built.append(kwargs.get('prog')); init(self, *args, **kwargs)\n"
+                 "argparse.ArgumentParser.__init__ = counted\n"
+                 "from danisurf import cli\n"
+                 "code = cli.run(['verify', '--suite', 'xy', '--f', 'x', '--phi', 'z^2', '--hdeg', '1'])\n"
+                 "print(code, built, file=sys.stderr)")
+        done = subprocess.run([sys.executable, "-E", "-s", "-c", probe, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip() == "0 ['danisurf verify']"
 
 
 ILL_MAP = "x -> y; y -> y; z -> z"
@@ -466,7 +492,8 @@ class TestDirectDispatch:
 
     @pytest.mark.parametrize("argv", dispatch_parity.argvs())
     def test_matches_the_top_level_parser(self, argv):
-        direct, top_level = dispatch_parity.outcomes(argv)
+        direct, top_level, top_level_parses = dispatch_parity.outcomes(argv)
+        assert top_level_parses == 1  # the second run really parsed with build_arg_parser's tree
         assert direct == top_level
 
     def test_extras_get_the_top_level_error(self, capsys):

@@ -1,15 +1,17 @@
 """Expression grammar, spec parsing, and render round-trips."""
 
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from danisurf import parsing
 from danisurf.exactnum import CycScalar, zeta
 from danisurf.multipoly import MultiPoly
-from danisurf.parsing import (MAX_DEPTH, MAX_TERMS, ParseError, parse_expression, parse_images,
+from danisurf.parsing import (MAX_DEPTH, MAX_PAIRS, MAX_TERMS, ParseError, parse_expression, parse_images,
                               parse_scalar, parse_surface)
 from danisurf.surface import SurfaceSpec
 
@@ -90,6 +92,26 @@ class TestExpressionGrammar:
     def test_expansion_within_max_terms(self, text, terms):
         """The term count is bounded by the monomials of its degree too, so 496^2 term pairs are accepted."""
         assert len(parse_expression(text).nums) == terms
+
+    def test_product_past_max_pairs(self):
+        """6,545^2 term pairs (47,905 terms, within MAX_TERMS) are refused at the '*' before any is multiplied."""
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"MAX_PAIRS = {MAX_PAIRS}") as err:
+            parse_expression("(x+y+z+1)^32*(x+y+z+1)^32")
+        assert err.value.position == 12
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("bound,accepted", [(496 ** 2, True), (496 ** 2 - 1, False)])
+    def test_product_at_max_pairs(self, monkeypatch, bound, accepted):
+        """t_a*t_b equal to MAX_PAIRS is accepted, one more is not; a power is never counted in pairs."""
+        monkeypatch.setattr(parsing, "MAX_PAIRS", bound)
+        text = "(x+y+1)^30*(x+y+1)^30"
+        if accepted:
+            assert len(parse_expression(text).nums) == 1891
+        else:
+            with pytest.raises(ParseError, match=f"MAX_PAIRS = {bound} term pairs"):
+                parse_expression(text)
+        assert len(parse_expression("(x+y+1)^60").nums) == 1891
 
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown variable"):

@@ -1,5 +1,6 @@
-"""The value types share one frozen base: a write after construction raises, the repr is ``Type(str)``, and
-``copy.copy``, ``copy.deepcopy`` and ``pickle`` rebuild an equal value, with the same hash and text."""
+"""The value types share one frozen base: a write or delete after construction raises, the repr is
+``Type(str)``, and ``copy.copy``, ``copy.deepcopy`` and ``pickle`` rebuild an equal value, with the same hash
+and text."""
 
 import copy
 import pickle
@@ -60,14 +61,27 @@ def test_repr_is_the_type_and_the_text(name):
     assert repr(build()) == text
 
 
-@pytest.mark.parametrize("name,attribute", [
-    ("rational scalar", "den"), ("polynomial in x, y, z", "nums"), ("relation surface", "f"),
-    ("free element", "rep"), ("canonical derivation", "images"), ("exponential map", "surface")])
+# one value of each of the six value types, with one of its slots
+SLOTS = [("rational scalar", "den"), ("polynomial in x, y, z", "nums"), ("relation surface", "f"),
+         ("free element", "rep"), ("canonical derivation", "images"), ("exponential map", "surface")]
+
+
+@pytest.mark.parametrize("name,attribute", SLOTS)
 def test_a_value_refuses_every_write(name, attribute):
     value = VALUES[name][0]()
     for attr in (attribute, "extra"):
         with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
             setattr(value, attr, None)
+
+
+@pytest.mark.parametrize("name,attribute", SLOTS)
+def test_a_value_refuses_every_delete(name, attribute):
+    build, text = VALUES[name]
+    value = build()
+    for attr in (attribute, "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, attr)
+    assert repr(value) == text and value == build()
 
 
 def test_a_polynomial_pickled_where_its_names_took_other_slots_reads_back_equal():
